@@ -263,9 +263,8 @@ pub fn fig27(ctx: &ExpContext) -> Vec<(usize, f64, f64)> {
             }
             .with_rx_at(distance, angle);
             let mut sys = redeploy(&sys0, &config);
-            // Walls attenuate the MTS→Rx leg of the computation path.
             let wall_amp = penetration_amplitude(&walls);
-            sys.channels.scale_mut(wall_amp);
+            attenuate_mts_leg(&mut sys, wall_amp);
             let acc = sys.ota_accuracy_with(&test, &format!("fig27-{p}"), |rng| {
                 let mut c = sys.default_conditions(n, rng);
                 let mut env = Environment::paper_default(
@@ -284,6 +283,15 @@ pub fn fig27(ctx: &ExpContext) -> Vec<(usize, f64, f64)> {
             (p + 1, distance, acc)
         })
         .collect()
+}
+
+/// Walls attenuate the MTS→Rx leg of the computation path: scales the
+/// realized channels through `set_channels`, so the fused kernel's plane
+/// cache is scaled with them.
+fn attenuate_mts_leg(sys: &mut MetaAiSystem, amplitude: f64) {
+    let mut channels = sys.channels.clone();
+    channels.scale_mut(amplitude);
+    sys.set_channels(channels);
 }
 
 /// Prints and persists all robustness sweeps.
@@ -408,12 +416,33 @@ pub fn report_all(ctx: &ExpContext) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metaai::ota::OtaConditions;
+    use metaai_math::rng::SimRng;
 
     #[test]
     fn fig25_fov_cliff_beyond_60_degrees() {
         let ctx = ExpContext::quick(11);
         let f = fig25(&ctx, &[30.0, 80.0]);
         assert!(f[0].1 > f[1].1, "accuracy must fall past the FoV: {f:?}");
+    }
+
+    #[test]
+    fn wall_attenuation_reaches_the_scores() {
+        let (mut sys, test) = build_default(&ExpContext::quick(14));
+        assert_eq!(sys.channels.rows(), 10, "MNIST scores on the fused path");
+        let x = &test.inputs[0];
+        let cond = OtaConditions::ideal(x.len());
+        let score =
+            |sys: &MetaAiSystem| sys.engine().scores(x, &cond, &mut SimRng::seed_from_u64(1));
+        let open = score(&sys);
+        attenuate_mts_leg(&mut sys, 0.1);
+        let walled = score(&sys);
+        for (o, w) in open.iter().zip(&walled) {
+            assert!(
+                (w - 0.1 * o).abs() <= 1e-9 * o.abs(),
+                "a 0.1 wall amplitude must scale the scores 10×: {open:?} vs {walled:?}"
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! cosine-power pattern for the directional antenna.
 
 use crate::geometry::deg_to_rad;
+use std::cell::Cell;
 
 /// An antenna radiation pattern, evaluated as amplitude gain versus the
 /// angle off boresight.
@@ -62,24 +63,50 @@ impl AntennaPattern {
     /// how strongly a given antenna couples to it. Omni → 1, directional →
     /// much smaller, which is why directional antennas suffer less from
     /// multipath (Fig 17).
+    ///
+    /// The integral depends only on the pattern, and every environment draw
+    /// needs it, so each thread keeps the last pattern's value: a repeat
+    /// call returns the same `f64` the integral produced, without redoing
+    /// it.
     pub fn diffuse_coupling(&self) -> f64 {
         match *self {
             AntennaPattern::Omni => 1.0,
-            AntennaPattern::Directional { .. } => {
-                // Numeric average of gain(θ)·sinθ over [0, π].
-                let n = 256;
-                let mut acc = 0.0;
-                let mut norm = 0.0;
-                for i in 0..n {
-                    let t = std::f64::consts::PI * (i as f64 + 0.5) / n as f64;
-                    let w = t.sin();
-                    acc += self.gain(t) * w;
-                    norm += w;
-                }
-                acc / norm
+            AntennaPattern::Directional {
+                beamwidth,
+                sidelobe_floor,
+            } => {
+                let key = (beamwidth.to_bits(), sidelobe_floor.to_bits());
+                DIFFUSE_COUPLING.with(|memo| match memo.get() {
+                    Some((k, v)) if k == key => v,
+                    _ => {
+                        let v = self.integrate_diffuse_coupling();
+                        memo.set(Some((key, v)));
+                        v
+                    }
+                })
             }
         }
     }
+
+    /// Numeric average of gain(θ)·sinθ over [0, π].
+    fn integrate_diffuse_coupling(&self) -> f64 {
+        let n = 256;
+        let mut acc = 0.0;
+        let mut norm = 0.0;
+        for i in 0..n {
+            let t = std::f64::consts::PI * (i as f64 + 0.5) / n as f64;
+            let w = t.sin();
+            acc += self.gain(t) * w;
+            norm += w;
+        }
+        acc / norm
+    }
+}
+
+thread_local! {
+    /// The last directional pattern's diffuse coupling on this thread,
+    /// keyed on the exact bits of `(beamwidth, sidelobe_floor)`.
+    static DIFFUSE_COUPLING: Cell<Option<((u64, u64), f64)>> = const { Cell::new(None) };
 }
 
 #[cfg(test)]
@@ -133,6 +160,33 @@ mod tests {
         let d = AntennaPattern::typical_directional().diffuse_coupling();
         assert!(d < 0.5, "diffuse coupling should be much below omni: {d}");
         assert!(d > 0.0);
+    }
+
+    #[test]
+    fn memoised_coupling_is_the_integral_bitwise() {
+        let a = AntennaPattern::typical_directional();
+        let want = a.integrate_diffuse_coupling().to_bits();
+        assert_eq!(a.diffuse_coupling().to_bits(), want);
+        assert_eq!(a.diffuse_coupling().to_bits(), want, "memo hit");
+    }
+
+    #[test]
+    fn alternating_patterns_never_see_a_stale_coupling() {
+        let a = AntennaPattern::typical_directional();
+        let b = AntennaPattern::Directional {
+            beamwidth: deg_to_rad(90.0),
+            sidelobe_floor: 0.05,
+        };
+        let (want_a, want_b) = (
+            a.integrate_diffuse_coupling().to_bits(),
+            b.integrate_diffuse_coupling().to_bits(),
+        );
+        assert_ne!(want_a, want_b);
+        for _ in 0..3 {
+            assert_eq!(a.diffuse_coupling().to_bits(), want_a);
+            assert_eq!(b.diffuse_coupling().to_bits(), want_b);
+            assert_eq!(AntennaPattern::Omni.diffuse_coupling(), 1.0);
+        }
     }
 
     #[test]

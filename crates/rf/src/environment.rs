@@ -303,4 +303,56 @@ mod tests {
         let b = EnvChannel::from_environment(&env, 4, &mut SimRng::seed_from_u64(5));
         assert_eq!(a.gains, b.gains);
     }
+
+    /// The `static_gain` cases pinned below: each kind at paper defaults,
+    /// then two mixed-antenna cases — two different directional patterns
+    /// on one link, and omni Tx with NLoS and a wall. Two draws per case.
+    fn pinned_gain_bits() -> Vec<(u64, u64)> {
+        let mut cases: Vec<(Environment, u64)> = EnvironmentKind::all()
+            .into_iter()
+            .map(|kind| (default_env(kind), 7))
+            .collect();
+        let mut mixed = default_env(EnvironmentKind::Office);
+        mixed.rx_antenna = AntennaPattern::Directional {
+            beamwidth: deg_to_rad(90.0),
+            sidelobe_floor: 0.05,
+        };
+        cases.push((mixed, 11));
+        let mut walled = default_env(EnvironmentKind::Laboratory);
+        walled.tx_antenna = AntennaPattern::Omni;
+        walled.line_of_sight = false;
+        walled.bulk_attenuation = 0.3;
+        cases.push((walled, 13));
+        cases
+            .iter()
+            .flat_map(|(env, seed)| {
+                let mut rng = SimRng::seed_from_u64(*seed);
+                (0..2)
+                    .map(|_| {
+                        let g = env.static_gain(&mut rng);
+                        (g.re.to_bits(), g.im.to_bits())
+                    })
+                    .collect::<Vec<_>>()
+            })
+            .collect()
+    }
+
+    /// `static_gain` bit patterns recorded before the diffuse coupling was
+    /// memoised: the memo must be bitwise invisible.
+    #[test]
+    fn static_gain_matches_recorded_bits() {
+        const RECORDED: [(u64, u64); 10] = [
+            (0x3f074912da53b294, 0x3f262abe1802b6f8),
+            (0x3f0a7e3c31e3c086, 0x3f23dd842e92279d),
+            (0x3f06d9c741a84c02, 0x3f2460b1c28ea01a),
+            (0x3f0af0be27ce902b, 0x3f2583cdf75c2b1a),
+            (0x3f0926484ec710f0, 0x3f24abef337bc51c),
+            (0xbed994f355df18ce, 0x3f2523369a21dce5),
+            (0x3f07dc121a302882, 0x3f24b43a4358a68d),
+            (0x3efba71d51464bc6, 0x3f2cbace3d96f363),
+            (0xbf0c2488744d53a2, 0xbefe78cfb62043a0),
+            (0xbef9b2c9051b10e5, 0x3f14deb6fc817c0b),
+        ];
+        assert_eq!(pinned_gain_bits(), RECORDED);
+    }
 }
