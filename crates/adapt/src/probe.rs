@@ -117,13 +117,14 @@ pub fn probe_health(
     let channel_residual = (live_sq + dep_sq - 2.0 * inner.abs()).max(0.0).sqrt() / denom;
 
     let stream = SimRng::stream_id("adapt-probe");
+    let engine = OtaEngine::new(&live);
     let mut correct = 0usize;
     let mut margins = Vec::with_capacity(probes.len());
     for (i, x) in probes.inputs.iter().enumerate() {
         let mut rng =
             SimRng::derive_indexed(probes.seed, stream, round * probes.len() as u64 + i as u64);
         let cond = deployed.default_conditions(x.len(), &mut rng);
-        let scores = OtaEngine::new(&live).scores(x, &cond, &mut rng);
+        let scores = engine.scores(x, &cond, &mut rng);
         if argmax(&scores) == probes.labels[i] {
             correct += 1;
         }

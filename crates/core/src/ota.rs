@@ -17,7 +17,7 @@
 use metaai_math::rng::SimRng;
 use metaai_math::{CMat, CVec, C64};
 use metaai_mts::array::MtsArray;
-use metaai_mts::channel::MtsLink;
+use metaai_mts::channel::{MtsLink, RealizationTable};
 use metaai_phy::shaping;
 use metaai_rf::environment::EnvChannel;
 use metaai_rf::noise::Awgn;
@@ -26,26 +26,19 @@ use metaai_rf::noise::Awgn;
 /// a (possibly imperfect) array: per-atom fabrication phase errors and
 /// stuck-at faults are applied on top of the programmed codes, then the
 /// far-field sum and common amplitude `α_p`.
+///
+/// Each atom's term is read from a [`RealizationTable`] built once per
+/// call, so the entries cost a gather-sum each instead of one `sin`/`cos`
+/// pair per atom. Runs sequentially on the caller's thread.
 pub fn realize_channels(
     schedule: &crate::mapper::WeightSchedule,
     link: &MtsLink,
     array: &MtsArray,
 ) -> CMat {
-    let r = schedule.num_outputs();
-    let u = schedule.num_symbols();
-    assert_eq!(array.num_atoms(), link.num_atoms(), "array/link mismatch");
+    let table = RealizationTable::new(link, array);
+    let (r, u) = (schedule.num_outputs(), schedule.num_symbols());
     CMat::from_fn(r, u, |row, col| {
-        let codes = &schedule.codes[row][col];
-        let sum: C64 = codes
-            .iter()
-            .zip(&array.atoms)
-            .zip(&link.path_phasors)
-            .map(|((code, atom), &path)| {
-                let eff = atom.stuck_at.unwrap_or(*code);
-                path * C64::from_polar(atom.amplitude, eff.phase() + atom.phase_error)
-            })
-            .sum();
-        sum * link.alpha
+        table.normalized_sum(&schedule.codes[row][col]) * link.alpha
     })
 }
 

@@ -98,10 +98,16 @@ impl MetaAtom {
     /// The complex reflection coefficient this atom applies:
     /// `amplitude · e^{j(φ_state + φ_error)}`.
     pub fn reflection(&self) -> C64 {
-        C64::from_polar(
-            self.amplitude,
-            self.effective_code().phase() + self.phase_error,
-        )
+        self.response(self.code)
+    }
+
+    /// The reflection coefficient this atom would apply if programmed
+    /// with `code`: a stuck atom answers with its fault state whatever
+    /// the code (and whatever the code's bit depth).
+    #[inline]
+    pub fn response(&self, code: PhaseCode) -> C64 {
+        let eff = self.stuck_at.unwrap_or(code);
+        C64::from_polar(self.amplitude, eff.phase() + self.phase_error)
     }
 }
 
@@ -167,6 +173,25 @@ mod tests {
         let r = a.reflection();
         assert!((r.abs() - 0.9).abs() < 1e-12);
         assert!((r.arg() - (FRAC_PI_2 + 0.05)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn response_matches_reflection_of_the_programmed_atom() {
+        let mut a = MetaAtom::pristine();
+        a.phase_error = -0.07;
+        a.amplitude = 0.8;
+        for bits in 1u8..=3 {
+            for index in 0..1u8 << bits {
+                let code = PhaseCode::new(index, bits);
+                let mut programmed = a;
+                programmed.program(code);
+                assert_eq!(a.response(code), programmed.reflection());
+            }
+        }
+        a.stuck_at = Some(PhaseCode::two_bit(3));
+        let stuck = a.reflection();
+        assert_eq!(a.response(PhaseCode::new(1, 1)), stuck);
+        assert_eq!(a.response(PhaseCode::new(5, 3)), stuck);
     }
 
     #[test]

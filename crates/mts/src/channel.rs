@@ -17,6 +17,7 @@
 //! the per-atom gain collapses, reproducing the FoV cliff of Fig 25.
 
 use crate::array::MtsArray;
+use crate::atom::PhaseCode;
 use metaai_math::C64;
 use metaai_rf::geometry::Point3;
 use metaai_rf::pathloss::{wavelength, wavenumber};
@@ -128,6 +129,58 @@ impl MtsLink {
     }
 }
 
+/// Every atom's physical term `e^{jφ_m^p} · a_m e^{j(φ_eff + ε_m)}` for
+/// every phase code at every supported depth (1–3 bits), tabulated once
+/// per (link, surface) pair.
+///
+/// Realizing a schedule evaluates one such term per atom × weight — a
+/// sine and a cosine each, millions per deployment — although each atom
+/// only ever takes `2^bits` distinct values. The table forms each term
+/// from exactly the operands the on-the-fly formula used
+/// ([`MetaAtom::response`](crate::atom::MetaAtom::response) times the
+/// path phasor, stuck-at faults included), and
+/// [`normalized_sum`](Self::normalized_sum) folds the looked-up terms left
+/// from zero in atom order, the order of `Sum` — so a table realization is
+/// bitwise identical to the direct one.
+#[derive(Clone, Debug)]
+pub struct RealizationTable {
+    /// Depth-major blocks: `terms[M·(2^bits − 2) + atom·2^bits + index]`.
+    terms: Vec<C64>,
+    num_atoms: usize,
+}
+
+impl RealizationTable {
+    /// Tabulates `array`'s atoms (fabrication errors and faults as they
+    /// are now) against `link`'s path phasors.
+    pub fn new(link: &MtsLink, array: &MtsArray) -> Self {
+        assert_eq!(array.num_atoms(), link.num_atoms(), "array/link mismatch");
+        let num_atoms = link.num_atoms();
+        // 2 + 4 + 8 codes per atom across the three depths.
+        let mut terms = Vec::with_capacity(num_atoms * 14);
+        for bits in 1..=3u8 {
+            for (atom, &path) in array.atoms.iter().zip(&link.path_phasors) {
+                for index in 0..1u8 << bits {
+                    terms.push(path * atom.response(PhaseCode::new(index, bits)));
+                }
+            }
+        }
+        RealizationTable { terms, num_atoms }
+    }
+
+    /// The normalized channel sum `Σ_m e^{jφ_m^p} · a_m e^{j(φ_eff + ε_m)}`
+    /// (no `α_p`) of the configuration `codes`, one code per atom.
+    pub fn normalized_sum(&self, codes: &[PhaseCode]) -> C64 {
+        assert_eq!(codes.len(), self.num_atoms, "one code per atom");
+        codes
+            .iter()
+            .enumerate()
+            .fold(C64::ZERO, |acc, (atom, code)| {
+                let depth_base = self.num_atoms * ((1usize << code.bits) - 2);
+                acc + self.terms[depth_base + (atom << code.bits) + code.index as usize]
+            })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,6 +278,29 @@ mod tests {
         let n = link.normalized_sum(&array);
         assert!((n * link.alpha - h).abs() < 1e-15);
         assert!(n.abs() <= link.max_normalized() + 1e-9);
+    }
+
+    #[test]
+    fn table_sum_matches_the_configured_channel_bitwise() {
+        // Every depth, with phase noise and stuck atoms: the tabulated sum
+        // must equal the configured array's own channel, bit for bit.
+        let (mut array, link) = paper_link();
+        let mut rng = metaai_math::rng::SimRng::seed_from_u64(5);
+        array.inject_phase_noise(0.1, &mut rng);
+        array.inject_stuck_faults(0.2, &mut rng);
+        let table = RealizationTable::new(&link, &array);
+        for bits in 1u8..=3 {
+            let codes: Vec<PhaseCode> = (0..array.num_atoms())
+                .map(|_| PhaseCode::new(rng.below(1 << bits) as u8, bits))
+                .collect();
+            array.configure(&codes);
+            let direct = link.channel(&array);
+            assert_eq!(
+                table.normalized_sum(&codes) * link.alpha,
+                direct,
+                "{bits}-bit"
+            );
+        }
     }
 
     #[test]

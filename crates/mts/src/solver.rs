@@ -71,6 +71,11 @@ pub fn register_metrics() {
 /// exact same operands, table lookups are bit-identical to the on-the-fly
 /// multiplies they replace.
 ///
+/// The table also keeps the first target's per-atom path angles
+/// `phasors[0][atom].arg()`, which the cold solve's phase-aligned
+/// initialization subtracts from the target angle: one `atan2` per atom
+/// per solver instead of per atom per solve, and the same `f64` either way.
+///
 /// The table depends only on the solver (not on targets), so callers
 /// solving many targets against one geometry — [`WeightSolver`] users like
 /// the weight mapper — build it once and share it read-only across
@@ -78,6 +83,7 @@ pub fn register_metrics() {
 #[derive(Clone, Debug)]
 pub struct StateTable {
     contrib: Vec<Vec<C64>>,
+    init_args: Vec<f64>,
     n_states: usize,
 }
 
@@ -208,10 +214,15 @@ impl WeightSolver {
                 c
             })
             .collect();
+        let init_args = self.phasors[0].iter().map(|u| u.arg()).collect();
         if metaai_telemetry::enabled() {
             metrics().table_builds.inc();
         }
-        StateTable { contrib, n_states }
+        StateTable {
+            contrib,
+            init_args,
+            n_states,
+        }
     }
 
     /// Solves for one shared configuration approximating `targets[k]` on
@@ -241,12 +252,16 @@ impl WeightSolver {
     ) -> SolveResult {
         self.check_inputs(targets, table);
         // Phase-aligned initialization against the first target: point each
-        // atom's contribution at the target direction.
+        // atom's contribution at the target direction. Both angles are
+        // hoisted — the target's out of the atom loop, the atoms' into the
+        // table — with the operands and the subtraction unchanged.
+        let target_arg = targets[0].arg();
         scratch.codes.clear();
         scratch.codes.extend(
-            self.phasors[0]
+            table
+                .init_args
                 .iter()
-                .map(|u| PhaseCode::quantize(targets[0].arg() - u.arg(), self.bits)),
+                .map(|&a| PhaseCode::quantize(target_arg - a, self.bits)),
         );
         self.descend(targets, table, scratch)
     }
@@ -288,9 +303,8 @@ impl WeightSolver {
             self.num_targets(),
             "one target per phasor set"
         );
-        assert_eq!(
-            table.contrib.len(),
-            self.num_targets(),
+        assert!(
+            table.contrib.len() == self.num_targets() && table.init_args.len() == self.num_atoms(),
             "state table built for a different solver"
         );
     }

@@ -18,7 +18,7 @@ use crate::{OverflowPolicy, ServeConfig, ServeError};
 use metaai_math::CVec;
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One inference to serve.
@@ -143,6 +143,14 @@ impl BatchQueue {
         }
     }
 
+    /// Locks the queue state, recovering it if a thread panicked while
+    /// holding the lock. Every critical section only pushes, drains, or
+    /// sets the shutdown flag, so a poisoned state is still consistent —
+    /// and refusing it would take down every worker of this model.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// This queue's per-model instruments, gated on telemetry being
     /// enabled (`None` for plain queues or when telemetry is off).
     #[inline]
@@ -153,7 +161,7 @@ impl BatchQueue {
     /// Admits a request, applying the overflow policy when the queue is
     /// full. Returns the caller's [`Ticket`] on admission.
     pub fn submit(&self, request: ScoreRequest) -> Result<Ticket, ServeError> {
-        let mut st = self.state.lock().expect("serve queue poisoned");
+        let mut st = self.lock();
         loop {
             if st.shutdown {
                 return Err(ServeError::ShuttingDown);
@@ -172,7 +180,10 @@ impl BatchQueue {
                     return Err(ServeError::Overloaded);
                 }
                 OverflowPolicy::Block => {
-                    st = self.not_full.wait(st).expect("serve queue poisoned");
+                    st = self
+                        .not_full
+                        .wait(st)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
             }
         }
@@ -202,13 +213,16 @@ impl BatchQueue {
     /// * oldest request older than `max_delay` → flush what is there;
     /// * shutdown → flush remaining requests without waiting (drain).
     pub(crate) fn next_batch(&self) -> Option<Vec<Pending>> {
-        let mut st = self.state.lock().expect("serve queue poisoned");
+        let mut st = self.lock();
         loop {
             if st.queue.is_empty() {
                 if st.shutdown {
                     return None;
                 }
-                st = self.not_empty.wait(st).expect("serve queue poisoned");
+                st = self
+                    .not_empty
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
                 continue;
             }
             if st.queue.len() >= self.max_batch || st.shutdown {
@@ -222,7 +236,7 @@ impl BatchQueue {
             let (guard, _timed_out) = self
                 .not_empty
                 .wait_timeout(st, flush_at - now)
-                .expect("serve queue poisoned");
+                .unwrap_or_else(PoisonError::into_inner);
             st = guard;
         }
         let take = st.queue.len().min(self.max_batch);
@@ -252,7 +266,7 @@ impl BatchQueue {
     /// already queued (`next_batch` keeps returning batches until empty),
     /// then see `None` and exit.
     pub fn shutdown(&self) {
-        let mut st = self.state.lock().expect("serve queue poisoned");
+        let mut st = self.lock();
         st.shutdown = true;
         drop(st);
         self.not_empty.notify_all();
@@ -261,12 +275,12 @@ impl BatchQueue {
 
     /// Current queue depth (racy; for monitoring and tests).
     pub fn depth(&self) -> usize {
-        self.state.lock().expect("serve queue poisoned").queue.len()
+        self.lock().queue.len()
     }
 
     /// Whether the queue has been shut down.
     pub fn is_shutdown(&self) -> bool {
-        self.state.lock().expect("serve queue poisoned").shutdown
+        self.lock().shutdown
     }
 
     /// The configured flush size.
@@ -394,6 +408,33 @@ mod tests {
             drained.extend(batch.into_iter().map(|p| p.request.id));
         }
         assert_eq!(drained, vec![0, 1, 2, 3, 4]);
+        assert!(q.next_batch().is_none());
+    }
+
+    #[test]
+    fn a_poisoned_queue_lock_keeps_serving() {
+        let q = BatchQueue::new(&config(2, Duration::from_secs(30), 8, OverflowPolicy::Shed));
+        let _held = q.submit(request(0)).unwrap();
+        std::thread::scope(|s| {
+            let panicked = s
+                .spawn(|| {
+                    let _guard = q.lock();
+                    panic!("worker panics while holding the queue lock");
+                })
+                .join();
+            assert!(panicked.is_err());
+        });
+        assert!(q.state.is_poisoned());
+        let _next = q.submit(request(1)).expect("submit after poison");
+        assert_eq!(q.depth(), 2);
+        let batch = q.next_batch().expect("batch after poison");
+        assert_eq!(
+            batch.iter().map(|p| p.request.id).collect::<Vec<_>>(),
+            [0, 1]
+        );
+        assert!(!q.is_shutdown());
+        q.shutdown();
+        assert!(q.is_shutdown());
         assert!(q.next_batch().is_none());
     }
 

@@ -36,7 +36,7 @@ use metaai::pipeline::MetaAiSystem;
 use metaai_math::rng::SimRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// FNV-1a offset basis (the hash behind [`SimRng::stream_id`]).
@@ -136,10 +136,14 @@ impl ModelEntry {
 
     /// The deployment new batches score against. Cheap (`Arc` clone under
     /// a read lock); callers keep the clone for the duration of a batch.
+    ///
+    /// A poisoned lock is recovered, here and in [`swap`](Self::swap): the
+    /// only write is one `Arc` assignment, so the slot always holds a
+    /// complete deployment.
     pub fn current(&self) -> Arc<ServeDeployment> {
         self.active
             .read()
-            .expect("deploy registry poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 
@@ -169,7 +173,7 @@ impl ModelEntry {
             epoch,
             stream: stream_for_epoch(self.stream_prefix, epoch),
         });
-        *self.active.write().expect("deploy registry poisoned") = deployment;
+        *self.active.write().unwrap_or_else(PoisonError::into_inner) = deployment;
         self.swapped_nanos
             .store(self.created.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if let Some(m) = crate::metrics::tele() {
@@ -443,6 +447,25 @@ mod tests {
             r.swap("alpha", shaped_system(99, 4, 16)),
             Err(ServeError::ShapeMismatch(_))
         ));
+    }
+
+    #[test]
+    fn a_poisoned_deployment_slot_keeps_current_and_swap_working() {
+        let r = registry(&["alpha"]);
+        let entry = r.entry("alpha").unwrap();
+        std::thread::scope(|s| {
+            let panicked = s
+                .spawn(|| {
+                    let _guard = entry.active.write().unwrap();
+                    panic!("swapper panics while holding the slot");
+                })
+                .join();
+            assert!(panicked.is_err());
+        });
+        assert!(entry.active.is_poisoned());
+        assert_eq!(entry.current().epoch, 1);
+        assert_eq!(entry.swap(tiny_system(2)).expect("swap after poison"), 2);
+        assert_eq!(entry.current().epoch, 2);
     }
 
     #[test]

@@ -25,6 +25,7 @@
 use crate::stack::StackGeometry;
 use metaai_math::{CMat, C64};
 use metaai_mts::atom::PhaseCode;
+use metaai_mts::channel::RealizationTable;
 use metaai_mts::solver::{SolverScratch, StateTable, WeightSolver};
 use metaai_telemetry::{Counter, Histogram};
 use rayon::prelude::*;
@@ -355,32 +356,28 @@ impl StackSolver {
 /// Π_l α_l · A_l[r, i]` on (possibly imperfect) surfaces: per-atom
 /// fabrication phase errors and stuck-at faults apply on top of each
 /// layer's programmed codes — the stacked analogue of the single-surface
-/// `realize_channels`.
+/// `realize_channels`, reading each layer's atom terms from its own
+/// [`RealizationTable`].
 pub fn realize_stack(geom: &StackGeometry, schedule: &StackSchedule) -> CMat {
     assert_eq!(
         geom.num_layers(),
         schedule.layers.len(),
         "geometry/schedule layer mismatch"
     );
+    let tables: Vec<RealizationTable> = geom
+        .links
+        .iter()
+        .zip(&geom.surfaces)
+        .map(|(link, surface)| RealizationTable::new(link, surface))
+        .collect();
     let (r, u) = (schedule.num_outputs(), schedule.num_symbols());
     CMat::from_fn(r, u, |row, col| {
-        geom.surfaces
-            .iter()
-            .zip(&geom.links)
-            .zip(&schedule.layers)
-            .fold(C64::ONE, |acc, ((surface, link), layer)| {
-                let codes = &layer.codes[row][col];
-                let sum: C64 = codes
-                    .iter()
-                    .zip(&surface.atoms)
-                    .zip(&link.path_phasors)
-                    .map(|((code, atom), &path)| {
-                        let eff = atom.stuck_at.unwrap_or(*code);
-                        path * C64::from_polar(atom.amplitude, eff.phase() + atom.phase_error)
-                    })
-                    .sum();
-                acc * sum * link.alpha
-            })
+        tables.iter().zip(&geom.links).zip(&schedule.layers).fold(
+            C64::ONE,
+            |acc, ((table, link), layer)| {
+                acc * table.normalized_sum(&layer.codes[row][col]) * link.alpha
+            },
+        )
     })
 }
 
