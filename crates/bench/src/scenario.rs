@@ -121,10 +121,8 @@ pub struct Recipe {
     pub deadline_us: u64,
     /// Worker threads per model.
     pub workers: usize,
-    /// Server micro-batch size.
+    /// Most requests one server worker takes from its queue at once.
     pub max_batch: usize,
-    /// Server micro-batch delay cap in µs.
-    pub max_delay_us: u64,
     /// Server submission-queue capacity.
     pub queue_capacity: usize,
     /// What the server does with a full queue.
@@ -179,7 +177,6 @@ fn base_recipe() -> Recipe {
         deadline_us: 0,
         workers: 2,
         max_batch: 8,
-        max_delay_us: 2000,
         queue_capacity: 512,
         policy: OverflowPolicy::Shed,
         chaos_connections: 2,
@@ -388,7 +385,6 @@ impl Recipe {
                 "deadline-us" => recipe.deadline_us = parse_num(key, value, 0).map_err(fail)?,
                 "workers" => recipe.workers = parse_num(key, value, 1).map_err(fail)?,
                 "max-batch" => recipe.max_batch = parse_num(key, value, 1).map_err(fail)?,
-                "max-delay-us" => recipe.max_delay_us = parse_num(key, value, 0).map_err(fail)?,
                 "queue-capacity" => {
                     recipe.queue_capacity = parse_num(key, value, 1).map_err(fail)?
                 }
@@ -505,7 +501,6 @@ impl Recipe {
         out.push_str(&format!("deadline-us = {}\n", self.deadline_us));
         out.push_str(&format!("workers = {}\n", self.workers));
         out.push_str(&format!("max-batch = {}\n", self.max_batch));
-        out.push_str(&format!("max-delay-us = {}\n", self.max_delay_us));
         out.push_str(&format!("queue-capacity = {}\n", self.queue_capacity));
         out.push_str(&format!("policy = {}\n", policy_key(self.policy)));
         out.push_str(&format!("chaos-connections = {}\n", self.chaos_connections));
@@ -537,10 +532,10 @@ impl Recipe {
     fn serve_config(&self) -> ServeConfig {
         ServeConfig {
             max_batch: self.max_batch,
-            max_delay: Duration::from_micros(self.max_delay_us),
             queue_capacity: self.queue_capacity,
             workers: self.workers,
             policy: self.policy,
+            ..ServeConfig::default()
         }
     }
 }

@@ -7,8 +7,8 @@
 //! into a `sync_channel` whose capacity is the pipeline depth, and the
 //! receiver pairs replies with those records in FIFO order (the server's
 //! per-connection writer resolves strictly in submission order). Depth ≥
-//! the server's `max_batch` keeps full batches forming — the
-//! "batch-saturating" load of the PR-4 acceptance criterion.
+//! the server's `max_batch` lets full batches queue up while every worker
+//! is busy — the "batch-saturating" load `perf_report` measures.
 
 use metaai_math::rng::SimRng;
 use metaai_serve::tcp::TcpClient;

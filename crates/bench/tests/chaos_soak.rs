@@ -63,7 +63,6 @@ fn the_service_survives_a_chaos_soak_with_zero_cross_tenant_interference() {
          worker-panics = 2\n\
          workers = 2\n\
          max-batch = 8\n\
-         max-delay-us = 2000\n\
          queue-capacity = 512\n\
          policy = shed\n",
     )

@@ -44,10 +44,10 @@ fn a_mid_soak_hot_swap_flips_the_epoch_echo_without_dropping_a_request() {
         .model("live".to_string(), old_system.clone())
         .config(ServeConfig {
             max_batch: 8,
-            max_delay: Duration::from_micros(2000),
             queue_capacity: 512,
             workers: 2,
             policy: OverflowPolicy::Shed,
+            ..ServeConfig::default()
         })
         .start();
     let entry = server.registry().entry("live").expect("registered").clone();

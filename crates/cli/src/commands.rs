@@ -318,6 +318,29 @@ pub fn infer(args: &Args) -> i32 {
     metrics_finish(args).unwrap_or(0)
 }
 
+/// The `serve` queue and pool flags (`--workers`, `--max-batch`,
+/// `--queue-cap`, `--policy`) as a [`metaai_serve::ServeConfig`]. A zero
+/// count is an error here, before any model is loaded or deployed.
+fn serve_config(args: &Args) -> Result<metaai_serve::ServeConfig, String> {
+    let policy = match args.get_or("policy", "shed") {
+        "shed" => metaai_serve::OverflowPolicy::Shed,
+        "block" => metaai_serve::OverflowPolicy::Block,
+        other => return Err(format!("unknown --policy {other:?} (expected shed|block)")),
+    };
+    let at_least_one = |key: &str, default: usize| match args.num_or(key, default) {
+        0 => Err(format!("--{key} must be at least 1")),
+        n => Ok(n),
+    };
+    let defaults = metaai_serve::ServeConfig::default();
+    Ok(metaai_serve::ServeConfig {
+        max_batch: at_least_one("max-batch", defaults.max_batch)?,
+        queue_capacity: at_least_one("queue-cap", defaults.queue_capacity)?,
+        workers: at_least_one("workers", defaults.workers)?,
+        policy,
+        ..defaults
+    })
+}
+
 /// `metaai serve` — long-running OTA inference service over TCP. Each
 /// `--model` flag registers one tenant: `--model name=file` serves
 /// `file` under `name`, a bare `--model file` serves it as the default
@@ -336,6 +359,10 @@ pub fn serve(args: &Args) -> i32 {
     metrics_begin(args);
     metaai_serve::register_metrics();
     metaai_adapt::register_metrics();
+    let serve_cfg = match serve_config(args) {
+        Ok(cfg) => cfg,
+        Err(e) => return fail(&e),
+    };
     let specs = args.all("model");
     if specs.is_empty() {
         return fail("missing --model <file> (or --model <name>=<file>, repeatable)");
@@ -359,19 +386,6 @@ pub fn serve(args: &Args) -> i32 {
     let config = SystemConfig {
         seed,
         ..SystemConfig::paper_default()
-    };
-    let policy = match args.get_or("policy", "shed") {
-        "shed" => metaai_serve::OverflowPolicy::Shed,
-        "block" => metaai_serve::OverflowPolicy::Block,
-        other => return fail(&format!("unknown --policy {other:?} (expected shed|block)")),
-    };
-    let defaults = metaai_serve::ServeConfig::default();
-    let serve_cfg = metaai_serve::ServeConfig {
-        max_batch: args.num_or("max-batch", defaults.max_batch),
-        max_delay: std::time::Duration::from_micros(args.num_or("max-delay-us", 2000u64)),
-        queue_capacity: args.num_or("queue-cap", defaults.queue_capacity),
-        workers: args.num_or("workers", defaults.workers),
-        policy,
     };
     let port: u16 = args.num_or("port", 7077);
     let listener = match std::net::TcpListener::bind(("127.0.0.1", port)) {
@@ -399,11 +413,10 @@ pub fn serve(args: &Args) -> i32 {
     }
     println!(
         "serving {model_count} model(s) on {addr} — {} workers/model, batch ≤ {}, \
-         flush ≤ {:?}, queue {} ({} overflow); \
+         queue {} ({} overflow); \
          send a SHUTDOWN frame (loadgen --shutdown) to drain and stop",
         serve_cfg.workers,
         serve_cfg.max_batch,
-        serve_cfg.max_delay,
         serve_cfg.queue_capacity,
         args.get_or("policy", "shed"),
     );
@@ -845,6 +858,34 @@ mod tests {
                 .map(String::from),
         );
         assert_eq!(metrics_finish(&args), Some(2));
+    }
+
+    #[test]
+    fn serve_flags_build_the_serve_config() {
+        let args = crate::args::Args::parse(
+            "serve --workers 3 --max-batch 5 --queue-cap 7 --policy block"
+                .split_whitespace()
+                .map(String::from),
+        );
+        let cfg = serve_config(&args).expect("valid flags");
+        assert_eq!(
+            (cfg.workers, cfg.max_batch, cfg.queue_capacity, cfg.policy),
+            (3, 5, 7, metaai_serve::OverflowPolicy::Block)
+        );
+        let bad_policy =
+            crate::args::Args::parse("serve --policy drop".split_whitespace().map(String::from));
+        assert!(serve_config(&bad_policy).is_err());
+    }
+
+    #[test]
+    fn serve_rejects_a_zero_pool_batch_or_queue_before_deploying() {
+        for flag in ["workers", "max-batch", "queue-cap"] {
+            let line = format!("serve --model missing.bin --{flag} 0");
+            let args = crate::args::Args::parse(line.split_whitespace().map(String::from));
+            let err = serve_config(&args).expect_err(flag);
+            assert!(err.contains(flag), "{err}");
+            assert_eq!(serve(&args), 2, "{flag}");
+        }
     }
 
     #[test]

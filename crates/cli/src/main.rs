@@ -60,7 +60,7 @@ COMMANDS:
            realization quality and control-budget numbers
   infer    Run one traced over-the-air inference
   serve    Serve over-the-air inference on a TCP port (micro-batched;
-           --port 7077 --workers N --max-batch 64 --max-delay-us 2000
+           --port 7077 --workers N --max-batch 64
            --queue-cap 1024 --policy shed|block; drain with loadgen
            --shutdown; --adapt MPS attaches the online-adaptation loop,
            tuned by --adapt-probes DATASET --adapt-interval-ms N

@@ -1,12 +1,14 @@
-//! The dynamic micro-batcher: a bounded submission queue whose consumers
-//! flush batches on **size** (`max_batch` requests queued) or **deadline**
-//! (the oldest queued request has waited `max_delay`).
+//! The work-conserving micro-batcher: a bounded submission queue whose
+//! consumers take whatever is queued — up to `max_batch` requests — the
+//! moment they are free, and sleep only while the queue is empty.
 //!
 //! There is no separate scheduler thread — the scheduling policy lives in
 //! `BatchQueue::next_batch`, which every scoring worker calls in a loop.
-//! Whichever worker holds the lock when a flush condition is met takes the
-//! batch; the others keep waiting. This keeps the hot path to one mutex +
-//! two condvars and lets several batches score concurrently.
+//! No worker ever waits for a batch to fill: an idle worker takes the one
+//! request that just arrived. Batches still grow under load, because the
+//! queue builds up while every worker is busy scoring, so `max_batch`
+//! caps what one worker pops at once. This keeps the hot path to one
+//! mutex + two condvars and lets several batches score concurrently.
 //!
 //! Replies travel over per-request oneshot channels
 //! (`mpsc::sync_channel(1)`): submission returns a [`Ticket`] the caller
@@ -19,7 +21,7 @@ use metaai_math::CVec;
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One inference to serve.
 #[derive(Clone, Debug)]
@@ -93,18 +95,18 @@ struct QueueState {
     shutdown: bool,
 }
 
-/// The bounded submission queue + flush policy shared by submitters and
-/// scoring workers.
+/// The bounded submission queue + dispatch policy shared by submitters
+/// and scoring workers.
 pub struct BatchQueue {
     state: Mutex<QueueState>,
     /// Signalled on push and on shutdown; consumers wait here.
     not_empty: Condvar,
-    /// Signalled on flush and on shutdown; blocked submitters wait here.
+    /// Signalled when a worker takes a batch and on shutdown; blocked
+    /// submitters wait here.
     not_full: Condvar,
     capacity: usize,
     policy: OverflowPolicy,
     max_batch: usize,
-    max_delay: Duration,
     /// Per-model instruments, when this queue belongs to a registered
     /// model. The aggregate `metaai.serve.*` instruments are recorded
     /// either way.
@@ -138,7 +140,6 @@ impl BatchQueue {
             capacity: config.queue_capacity,
             policy: config.policy,
             max_batch: config.max_batch,
-            max_delay: config.max_delay,
             model_metrics,
         }
     }
@@ -206,38 +207,20 @@ impl BatchQueue {
         Ok(Ticket { rx })
     }
 
-    /// Blocks until a batch is ready and takes it, or returns `None` once
-    /// the queue is shut down *and* drained. The flush policy:
-    ///
-    /// * `queue.len() ≥ max_batch` → flush `max_batch` immediately;
-    /// * oldest request older than `max_delay` → flush what is there;
-    /// * shutdown → flush remaining requests without waiting (drain).
+    /// Takes up to `max_batch` queued requests, oldest first, as soon as
+    /// any are queued; blocks only while the queue is empty. Returns
+    /// `None` once the queue is shut down *and* drained, so shutdown
+    /// hands out every admitted request before the workers exit.
     pub(crate) fn next_batch(&self) -> Option<Vec<Pending>> {
         let mut st = self.lock();
-        loop {
-            if st.queue.is_empty() {
-                if st.shutdown {
-                    return None;
-                }
-                st = self
-                    .not_empty
-                    .wait(st)
-                    .unwrap_or_else(PoisonError::into_inner);
-                continue;
+        while st.queue.is_empty() {
+            if st.shutdown {
+                return None;
             }
-            if st.queue.len() >= self.max_batch || st.shutdown {
-                break;
-            }
-            let flush_at = st.queue.front().expect("non-empty").enqueued_at + self.max_delay;
-            let now = Instant::now();
-            if now >= flush_at {
-                break;
-            }
-            let (guard, _timed_out) = self
+            st = self
                 .not_empty
-                .wait_timeout(st, flush_at - now)
+                .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
-            st = guard;
         }
         let take = st.queue.len().min(self.max_batch);
         let batch: Vec<Pending> = st.queue.drain(..take).collect();
@@ -283,7 +266,7 @@ impl BatchQueue {
         self.lock().shutdown
     }
 
-    /// The configured flush size.
+    /// The most requests one worker takes from the queue at once.
     pub fn max_batch(&self) -> usize {
         self.max_batch
     }
@@ -293,19 +276,19 @@ impl BatchQueue {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
-    fn config(
-        max_batch: usize,
-        max_delay: Duration,
-        cap: usize,
-        policy: OverflowPolicy,
-    ) -> ServeConfig {
+    /// How long a test waits for a batch that should come at once; only
+    /// a worker that holds requests back ever reaches it.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    fn config(max_batch: usize, cap: usize, policy: OverflowPolicy) -> ServeConfig {
         ServeConfig {
             max_batch,
-            max_delay,
             queue_capacity: cap,
             workers: 1,
             policy,
+            ..ServeConfig::default()
         }
     }
 
@@ -318,46 +301,149 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flushes_on_size_before_the_deadline() {
-        let q = BatchQueue::new(&config(
-            3,
-            Duration::from_secs(30),
-            64,
-            OverflowPolicy::Shed,
-        ));
-        let _tickets: Vec<Ticket> = (0..5).map(|i| q.submit(request(i)).unwrap()).collect();
-        let started = Instant::now();
-        let batch = q.next_batch().expect("batch");
-        // Size trigger: exactly max_batch requests, far before max_delay.
-        assert_eq!(batch.len(), 3);
-        assert!(started.elapsed() < Duration::from_secs(5));
-        assert_eq!(q.depth(), 2);
+    fn ids(batch: &[Pending]) -> Vec<u64> {
+        batch.iter().map(|p| p.request.id).collect()
     }
 
     #[test]
-    fn flushes_a_partial_batch_at_the_deadline() {
-        let q = BatchQueue::new(&config(
-            100,
-            Duration::from_millis(50),
-            64,
-            OverflowPolicy::Shed,
-        ));
-        let _t0 = q.submit(request(0)).unwrap();
-        let _t1 = q.submit(request(1)).unwrap();
-        let started = Instant::now();
-        let batch = q.next_batch().expect("batch");
-        let waited = started.elapsed();
-        assert_eq!(batch.len(), 2);
-        // Deadline trigger: the flush waited for max_delay (generous
-        // upper bound for slow machines), not for a full batch.
-        assert!(waited >= Duration::from_millis(30), "waited {waited:?}");
-        assert!(waited < Duration::from_secs(10), "waited {waited:?}");
+    fn an_idle_worker_takes_a_lone_request_at_once() {
+        // max_batch 64, yet never more than one request queued: nothing
+        // else arrives, so a worker that waited for a fuller batch (or a
+        // flush deadline) would hold each request. Taking one at once
+        // costs microseconds; a wait of even 1 ms per request would add
+        // up to the 100 ms bound.
+        const LONE: u64 = 100;
+        let q = Arc::new(BatchQueue::new(&config(64, 64, OverflowPolicy::Shed)));
+        let (tx, rx) = mpsc::channel();
+        let worker = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                let started = Instant::now();
+                let taken: Vec<Vec<u64>> = (0..LONE)
+                    .map(|i| {
+                        let _ticket = q.submit(request(i)).unwrap();
+                        ids(&q.next_batch().expect("batch"))
+                    })
+                    .collect();
+                let _ = tx.send((taken, started.elapsed()));
+            })
+        };
+        let outcome = rx.recv_timeout(PATIENCE);
+        // Releases a worker that is still holding a request back.
+        q.shutdown();
+        let (taken, elapsed) = outcome.expect("the worker held a lone request back");
+        worker.join().unwrap();
+        assert_eq!(taken, (0..LONE).map(|i| vec![i]).collect::<Vec<_>>());
+        assert!(elapsed < Duration::from_millis(100), "took {elapsed:?}");
+    }
+
+    #[test]
+    fn a_sleeping_worker_wakes_for_a_single_submit() {
+        let q = Arc::new(BatchQueue::new(&config(64, 64, OverflowPolicy::Shed)));
+        let (tx, rx) = mpsc::channel();
+        let worker = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                while let Some(batch) = q.next_batch() {
+                    let _ = tx.send(ids(&batch));
+                }
+            })
+        };
+        // Each submit lands once the worker has taken the one before,
+        // typically while it sleeps on the empty queue.
+        let mut taken = Vec::new();
+        for i in 0..3 {
+            let _ticket = q.submit(request(i)).unwrap();
+            taken.push(rx.recv_timeout(PATIENCE));
+        }
+        q.shutdown();
+        worker.join().unwrap();
+        assert_eq!(taken, [Ok(vec![0]), Ok(vec![1]), Ok(vec![2])]);
+    }
+
+    #[test]
+    fn batches_never_exceed_max_batch_and_pop_in_fifo_order() {
+        let q = BatchQueue::new(&config(3, 64, OverflowPolicy::Shed));
+        let _tickets: Vec<Ticket> = (0..8).map(|i| q.submit(request(i)).unwrap()).collect();
+        assert_eq!(ids(&q.next_batch().expect("batch")), [0, 1, 2]);
+        assert_eq!(q.depth(), 5);
+        assert_eq!(ids(&q.next_batch().expect("batch")), [3, 4, 5]);
+        // A partial batch goes out as it is: no worker waits for a third.
+        assert_eq!(ids(&q.next_batch().expect("batch")), [6, 7]);
+        assert_eq!(q.depth(), 0);
+    }
+
+    #[test]
+    fn concurrent_submitters_and_two_workers_resolve_every_ticket_once() {
+        const SUBMITTERS: u64 = 4;
+        const PER_SUBMITTER: u64 = 100;
+        const MAX_BATCH: usize = 4;
+        // A small blocking queue, so submitters also park on a full
+        // queue and wake when a worker takes a batch.
+        let q = BatchQueue::new(&config(MAX_BATCH, 8, OverflowPolicy::Block));
+        let taken: Vec<Vec<u64>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut seen = Vec::new();
+                        while let Some(batch) = q.next_batch() {
+                            assert!(!batch.is_empty() && batch.len() <= MAX_BATCH);
+                            for pending in batch {
+                                seen.push(pending.request.id);
+                                let id = pending.request.id;
+                                pending.resolve(Ok(ScoreResponse {
+                                    id,
+                                    epoch: 0,
+                                    predicted: 0,
+                                    scores: Vec::new(),
+                                }));
+                            }
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            let submitters: Vec<_> = (0..SUBMITTERS)
+                .map(|k| {
+                    let q = &q;
+                    s.spawn(move || {
+                        let first = k * PER_SUBMITTER;
+                        let tickets: Vec<Ticket> = (first..first + PER_SUBMITTER)
+                            .map(|i| q.submit(request(i)).expect("admitted"))
+                            .collect();
+                        for (i, ticket) in (first..).zip(tickets) {
+                            assert_eq!(ticket.wait().expect("resolved").id, i);
+                        }
+                    })
+                })
+                .collect();
+            // Shut down even if a submitter failed, so the workers exit
+            // and the failure surfaces instead of a hang.
+            let submitted = submitters.into_iter().all(|h| h.join().is_ok());
+            q.shutdown();
+            assert!(submitted, "a submitter failed");
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        // Each worker saw every submitter's requests in submission order.
+        for worker in &taken {
+            for k in 0..SUBMITTERS {
+                let own: Vec<u64> = worker
+                    .iter()
+                    .copied()
+                    .filter(|id| id / PER_SUBMITTER == k)
+                    .collect();
+                assert!(own.windows(2).all(|w| w[0] < w[1]), "{own:?}");
+            }
+        }
+        // Every request was taken by exactly one worker, exactly once.
+        let mut all: Vec<u64> = taken.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..SUBMITTERS * PER_SUBMITTER).collect::<Vec<_>>());
     }
 
     #[test]
     fn shed_policy_rejects_when_full() {
-        let q = BatchQueue::new(&config(8, Duration::from_secs(30), 2, OverflowPolicy::Shed));
+        let q = BatchQueue::new(&config(8, 2, OverflowPolicy::Shed));
         let _t0 = q.submit(request(0)).unwrap();
         let _t1 = q.submit(request(1)).unwrap();
         assert_eq!(q.submit(request(2)).unwrap_err(), ServeError::Overloaded);
@@ -366,38 +452,36 @@ mod tests {
     }
 
     #[test]
-    fn block_policy_waits_for_a_flush() {
-        let q = Arc::new(BatchQueue::new(&config(
-            1,
-            Duration::from_secs(30),
-            1,
-            OverflowPolicy::Block,
-        )));
+    fn block_policy_waits_for_a_free_slot() {
+        let q = BatchQueue::new(&config(1, 1, OverflowPolicy::Block));
         let _t0 = q.submit(request(0)).unwrap();
-        let consumer = {
-            let q = q.clone();
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(50));
-                q.next_batch().expect("batch").len()
-            })
-        };
-        let started = Instant::now();
-        let _t1 = q.submit(request(1)).expect("unblocked after flush");
-        assert!(
-            started.elapsed() >= Duration::from_millis(30),
-            "submit returned before the queue had space"
-        );
-        assert_eq!(consumer.join().unwrap(), 1);
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::channel();
+            let q = &q;
+            let submitter = s.spawn(move || {
+                let ticket = q.submit(request(1));
+                let _ = tx.send(());
+                ticket
+            });
+            // The queue is full and nothing takes from it: the submit
+            // cannot have returned.
+            assert_eq!(
+                rx.recv_timeout(Duration::from_millis(50)),
+                Err(mpsc::RecvTimeoutError::Timeout)
+            );
+            assert_eq!(q.depth(), 1);
+            assert_eq!(ids(&q.next_batch().expect("batch")), [0]);
+            let _t1 = submitter
+                .join()
+                .unwrap()
+                .expect("admitted once a slot freed");
+            assert_eq!(q.depth(), 1);
+        });
     }
 
     #[test]
     fn shutdown_drains_admitted_requests_then_stops() {
-        let q = BatchQueue::new(&config(
-            2,
-            Duration::from_secs(30),
-            64,
-            OverflowPolicy::Shed,
-        ));
+        let q = BatchQueue::new(&config(2, 64, OverflowPolicy::Shed));
         let _tickets: Vec<Ticket> = (0..5).map(|i| q.submit(request(i)).unwrap()).collect();
         q.shutdown();
         assert_eq!(q.submit(request(9)).unwrap_err(), ServeError::ShuttingDown);
@@ -413,7 +497,7 @@ mod tests {
 
     #[test]
     fn a_poisoned_queue_lock_keeps_serving() {
-        let q = BatchQueue::new(&config(2, Duration::from_secs(30), 8, OverflowPolicy::Shed));
+        let q = BatchQueue::new(&config(2, 8, OverflowPolicy::Shed));
         let _held = q.submit(request(0)).unwrap();
         std::thread::scope(|s| {
             let panicked = s
@@ -440,7 +524,7 @@ mod tests {
 
     #[test]
     fn dropping_a_pending_reply_disconnects_the_ticket() {
-        let q = BatchQueue::new(&config(1, Duration::from_secs(30), 4, OverflowPolicy::Shed));
+        let q = BatchQueue::new(&config(1, 4, OverflowPolicy::Shed));
         let ticket = q.submit(request(0)).unwrap();
         let batch = q.next_batch().expect("batch");
         drop(batch);

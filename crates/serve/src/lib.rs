@@ -1,19 +1,20 @@
 //! `metaai-serve` — a long-running over-the-air inference service on top
 //! of [`metaai::engine::OtaEngine`].
 //!
-//! The batch engine is ~37× cheaper per sample at batch 256 than
-//! per-sample scoring, but everything in the workspace up to this crate
-//! is offline: you hand it a full batch. An edge deployment sees the
-//! opposite shape — a stream of independent single-sample requests from
-//! many devices — so the economic question is how to *form* batches from
-//! live traffic without destroying latency, and how to survive overload.
-//! This crate answers with four cooperating pieces, all built on
-//! `std::thread` + `std::sync` (the workspace has no async runtime):
+//! Everything in the workspace up to this crate is offline: you hand it
+//! a full batch. An edge deployment sees the opposite shape — a stream of
+//! independent single-sample requests from many devices — so the
+//! questions are how to score each one with as little added delay as
+//! possible, and how to survive overload. This crate answers with four
+//! cooperating pieces, all built on `std::thread` + `std::sync` (the
+//! workspace has no async runtime):
 //!
-//! * **Dynamic micro-batching** ([`batcher`]): a bounded submission queue
-//!   feeds scoring workers that flush a batch as soon as it reaches
-//!   `max_batch` *or* the oldest queued request has waited `max_delay` —
-//!   full batches under load, bounded latency when idle.
+//! * **Work-conserving dispatch** ([`batcher`]): a bounded submission
+//!   queue feeds scoring workers; an idle worker takes whatever is queued
+//!   (up to `max_batch`) at once and sleeps only while the queue is
+//!   empty. Workers score every request on its own, so a batch saves one
+//!   lock and one wake-up, never a wait: batches grow only when requests
+//!   queue up behind busy workers.
 //! * **Deterministic scoring** ([`server`]): each request carries a
 //!   `sample_index`; workers score it through
 //!   [`MetaAiSystem::score_indexed`](metaai::pipeline::MetaAiSystem::score_indexed),
@@ -65,9 +66,11 @@ pub enum OverflowPolicy {
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Flush a batch as soon as this many requests are queued.
+    /// The most requests one worker takes from the queue at once.
     pub max_batch: usize,
-    /// Flush a partial batch once its oldest request has waited this long.
+    /// Ignored: workers take queued requests at once and never wait for
+    /// a fuller batch. The field remains only so that struct literals
+    /// outside this workspace keep compiling; it will be removed.
     pub max_delay: Duration,
     /// Bounded submission-queue capacity (the backpressure threshold).
     pub queue_capacity: usize,
@@ -81,7 +84,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             max_batch: 64,
-            max_delay: Duration::from_micros(2000),
+            max_delay: Duration::ZERO,
             queue_capacity: 1024,
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             policy: OverflowPolicy::Shed,

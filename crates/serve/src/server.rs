@@ -41,7 +41,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The registry key v1 wire traffic routes to (wire id 0), and the model
 /// single-model deployments conventionally register under.
@@ -95,15 +95,9 @@ impl ServerBuilder {
         self
     }
 
-    /// Flush a batch as soon as this many requests are queued.
+    /// The most requests one worker takes from the queue at once.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.config.max_batch = max_batch;
-        self
-    }
-
-    /// Flush a partial batch once its oldest request has waited this long.
-    pub fn max_delay(mut self, max_delay: Duration) -> Self {
-        self.config.max_delay = max_delay;
         self
     }
 
@@ -368,7 +362,7 @@ fn worker_loop(entry: &ModelEntry, faults: &FaultInjector) {
     let mut scratch: Vec<f64> = Vec::new();
     while let Some(batch) = entry.queue().next_batch() {
         // Pin one deployment for the whole batch: a swap landing mid-batch
-        // takes effect at the next flush, and in-flight work finishes on
+        // takes effect at the next batch, and in-flight work finishes on
         // the epoch it started on.
         let deployment = entry.current();
         entry.refresh_epoch_age();

@@ -6,17 +6,16 @@ mod common;
 
 use metaai_serve::{OverflowPolicy, ScoreRequest, ServeConfig, Server, DEFAULT_MODEL};
 use proptest::proptest;
-use std::time::Duration;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 fn serve_config(workers: usize, max_batch: usize) -> ServeConfig {
     ServeConfig {
         max_batch,
-        max_delay: Duration::from_millis(1),
         queue_capacity: 256,
         workers,
         policy: OverflowPolicy::Shed,
+        ..ServeConfig::default()
     }
 }
 

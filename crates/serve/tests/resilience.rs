@@ -17,10 +17,10 @@ use std::time::{Duration, Instant};
 fn config(workers: usize) -> ServeConfig {
     ServeConfig {
         max_batch: 8,
-        max_delay: Duration::from_millis(2),
         queue_capacity: 256,
         workers,
         policy: OverflowPolicy::Shed,
+        ..ServeConfig::default()
     }
 }
 
@@ -82,14 +82,15 @@ fn a_worker_panic_resolves_the_ticket_and_the_pool_keeps_scoring() {
 
 #[test]
 fn a_mid_batch_panic_fails_only_the_tail_of_the_batch() {
-    // One worker and a long flush delay so all eight requests coalesce
-    // into a single batch with the poisoned sample in the middle.
+    // One worker and eight pipelined requests with the poisoned sample
+    // at index 3. How they split into batches depends on timing: the
+    // worker takes whatever is queued when it comes free.
     let cfg = ServeConfig {
         max_batch: 8,
-        max_delay: Duration::from_millis(300),
         queue_capacity: 256,
         workers: 1,
         policy: OverflowPolicy::Shed,
+        ..ServeConfig::default()
     };
     let server = start_default(&cfg);
     let client = server.client();

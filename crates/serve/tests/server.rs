@@ -6,7 +6,8 @@ mod common;
 
 use metaai::pipeline::MetaAiSystem;
 use metaai_serve::{
-    OverflowPolicy, ScoreRequest, ServeConfig, ServeError, Server, Ticket, DEFAULT_MODEL,
+    DeploymentRegistry, OverflowPolicy, ScoreRequest, ServeConfig, ServeError, Server, Ticket,
+    DEFAULT_MODEL,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -14,10 +15,10 @@ use std::time::{Duration, Instant};
 fn config() -> ServeConfig {
     ServeConfig {
         max_batch: 8,
-        max_delay: Duration::from_millis(2),
         queue_capacity: 256,
         workers: 2,
         policy: OverflowPolicy::Shed,
+        ..ServeConfig::default()
     }
 }
 
@@ -79,42 +80,38 @@ fn drain_shutdown_completes_every_admitted_request() {
 
 #[test]
 fn saturation_sheds_with_overloaded() {
-    // One slow lane: a single worker, a tiny queue, and a long flush
-    // delay so submissions pile up deterministically.
+    // A registry with no worker pool: nothing takes from the queue, so
+    // submissions pile up deterministically.
     let cfg = ServeConfig {
         max_batch: 64,
-        max_delay: Duration::from_secs(30),
         queue_capacity: 4,
         workers: 1,
         policy: OverflowPolicy::Shed,
+        ..ServeConfig::default()
     };
-    let server = start_default(common::shared_system(), &cfg);
-    let client = server.client();
+    let registry = DeploymentRegistry::new(
+        vec![(DEFAULT_MODEL.to_string(), common::shared_system())],
+        &cfg,
+    );
+    let queue = registry.default_entry().queue();
     let _held: Vec<Ticket> = (0..4u64)
-        .map(|i| client.submit(request(i)).expect("fits in queue"))
+        .map(|i| queue.submit(request(i)).expect("fits in queue"))
         .collect();
     assert_eq!(
-        client.submit(request(4)).unwrap_err(),
+        queue.submit(request(4)).unwrap_err(),
         ServeError::Overloaded
     );
-    server.shutdown();
+    assert_eq!(queue.depth(), 4);
 }
 
 #[test]
 fn expired_requests_are_dropped_before_scoring() {
-    // The flush deadline (50 ms) is far beyond the request deadline
-    // (1 ms), so the worker reaches the request only after it expired.
-    let cfg = ServeConfig {
-        max_batch: 64,
-        max_delay: Duration::from_millis(50),
-        queue_capacity: 16,
-        workers: 1,
-        policy: OverflowPolicy::Shed,
-    };
-    let server = start_default(common::shared_system(), &cfg);
+    // The deadline has passed before the request is even submitted, so
+    // whenever the worker reaches it, it drops it unscored.
+    let server = start_default(common::shared_system(), &config());
     let client = server.client();
     let mut expired = request(0);
-    expired.deadline = Some(Instant::now() + Duration::from_millis(1));
+    expired.deadline = Some(Instant::now() - Duration::from_millis(1));
     let ticket = client.submit(expired).expect("admitted");
     assert_eq!(ticket.wait().unwrap_err(), ServeError::Expired);
     server.shutdown();
@@ -199,21 +196,24 @@ fn two_models_score_on_their_own_systems_and_streams() {
 fn a_full_tenant_queue_does_not_shed_another_tenants_traffic() {
     // Before the keyed registry, one shared queue meant a backlogged
     // tenant consumed the global capacity; now each model owns its
-    // bounded queue, so alpha saturating sheds alpha alone.
+    // bounded queue, so alpha saturating sheds alpha alone. No worker
+    // pool runs, so both queues hold what they admit.
     let cfg = ServeConfig {
         max_batch: 64,
-        max_delay: Duration::from_secs(30),
         queue_capacity: 4,
         workers: 1,
         policy: OverflowPolicy::Shed,
+        ..ServeConfig::default()
     };
-    let server = Server::builder()
-        .model("alpha", common::shared_system())
-        .model("beta", common::shared_system())
-        .config(cfg)
-        .start();
-    let alpha = server.client_for("alpha").expect("alpha");
-    let beta = server.client_for("beta").expect("beta");
+    let registry = DeploymentRegistry::new(
+        vec![
+            ("alpha".to_string(), common::shared_system()),
+            ("beta".to_string(), common::shared_system()),
+        ],
+        &cfg,
+    );
+    let alpha = registry.entry("alpha").expect("alpha").queue();
+    let beta = registry.entry("beta").expect("beta").queue();
 
     let _held: Vec<Ticket> = (0..4u64)
         .map(|i| alpha.submit(request(i)).expect("fits in alpha's queue"))
@@ -227,7 +227,7 @@ fn a_full_tenant_queue_does_not_shed_another_tenants_traffic() {
     let _beta_held: Vec<Ticket> = (0..4u64)
         .map(|i| beta.submit(request(100 + i)).expect("beta admits freely"))
         .collect();
-    server.shutdown();
+    assert_eq!(beta.depth(), 4);
 }
 
 #[test]

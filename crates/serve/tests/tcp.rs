@@ -10,15 +10,14 @@ use metaai_serve::wire::{Request, Response, PROTOCOL_VERSION};
 use metaai_serve::{OverflowPolicy, ServeConfig, Server, ServerBuilder, DEFAULT_MODEL};
 use std::net::TcpListener;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 fn serve_config() -> ServeConfig {
     ServeConfig {
         max_batch: 8,
-        max_delay: Duration::from_millis(1),
         queue_capacity: 256,
         workers: 2,
         policy: OverflowPolicy::Shed,
+        ..ServeConfig::default()
     }
 }
 
