@@ -1,126 +1,13 @@
-//! Component micro-benchmarks: the hot paths of the MetaAI pipeline.
-//!
-//! These measure the building blocks — the coordinate-descent weight
-//! solver, channel realization, over-the-air accumulation, training, OFDM
-//! and modulation throughput — at the paper's dimensions (256 atoms,
-//! 10 × 784 weight matrices).
+//! Component micro-benchmarks for the physical-layer building blocks:
+//! QAM-256 modulation of one 784-byte sample and a 1024-point FFT round
+//! trip. The solver, mapper, engine and training hot paths are timed by
+//! perfbench's per-layer metrics (`perfbench/`), not here.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use metaai::config::SystemConfig;
-use metaai::mapper::WeightMapper;
-use metaai::ota::{realize_channels, OtaConditions, OtaReceiver};
 use metaai_math::fft::{fft, ifft};
-use metaai_math::rng::SimRng;
-use metaai_math::{CMat, CVec, C64};
-use metaai_mts::array::{MtsArray, Prototype};
-use metaai_mts::solver::WeightSolver;
-use metaai_nn::train::{toy_problem, train_complex, TrainConfig};
+use metaai_math::C64;
 use metaai_phy::Modulation;
 use std::hint::black_box;
-
-fn bench_solver(c: &mut Criterion) {
-    let mut rng = SimRng::seed_from_u64(1);
-    let phasors: Vec<C64> = (0..256).map(|_| rng.unit_phasor()).collect();
-    let solver = WeightSolver::single(phasors, 2);
-    let reach = solver.reachable_radius(0);
-    let targets: Vec<C64> = (0..32)
-        .map(|_| C64::from_polar(0.5 * reach * rng.uniform(), rng.phase()))
-        .collect();
-    let mut k = 0usize;
-    c.bench_function("solver/coordinate_descent_256_atoms", |b| {
-        b.iter(|| {
-            k = (k + 1) % targets.len();
-            black_box(solver.solve_one(targets[k]).residual)
-        })
-    });
-}
-
-fn bench_mapping(c: &mut Criterion) {
-    let config = SystemConfig::paper_default();
-    let array = MtsArray::paper_prototype(Prototype::DualBand, config.mts_center);
-    let mapper = WeightMapper::new(&config, &array);
-    let mut rng = SimRng::seed_from_u64(2);
-    let weights = CMat::from_fn(10, 64, |_, _| rng.complex_gaussian(1.0));
-    c.bench_function("mapper/full_schedule_10x64", |b| {
-        b.iter(|| black_box(mapper.map(&weights, C64::ZERO).rms_residual))
-    });
-    let schedule = mapper.map(&weights, C64::ZERO);
-    c.bench_function("mapper/realize_channels_10x64", |b| {
-        b.iter(|| black_box(realize_channels(&schedule, &mapper.link, &array)))
-    });
-}
-
-fn bench_ota(c: &mut Criterion) {
-    let config = SystemConfig::paper_default();
-    let array = MtsArray::paper_prototype(Prototype::DualBand, config.mts_center);
-    let mapper = WeightMapper::new(&config, &array);
-    let mut rng = SimRng::seed_from_u64(3);
-    let weights = CMat::from_fn(10, 784, |_, _| rng.complex_gaussian(1.0));
-    let schedule = mapper.map(&weights, C64::ZERO);
-    let h = realize_channels(&schedule, &mapper.link, &array);
-    let x = CVec::from_fn(784, |_| rng.complex_gaussian(1.0));
-    let cond = OtaConditions::ideal(784);
-    let engine = metaai::engine::OtaEngine::new(&h);
-    c.bench_function("ota/full_inference_10_classes_784_symbols", |b| {
-        let mut r = SimRng::seed_from_u64(4);
-        b.iter(|| black_box(engine.predict(&x, &cond, &mut r)))
-    });
-}
-
-fn bench_engine(c: &mut Criterion) {
-    // Paper-default geometry: 10 classes × 784 symbols, AWGN at the
-    // configured SNR — the realistic accuracy-sweep workload.
-    let config = SystemConfig::paper_default();
-    let array = MtsArray::paper_prototype(Prototype::DualBand, config.mts_center);
-    let mapper = WeightMapper::new(&config, &array);
-    let mut rng = SimRng::seed_from_u64(5);
-    let weights = CMat::from_fn(10, 784, |_, _| rng.complex_gaussian(1.0));
-    let schedule = mapper.map(&weights, C64::ZERO);
-    let h = realize_channels(&schedule, &mapper.link, &array);
-    let mut cond = OtaConditions::ideal(784);
-    cond.awgn.variance = metaai::ota::signal_power(&h) / metaai_math::stats::from_db(config.snr_db);
-    let inputs: Vec<CVec> = (0..256)
-        .map(|_| CVec::from_fn(784, |_| rng.complex_gaussian(1.0)))
-        .collect();
-
-    let engine = metaai::engine::OtaEngine::new(&h);
-    for &batch in &[1usize, 32, 256] {
-        c.bench_function(&format!("engine/throughput_batch_{batch}"), |b| {
-            b.iter(|| {
-                black_box(engine.batch_predict_with(&inputs[..batch], 42, 7, |_| cond.clone()))
-            })
-        });
-    }
-
-    // The seed's per-sample path: a string-keyed RNG per sample, one
-    // accumulate() per output row (per-chip noise draws, per-row shifted
-    // input copies). The engine's batch-256 number is compared against
-    // this in the PR's acceptance criterion.
-    c.bench_function("engine/per_sample_legacy_256", |b| {
-        b.iter(|| {
-            let mut correct = 0usize;
-            for (i, x) in inputs.iter().enumerate() {
-                let mut r = SimRng::derive(42, &format!("legacy-{i}"));
-                let scores: Vec<f64> = (0..h.rows())
-                    .map(|row| OtaReceiver::accumulate(h.row(row), x, &cond, &mut r).abs())
-                    .collect();
-                correct += metaai_math::stats::argmax(&scores);
-            }
-            black_box(correct)
-        })
-    });
-}
-
-fn bench_training(c: &mut Criterion) {
-    let data = toy_problem(10, 784, 20, 0.4, 5, 105);
-    let cfg = TrainConfig {
-        epochs: 1,
-        ..TrainConfig::default()
-    };
-    c.bench_function("train/one_epoch_200_samples_10x784", |b| {
-        b.iter(|| black_box(train_complex(&data, &cfg).weights.fro_norm()))
-    });
-}
 
 fn bench_phy(c: &mut Criterion) {
     let bytes: Vec<u8> = (0..784).map(|i| (i * 37) as u8).collect();
@@ -141,6 +28,6 @@ fn bench_phy(c: &mut Criterion) {
 criterion_group! {
     name = components;
     config = Criterion::default().sample_size(20);
-    targets = bench_solver, bench_mapping, bench_ota, bench_engine, bench_training, bench_phy
+    targets = bench_phy
 }
 criterion_main!(components);

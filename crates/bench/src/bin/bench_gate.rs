@@ -1,32 +1,17 @@
-//! CI benchmark regression gate.
+//! CI scenario gate.
 //!
-//! Compares a freshly generated `BENCH_pr*.json` report against the
-//! committed baseline and exits non-zero when throughput regresses by
-//! more than the tolerance or any tier-1 accuracy figure drops (see
-//! `metaai_bench::gate` for the exact rules).
-//!
-//! `--only`/`--skip` scope the gate to a dotted-path subtree, so one
-//! committed baseline can back several CI steps — e.g. the perf step
-//! gates with `--skip scenarios` and the scenario step with
-//! `--only scenarios` against the same `BENCH_pr{N}.json`.
-//!
-//! Warnings (fresh-only metrics, pr/cores mismatches) are collected and
-//! printed as a summary block *after* the verdict so they never scroll
-//! away above pages of per-metric output; under GitHub Actions
-//! (`GITHUB_ACTIONS` set) each one is additionally emitted as a
-//! `::warning::` annotation, which the UI surfaces on the run page.
+//! Compares a fresh scenario report (`merged.json` from `metaai bench
+//! run`) against the committed baseline and exits non-zero unless every
+//! scenario's `fixed` subtree is identical (see `metaai_bench::gate` for
+//! the exact rules). Nothing timed is read.
 //!
 //! Usage:
-//!   bench_gate --baseline BENCH_pr8.json --fresh fresh.json
-//!              [--max-regress 0.15] [--only PREFIX] [--skip PREFIX]
+//!   bench_gate --baseline BENCH_pr10.json --fresh scenario-results/merged.json
 
 use metaai_bench::gate;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: bench_gate --baseline <path> --fresh <path> \
-         [--max-regress 0.15] [--only PREFIX] [--skip PREFIX]"
-    );
+    eprintln!("usage: bench_gate --baseline <path> --fresh <path>");
     std::process::exit(2);
 }
 
@@ -44,22 +29,11 @@ fn load(path: &str) -> gate::Json {
 fn main() {
     let mut baseline_path: Option<String> = None;
     let mut fresh_path: Option<String> = None;
-    let mut only: Option<String> = None;
-    let mut skip: Option<String> = None;
-    let mut max_regress = 0.15;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--baseline" => baseline_path = argv.next(),
             "--fresh" => fresh_path = argv.next(),
-            "--only" => only = argv.next(),
-            "--skip" => skip = argv.next(),
-            "--max-regress" => {
-                max_regress = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
             _ => usage(),
         }
     }
@@ -67,57 +41,24 @@ fn main() {
         usage()
     };
 
-    let baseline = load(&baseline_path);
-    let fresh = load(&fresh_path);
-    let report = gate::compare_filtered(
-        &baseline,
-        &fresh,
-        max_regress,
-        only.as_deref(),
-        skip.as_deref(),
-    );
-
+    let report = gate::compare(&load(&baseline_path), &load(&fresh_path));
     for f in &report.failures {
         eprintln!("bench_gate: FAIL: {f}");
     }
-    let scope = match (&only, &skip) {
-        (Some(p), _) => format!(" (scope: only `{p}`)"),
-        (None, Some(p)) => format!(" (scope: skipping `{p}`)"),
-        (None, None) => String::new(),
-    };
     if report.passed() {
         println!(
-            "bench_gate: PASS — {} metrics gated against {baseline_path}{scope} \
-             (throughput tolerance {:.0} %, accuracy drops forbidden)",
-            report.checked,
-            100.0 * max_regress
+            "bench_gate: PASS — {} scenario(s), every `fixed` subtree identical to {baseline_path}",
+            report.checked
         );
+    } else if report.checked == 0 {
+        eprintln!("bench_gate: FAIL: neither report has any scenario to compare");
+        std::process::exit(1);
     } else {
         eprintln!(
-            "bench_gate: {} of {} gated metrics failed against {baseline_path}{scope}",
+            "bench_gate: {} of {} scenario(s) differ from {baseline_path}",
             report.failures.len(),
             report.checked
         );
-    }
-
-    // Warnings last, in one block, so they survive at the bottom of the
-    // step log instead of vanishing above the metric spam. Annotation
-    // lines go to stdout: the `::warning::` syntax only works there.
-    if !report.warnings.is_empty() {
-        let on_actions = std::env::var_os("GITHUB_ACTIONS").is_some();
-        eprintln!(
-            "bench_gate: ---- {} warning(s) (advisory, not gating) ----",
-            report.warnings.len()
-        );
-        for w in &report.warnings {
-            eprintln!("bench_gate: warning: {w}");
-            if on_actions {
-                println!("::warning title=bench_gate::{w}");
-            }
-        }
-    }
-
-    if !report.passed() {
         std::process::exit(1);
     }
 }

@@ -109,29 +109,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.2}", 100.0 * x)
 }
 
-/// Best-of-`reps` wall time for one call of `f`, in seconds, where each
-/// timed sample runs `f` `inner` times back to back. The minimum is the
-/// noise-robust estimator here: scheduler/contention noise is strictly
-/// one-sided (it only ever slows a run down), so the fastest sample is
-/// the closest observation of the code's actual cost, and it is what
-/// keeps `bench_gate`'s regression comparison stable on busy CI hosts
-/// where a median still jitters by double-digit percentages. The inner
-/// repeats stretch each sample to tens of milliseconds so that a single
-/// descheduling doesn't dominate the measurement.
-pub fn time_best<F: FnMut()>(reps: usize, inner: usize, mut f: F) -> f64 {
-    f(); // warmup
-    (0..reps)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            for _ in 0..inner {
-                f();
-            }
-            start.elapsed().as_secs_f64() / inner as f64
-        })
-        .min_by(f64::total_cmp)
-        .expect("reps >= 1")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,26 +1,29 @@
-//! Benchmark regression gate over `BENCH_pr*.json` reports.
+//! Exact scenario gate over scenario reports (`merged.json` from
+//! `metaai bench run`, or a committed `BENCH_pr*.json` baseline).
 //!
-//! CI regenerates a fresh report with `perf_report` and compares it
-//! against the committed baseline with [`compare`]:
+//! Every figure in a scenario's `fixed` subtree — accuracies,
+//! realization errors, trigger rounds, verified counts, prediction
+//! histograms — is a pure function of the recipe's seed, independent of
+//! the host and of the rayon thread count. So [`compare`] admits no
+//! tolerance:
 //!
-//! * any numeric leaf whose key ends in `_per_sec` (an absolute rate) or
-//!   `_per_core_sec` (a core-normalized rate, e.g. the engine's
-//!   single-thread scoring throughput) is a throughput figure and may not
-//!   regress by more than `max_regress` (relative);
-//! * any numeric leaf under the `accuracy` object is a tier-1 accuracy
-//!   figure and may not drop at all (within float-printing epsilon) —
-//!   the workloads are fully seeded, so baseline and fresh runs produce
-//!   bit-identical accuracy when the code is healthy;
-//! * the `telemetry` subtree is skipped — its timing histograms are
-//!   run-dependent by construction;
-//! * `pr` / `cores` mismatches produce warnings, not failures, because
-//!   throughput is a function of the host and a cores mismatch means
-//!   the relative comparison is advisory.
+//! * every `scenarios.<recipe>.<scenario>` present in either report is
+//!   checked, and one missing on either side (or one that errored, and
+//!   so has no `fixed` subtree) fails;
+//! * its `fixed` subtree must equal the baseline's: the same leaves, the
+//!   same numbers, the same strings. A gain fails as surely as a drop —
+//!   either means the computation changed;
+//! * the `timing` subtree and everything outside `scenarios` (host
+//!   counts, old perf sections) are never read.
+//!
+//! Timing is measured by perfbench (`perfbench/`, pairs of runs against
+//! the parent commit), never by this gate.
 //!
 //! The JSON reader below is a minimal recursive-descent parser for the
 //! reports we generate ourselves (the workspace builds offline, with no
 //! serde); it handles the full JSON grammar but is not meant as a
-//! general-purpose library.
+//! general-purpose library. The scenario harness renders its results
+//! with [`Json::render`].
 
 use std::collections::BTreeMap;
 
@@ -338,148 +341,122 @@ pub fn flatten(value: &Json) -> BTreeMap<String, f64> {
     out
 }
 
-/// Accuracy figures are seeded/deterministic; allow only float-printing
-/// noise, not a real drop.
-const ACCURACY_EPS: f64 = 1e-6;
-
-/// Whether a flattened path names a gated throughput figure: absolute
-/// rates end in `_per_sec`, core-normalized rates in `_per_core_sec`
-/// (which plain suffix matching on `_per_sec` would miss).
-fn is_throughput_key(path: &str) -> bool {
-    path.ends_with("_per_sec") || path.ends_with("_per_core_sec")
-}
-
-/// Whether a flattened path names a gated accuracy figure: either the
-/// report's top-level `accuracy` object or a nested `accuracy` object
-/// (scenario results put theirs under `scenarios.<recipe>.<scenario>.
-/// fixed.accuracy.*`).
-fn is_accuracy_key(path: &str) -> bool {
-    path.starts_with("accuracy.") || path.contains(".accuracy.")
-}
-
-/// Whether `path` falls inside the `only`/`skip` prefix scope. A prefix
-/// matches the exact path or any dotted descendant of it.
-fn in_scope(path: &str, only: Option<&str>, skip: Option<&str>) -> bool {
-    let under = |prefix: &str| {
-        path == prefix
-            || (path.starts_with(prefix) && path.as_bytes().get(prefix.len()) == Some(&b'.'))
-    };
-    if let Some(prefix) = only {
-        if !under(prefix) {
-            return false;
-        }
-    }
-    if let Some(prefix) = skip {
-        if under(prefix) {
-            return false;
-        }
-    }
-    true
-}
-
 /// The result of gating a fresh report against a baseline.
 #[derive(Debug, Default)]
 pub struct GateReport {
-    /// Hard failures (regression / missing metric); non-empty ⇒ exit 1.
+    /// Hard failures, one per scenario; non-empty ⇒ exit 1.
     pub failures: Vec<String>,
-    /// Advisory mismatches (e.g. different core count).
-    pub warnings: Vec<String>,
-    /// Number of gated (throughput + accuracy) comparisons performed.
+    /// Number of scenarios compared.
     pub checked: usize,
 }
 
 impl GateReport {
-    /// Whether the gate passed (no hard failures).
+    /// Whether the gate passed: at least one scenario compared, and no
+    /// failure.
     pub fn passed(&self) -> bool {
-        self.failures.is_empty()
+        self.failures.is_empty() && self.checked > 0
     }
 }
 
-/// Compares a fresh report against the committed baseline.
-///
-/// `max_regress` is the tolerated relative throughput drop (0.15 ⇒ the
-/// fresh value must be ≥ 85 % of the baseline).
-pub fn compare(baseline: &Json, fresh: &Json, max_regress: f64) -> GateReport {
-    compare_filtered(baseline, fresh, max_regress, None, None)
-}
-
-/// [`compare`] restricted to a dotted-path prefix scope: with
-/// `only = Some("scenarios")` only keys under the `scenarios` subtree are
-/// gated; with `skip = Some("scenarios")` that subtree is excluded. This
-/// lets one committed `BENCH_pr{N}.json` (perf-report sections plus the
-/// merged scenario subtree) back two CI gate steps with different
-/// tolerances. `pr`/`cores` advisory checks always run.
-pub fn compare_filtered(
-    baseline: &Json,
-    fresh: &Json,
-    max_regress: f64,
-    only: Option<&str>,
-    skip: Option<&str>,
-) -> GateReport {
-    let mut report = GateReport::default();
-
-    for key in ["pr", "cores"] {
-        let b = baseline.get(key).and_then(Json::as_num);
-        let f = fresh.get(key).and_then(Json::as_num);
-        if b != f {
-            report.warnings.push(format!(
-                "{key} mismatch (baseline {b:?}, fresh {f:?}); throughput comparison is advisory"
-            ));
+/// The `(recipe, scenario)` pairs under a report's `scenarios` object,
+/// in document order.
+fn scenario_names(report: &Json) -> Vec<(String, String)> {
+    let Some(Json::Obj(recipes)) = report.get("scenarios") else {
+        return Vec::new();
+    };
+    let mut names = Vec::new();
+    for (recipe, body) in recipes {
+        if let Json::Obj(scenarios) = body {
+            names.extend(scenarios.iter().map(|(s, _)| (recipe.clone(), s.clone())));
         }
     }
+    names
+}
 
-    let base = flatten(baseline);
-    let new = flatten(fresh);
-    for (path, &b) in &base {
-        if path.starts_with("telemetry.") || path == "pr" || path == "cores" {
-            continue;
+/// The `fixed` subtree of one scenario, if the report has it.
+fn fixed<'a>(report: &'a Json, recipe: &str, scenario: &str) -> Option<&'a Json> {
+    report
+        .get("scenarios")?
+        .get(recipe)?
+        .get(scenario)?
+        .get("fixed")
+}
+
+/// A one-line rendering of a value for a failure message.
+fn describe(value: Option<&Json>) -> String {
+    match value {
+        None => "missing".to_string(),
+        Some(Json::Obj(_)) => "an object".to_string(),
+        Some(Json::Arr(items)) => format!("an array of {}", items.len()),
+        Some(leaf) => leaf.render().trim_end().to_string(),
+    }
+}
+
+fn mismatch(path: &str, base: Option<&Json>, fresh: Option<&Json>) -> String {
+    format!(
+        "{path}: baseline {}, fresh {}",
+        describe(base),
+        describe(fresh)
+    )
+}
+
+/// The first flattened path (depth first, baseline key order) at which
+/// `base` and `fresh` differ, with both values; `None` when they are
+/// equal.
+fn first_difference(path: &str, base: &Json, fresh: &Json) -> Option<String> {
+    let child = |key: &str, b: Option<&Json>, f: Option<&Json>| {
+        let path = format!("{path}.{key}");
+        match (b, f) {
+            (Some(b), Some(f)) => first_difference(&path, b, f),
+            (b, f) => Some(mismatch(&path, b, f)),
         }
-        if !in_scope(path, only, skip) {
-            continue;
-        }
-        let is_throughput = is_throughput_key(path);
-        let is_accuracy = is_accuracy_key(path);
-        if !is_throughput && !is_accuracy {
-            continue;
-        }
-        report.checked += 1;
-        let Some(&f) = new.get(path) else {
-            report.failures.push(format!(
-                "{path}: present in baseline but missing from fresh report"
-            ));
-            continue;
-        };
-        if is_throughput {
-            let floor = b * (1.0 - max_regress);
-            if f < floor {
-                report.failures.push(format!(
-                    "{path}: throughput regressed {:.1} % (baseline {b:.1}, fresh {f:.1}, \
-                     tolerance {:.0} %)",
-                    100.0 * (1.0 - f / b),
-                    100.0 * max_regress
-                ));
+    };
+    match (base, fresh) {
+        (Json::Obj(b), Json::Obj(f)) => {
+            let mut seen = Vec::new();
+            for (key, _) in b.iter().chain(f) {
+                if seen.contains(&key) {
+                    continue;
+                }
+                seen.push(key);
+                if let Some(diff) = child(key, base.get(key), fresh.get(key)) {
+                    return Some(diff);
+                }
             }
-        } else if f < b - ACCURACY_EPS {
-            report.failures.push(format!(
-                "{path}: accuracy dropped (baseline {b:.6}, fresh {f:.6})"
-            ));
+            None
+        }
+        (Json::Arr(b), Json::Arr(f)) => {
+            (0..b.len().max(f.len())).find_map(|i| child(&i.to_string(), b.get(i), f.get(i)))
+        }
+        _ if base == fresh => None,
+        _ => Some(mismatch(path, Some(base), Some(fresh))),
+    }
+}
+
+/// Gates a fresh report against the committed baseline: every scenario
+/// in either report must be in both, with identical `fixed` subtrees.
+pub fn compare(baseline: &Json, fresh: &Json) -> GateReport {
+    let mut report = GateReport::default();
+    let mut names = Vec::new();
+    for name in scenario_names(baseline)
+        .into_iter()
+        .chain(scenario_names(fresh))
+    {
+        if !names.contains(&name) {
+            names.push(name);
         }
     }
-
-    // Throughput keys only the fresh report has are new metrics landing
-    // in this PR: advisory, so a PR adding e.g. `serve_*` figures does
-    // not need its baseline hand-edited. They become gated once the
-    // baseline is regenerated with them included.
-    for (path, &f) in &new {
-        if !in_scope(path, only, skip) {
-            continue;
-        }
-        if is_throughput_key(path) && !path.starts_with("telemetry.") && !base.contains_key(path) {
-            report.warnings.push(format!(
-                "{path}: new throughput metric not in baseline (fresh {f:.1}); \
-                 advisory until the baseline is regenerated"
-            ));
-        }
+    for (recipe, scenario) in &names {
+        report.checked += 1;
+        let path = format!("scenarios.{recipe}.{scenario}.fixed");
+        let diff = match (
+            fixed(baseline, recipe, scenario),
+            fixed(fresh, recipe, scenario),
+        ) {
+            (Some(b), Some(f)) => first_difference(&path, b, f),
+            (b, f) => Some(mismatch(&path, b, f)),
+        };
+        report.failures.extend(diff);
     }
     report
 }
@@ -489,27 +466,28 @@ mod tests {
     use super::*;
 
     const BASE: &str = r#"{
-      "pr": 3, "cores": 4,
-      "train": { "workload": "w", "engine_samples_per_sec": 1000.0, "speedup": 2.0 },
-      "accuracy": { "digital": 0.9, "ota": 0.85 },
-      "telemetry": { "metrics": [ { "name": "x", "value": 7 } ] }
+      "cores": 4,
+      "scenarios": {
+        "r": {
+          "s": {
+            "seed": 7,
+            "fixed": { "accuracy": { "ota": 0.5 }, "clean_verified": 24, "rounds": [2, 4],
+                       "mode": "shed" },
+            "timing": { "samples_per_sec": 1000.0 }
+          },
+          "t": { "seed": 7, "fixed": { "n": 1 }, "timing": {} }
+        }
+      }
     }"#;
 
-    fn doctored(engine_sps: f64, digital: f64) -> String {
-        BASE.replace("1000.0", &format!("{engine_sps}"))
-            .replace("0.9", &format!("{digital}"))
+    fn gate(fresh: &str) -> GateReport {
+        compare(&parse(BASE).expect("parse"), &parse(fresh).expect("parse"))
     }
 
-    #[test]
-    fn parser_round_trips_a_report() {
-        let v = parse(BASE).expect("parse");
-        assert_eq!(
-            v.get("train")
-                .and_then(|t| t.get("engine_samples_per_sec"))
-                .and_then(Json::as_num),
-            Some(1000.0)
-        );
-        assert_eq!(v.get("pr").and_then(Json::as_num), Some(3.0));
+    fn fails_at(fresh: &str, expected: &str) {
+        let r = gate(fresh);
+        assert!(!r.passed(), "must fail: {fresh}");
+        assert_eq!(r.failures, vec![expected.to_string()]);
     }
 
     #[test]
@@ -531,124 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn identical_reports_pass() {
-        let v = parse(BASE).expect("parse");
-        let r = compare(&v, &v, 0.15);
-        assert!(r.passed(), "failures: {:?}", r.failures);
-        assert_eq!(r.checked, 3); // 1 throughput + 2 accuracy leaves
-        assert!(r.warnings.is_empty());
-    }
-
-    #[test]
-    fn small_throughput_dip_is_tolerated() {
-        let base = parse(BASE).expect("parse");
-        let fresh = parse(&doctored(900.0, 0.9)).expect("parse");
-        assert!(compare(&base, &fresh, 0.15).passed());
-    }
-
-    #[test]
-    fn large_throughput_regression_fails() {
-        let base = parse(BASE).expect("parse");
-        let fresh = parse(&doctored(800.0, 0.9)).expect("parse");
-        let r = compare(&base, &fresh, 0.15);
-        assert!(!r.passed());
-        assert!(r.failures[0].contains("engine_samples_per_sec"));
-    }
-
-    #[test]
-    fn any_accuracy_drop_fails() {
-        let base = parse(BASE).expect("parse");
-        let fresh = parse(&doctored(1000.0, 0.89)).expect("parse");
-        let r = compare(&base, &fresh, 0.15);
-        assert!(!r.passed());
-        assert!(r.failures[0].contains("accuracy.digital"));
-    }
-
-    #[test]
-    fn accuracy_gain_and_faster_throughput_pass() {
-        let base = parse(BASE).expect("parse");
-        let fresh = parse(&doctored(2000.0, 0.95)).expect("parse");
-        assert!(compare(&base, &fresh, 0.15).passed());
-    }
-
-    #[test]
-    fn telemetry_subtree_is_ignored() {
-        let base = parse(BASE).expect("parse");
-        // Telemetry values differ wildly run-to-run; must not be gated.
-        let fresh = parse(&BASE.replace("\"value\": 7", "\"value\": 99999")).expect("parse");
-        assert!(compare(&base, &fresh, 0.15).passed());
-    }
-
-    #[test]
-    fn missing_gated_metric_fails() {
-        let base = parse(BASE).expect("parse");
-        let fresh = parse(&BASE.replace("\"ota\": 0.85", "\"other\": 0.85")).expect("parse");
-        let r = compare(&base, &fresh, 0.15);
-        assert!(!r.passed());
-        assert!(r.failures[0].contains("accuracy.ota"));
-    }
-
-    #[test]
-    fn fresh_only_throughput_metric_warns_but_passes() {
-        let base = parse(BASE).expect("parse");
-        let fresh = parse(&BASE.replace(
-            "\"speedup\": 2.0",
-            "\"speedup\": 2.0, \"serve_samples_per_sec\": 5000.0",
-        ))
-        .expect("parse");
-        let r = compare(&base, &fresh, 0.15);
-        assert!(r.passed(), "failures: {:?}", r.failures);
-        assert_eq!(r.warnings.len(), 1);
-        assert!(r.warnings[0].contains("serve_samples_per_sec"));
-        assert!(r.warnings[0].contains("advisory"));
-    }
-
-    #[test]
-    fn per_core_throughput_metric_is_gated() {
-        let base = parse(&BASE.replace(
-            "\"speedup\": 2.0",
-            "\"speedup\": 2.0, \"samples_per_core_sec\": 12000.0",
-        ))
-        .expect("parse");
-        // A >15 % single-core regression must fail the gate.
-        let fresh = parse(&BASE.replace(
-            "\"speedup\": 2.0",
-            "\"speedup\": 2.0, \"samples_per_core_sec\": 9000.0",
-        ))
-        .expect("parse");
-        let r = compare(&base, &fresh, 0.15);
-        assert!(!r.passed());
-        assert!(r.failures[0].contains("samples_per_core_sec"));
-        // Within tolerance passes.
-        assert!(compare(&base, &base, 0.15).passed());
-    }
-
-    #[test]
-    fn fresh_only_per_core_metric_warns_but_passes() {
-        let base = parse(BASE).expect("parse");
-        let fresh = parse(&BASE.replace(
-            "\"speedup\": 2.0",
-            "\"speedup\": 2.0, \"samples_per_core_sec\": 12000.0",
-        ))
-        .expect("parse");
-        let r = compare(&base, &fresh, 0.15);
-        assert!(r.passed(), "failures: {:?}", r.failures);
-        assert_eq!(r.warnings.len(), 1);
-        assert!(r.warnings[0].contains("samples_per_core_sec"));
-        assert!(r.warnings[0].contains("advisory"));
-    }
-
-    #[test]
-    fn fresh_only_telemetry_rate_does_not_warn() {
-        let base = parse(BASE).expect("parse");
-        let fresh = parse(&BASE.replace("\"value\": 7", "\"value\": 7, \"rate_per_sec\": 123.0"))
-            .expect("parse");
-        let r = compare(&base, &fresh, 0.15);
-        assert!(r.passed());
-        assert!(r.warnings.is_empty(), "warnings: {:?}", r.warnings);
-    }
-
-    #[test]
     fn render_round_trips_through_the_parser() {
         let v = parse(r#"{"a": [1, -2.5, "s\n\"x\"", true, false, null], "b": {}, "c": []}"#)
             .expect("parse");
@@ -659,75 +519,98 @@ mod tests {
     }
 
     #[test]
-    fn render_of_a_report_is_stable_under_reparse() {
-        let v = parse(BASE).expect("parse");
-        let once = v.render();
-        let twice = parse(&once).expect("reparse").render();
-        assert_eq!(once, twice);
-    }
-
-    #[test]
-    fn nested_accuracy_objects_are_gated() {
-        let base = parse(
-            r#"{"pr": 8, "cores": 4, "scenarios": {"r": {"s": {"fixed": {"accuracy": {"ota": 0.8}}}}}}"#,
-        )
-        .expect("parse");
-        let fresh = parse(
-            r#"{"pr": 8, "cores": 4, "scenarios": {"r": {"s": {"fixed": {"accuracy": {"ota": 0.7}}}}}}"#,
-        )
-        .expect("parse");
-        assert!(compare(&base, &base, 0.15).passed());
-        let r = compare(&base, &fresh, 0.15);
-        assert!(!r.passed());
-        assert!(r.failures[0].contains("scenarios.r.s.fixed.accuracy.ota"));
-    }
-
-    #[test]
-    fn only_scope_restricts_gating_to_the_subtree() {
-        let base = parse(BASE).expect("parse");
-        // Both the throughput and an accuracy figure regress…
-        let fresh = parse(&doctored(100.0, 0.5)).expect("parse");
-        // …but scoping to a subtree without gated keys sees neither.
-        let r = compare_filtered(&base, &fresh, 0.15, Some("telemetry"), None);
+    fn identical_reports_pass() {
+        let r = gate(BASE);
         assert!(r.passed(), "failures: {:?}", r.failures);
-        assert_eq!(r.checked, 0);
-        // Scoped to `accuracy`, only the accuracy drop fails.
-        let r = compare_filtered(&base, &fresh, 0.15, Some("accuracy"), None);
-        assert!(!r.passed());
-        assert!(r.failures.iter().all(|f| f.contains("accuracy.")));
+        assert_eq!(r.checked, 2);
     }
 
     #[test]
-    fn skip_scope_excludes_the_subtree() {
-        let base = parse(BASE).expect("parse");
-        let fresh = parse(&doctored(100.0, 0.9)).expect("parse");
-        // The only regression is under `train`; skipping it passes.
-        let r = compare_filtered(&base, &fresh, 0.15, None, Some("train"));
+    fn timing_and_top_level_keys_are_never_read() {
+        let fresh = BASE
+            .replace("1000.0", "1.0")
+            .replace("\"cores\": 4", "\"cores\": 64");
+        assert!(gate(&fresh).passed());
+    }
+
+    #[test]
+    fn any_change_to_a_fixed_leaf_fails_naming_the_path() {
+        fails_at(
+            &BASE.replace("24", "23"),
+            "scenarios.r.s.fixed.clean_verified: baseline 24, fresh 23",
+        );
+        fails_at(
+            &BASE.replace("\"shed\"", "\"block\""),
+            "scenarios.r.s.fixed.mode: baseline \"shed\", fresh \"block\"",
+        );
+        fails_at(
+            &BASE.replace("[2, 4]", "[2, 4, 6]"),
+            "scenarios.r.s.fixed.rounds.2: baseline missing, fresh 6",
+        );
+    }
+
+    #[test]
+    fn an_accuracy_gain_fails_like_a_drop() {
+        fails_at(
+            &BASE.replace("0.5", "0.75"),
+            "scenarios.r.s.fixed.accuracy.ota: baseline 0.5, fresh 0.75",
+        );
+    }
+
+    #[test]
+    fn leaves_added_or_removed_fail() {
+        fails_at(
+            &BASE.replace("\"n\": 1", "\"n\": 1, \"m\": 2"),
+            "scenarios.r.t.fixed.m: baseline missing, fresh 2",
+        );
+        fails_at(
+            &BASE.replace("\"accuracy\": { \"ota\": 0.5 }, ", ""),
+            "scenarios.r.s.fixed.accuracy: baseline an object, fresh missing",
+        );
+    }
+
+    #[test]
+    fn a_missing_or_errored_scenario_fails_on_either_side() {
+        let without_t = BASE.replace(
+            r#""t": { "seed": 7, "fixed": { "n": 1 }, "timing": {} }"#,
+            r#""u": { "error": "boom" }"#,
+        );
+        let r = gate(&without_t);
+        assert_eq!(
+            r.failures,
+            vec![
+                "scenarios.r.t.fixed: baseline an object, fresh missing".to_string(),
+                "scenarios.r.u.fixed: baseline missing, fresh missing".to_string(),
+            ]
+        );
+        assert_eq!(r.checked, 3);
+    }
+
+    #[test]
+    fn a_report_without_scenarios_never_passes() {
+        let empty = parse("{}").expect("parse");
+        assert!(!compare(&empty, &empty).passed());
+    }
+
+    #[test]
+    fn the_committed_baseline_gates_exactly() {
+        let baseline = parse(include_str!("../../../BENCH_pr10.json")).expect("parse");
+        let r = compare(&baseline, &baseline);
         assert!(r.passed(), "failures: {:?}", r.failures);
-        // A prefix must match whole path segments, not substrings.
-        let r = compare_filtered(&base, &fresh, 0.15, None, Some("tra"));
-        assert!(!r.passed());
-    }
-
-    #[test]
-    fn fresh_only_warning_respects_scope() {
-        let base = parse(BASE).expect("parse");
-        let fresh = parse(&BASE.replace(
-            "\"speedup\": 2.0",
-            "\"speedup\": 2.0, \"serve_samples_per_sec\": 5000.0",
-        ))
-        .expect("parse");
-        let r = compare_filtered(&base, &fresh, 0.15, Some("accuracy"), None);
-        assert!(r.warnings.is_empty(), "warnings: {:?}", r.warnings);
-    }
-
-    #[test]
-    fn cores_mismatch_warns_but_passes() {
-        let base = parse(BASE).expect("parse");
-        let fresh = parse(&BASE.replace("\"cores\": 4", "\"cores\": 8")).expect("parse");
-        let r = compare(&base, &fresh, 0.15);
-        assert!(r.passed());
-        assert_eq!(r.warnings.len(), 1);
-        assert!(r.warnings[0].contains("cores"));
+        assert_eq!(r.checked, 8);
+        // A non-accuracy leaf moved by one fails.
+        let text = include_str!("../../../BENCH_pr10.json").replacen(
+            "\"clean_verified\": 24",
+            "\"clean_verified\": 23",
+            1,
+        );
+        let r = compare(&baseline, &parse(&text).expect("parse"));
+        assert_eq!(
+            r.failures,
+            vec![
+                "scenarios.serve-chaos.serve-chaos.fixed.clean_verified: baseline 24, fresh 23"
+                    .to_string()
+            ]
+        );
     }
 }

@@ -7,21 +7,22 @@
 //! deterministic seeds of one workload. A *scenario* is a named way to
 //! exercise a materialized recipe (`offline-accuracy`,
 //! `engine-throughput`, `serve-load`, `serve-chaos`, `multi-tenant-mix`,
-//! `mobility-sweep`, `adaptive-mobility`). The runner executes every scenario a recipe names
-//! and emits one structured JSON result per (recipe, scenario), plus a
-//! merged report in the `BENCH_pr{N}.json` layout `bench_gate` parses.
+//! `mobility-sweep`, `adaptive-mobility`, `stacked-accuracy`). The runner
+//! executes every scenario a recipe names and emits one structured JSON
+//! result per (recipe, scenario), plus a merged report that
+//! `bench_gate` compares against a committed baseline.
 //!
 //! ## Determinism contract
 //!
 //! Each result object splits into a `fixed` subtree (accuracies,
-//! prediction histograms, verified-sample counts — everything derived
-//! from seeded streams) and a `timing` subtree (throughput, latency
-//! percentiles, shed/fault counters — everything a wall clock touches).
-//! Running the same recipe twice must produce byte-identical rendered
-//! JSON once the `timing` subtree is stripped ([`strip_timing`]); an
-//! integration test pins this. Gated keys land so `bench_gate` picks
-//! them up: accuracies under a nested `accuracy` object (no-drop rule),
-//! rates with `_per_sec` suffixes (tolerance rule).
+//! realization errors, prediction histograms, verified-sample counts —
+//! everything derived from seeded streams) and a `timing` subtree
+//! (throughput, latency percentiles, shed/fault counters — everything a
+//! wall clock touches). Running the same recipe twice must produce
+//! byte-identical rendered JSON once the `timing` subtree is stripped
+//! ([`strip_timing`]); an integration test pins this. `bench_gate`
+//! requires every `fixed` subtree to equal the baseline's exactly and
+//! never reads `timing`, which is kept for the record only.
 
 use crate::chaos::{self, ChaosConfig, ChaosReport};
 use crate::common::ExpContext;
@@ -1549,11 +1550,13 @@ pub struct RecipeRun {
     pub results: Vec<(String, Result<ScenarioOutcome, String>)>,
 }
 
-/// Merges recipe runs into the `BENCH_pr{N}.json` layout `bench_gate`
-/// parses: `{pr, cores, scenarios: {<recipe>: {<scenario>: {...}}}}`.
-/// Failed scenarios appear as `{"error": "..."}` so the artifact records
-/// them, without contributing gated keys.
-pub fn merged_json(pr: u32, cores: usize, runs: &[RecipeRun]) -> Json {
+/// Merges recipe runs into the report layout `bench_gate` compares:
+/// `{cores, scenarios: {<recipe>: {<scenario>: {...}}}}`, where `cores`
+/// records the host for the `timing` subtrees. A merged report is itself
+/// a valid baseline. Failed scenarios appear as `{"error": "..."}` so
+/// the artifact records them; having no `fixed` subtree, they fail the
+/// gate.
+pub fn merged_json(cores: usize, runs: &[RecipeRun]) -> Json {
     let scenarios = runs
         .iter()
         .map(|run| {
@@ -1576,7 +1579,6 @@ pub fn merged_json(pr: u32, cores: usize, runs: &[RecipeRun]) -> Json {
         })
         .collect();
     Json::Obj(vec![
-        kv("pr", num(pr as f64)),
         kv("cores", num(cores as f64)),
         kv("scenarios", Json::Obj(scenarios)),
     ])
@@ -1708,9 +1710,9 @@ mod tests {
                 ("serve-load".to_string(), Err("boom".to_string())),
             ],
         }];
-        let merged = merged_json(8, 4, &runs);
+        let merged = merged_json(4, &runs);
         let flat = crate::gate::flatten(&merged);
-        assert_eq!(flat.get("pr"), Some(&8.0));
+        assert_eq!(flat.get("cores"), Some(&4.0));
         assert_eq!(
             flat.get("scenarios.t.offline-accuracy.fixed.accuracy.ota"),
             Some(&0.5)

@@ -1,14 +1,16 @@
-//! Open-loop load generation against a running `metaai serve` endpoint.
+//! Windowed load generation against a running `metaai serve` endpoint.
 //!
-//! Used by the `loadgen` bin (CLI front-end) and by `perf_report`'s
-//! serving section (in-process measurement). Each connection runs a
-//! sender on the calling thread and a receiver thread, with a bounded
-//! in-flight window between them: the sender records `(id, send time)`
-//! into a `sync_channel` whose capacity is the pipeline depth, and the
-//! receiver pairs replies with those records in FIFO order (the server's
-//! per-connection writer resolves strictly in submission order). Depth ≥
-//! the server's `max_batch` lets full batches queue up while every worker
-//! is busy — the "batch-saturating" load `perf_report` measures.
+//! Used by the `loadgen` bin (CLI front-end) and by the scenario
+//! harness's `serve-load` and `multi-tenant-mix` scenarios (in-process
+//! measurement). Each connection runs a sender on the calling thread and
+//! a receiver thread, with a bounded in-flight window between them: the
+//! sender records `(id, send time)` into a `sync_channel` whose capacity
+//! is the pipeline depth, and the receiver pairs replies with those
+//! records in FIFO order (the server's per-connection writer resolves
+//! strictly in submission order). Depth ≥ the server's `max_batch` lets
+//! full batches queue up while every worker is busy: a saturating,
+//! closed-loop load. Latency at a fixed offered rate is measured by
+//! perfbench (`perfbench/`), not here.
 
 use metaai_math::rng::SimRng;
 use metaai_serve::tcp::TcpClient;

@@ -617,19 +617,14 @@ pub fn wdd(args: &Args) -> i32 {
 /// ```text
 /// metaai bench list
 /// metaai bench run --recipes recipes/quick [--out-dir scenario-results]
-///                  [--pr 10]
 /// metaai bench run --recipe recipes/quick/serve-clean.recipe
 /// ```
 ///
 /// `run` writes one `<recipe>-<scenario>.json` per result plus a
-/// `merged.json` in the `BENCH_pr{N}.json` layout `bench_gate` parses,
-/// and exits non-zero if any scenario errors (the error still lands in
-/// the merged report, so the artifact shows what failed).
-///
-/// `--merge-into BENCH_pr10.json` additionally splices the fresh
-/// `scenarios` subtree into an existing perf report — that is how the
-/// committed baseline carrying both perf and scenario keys is
-/// regenerated.
+/// `merged.json` that `bench_gate` compares against a baseline (a
+/// `merged.json` is itself a valid baseline), and exits non-zero if any
+/// scenario errors (the error still lands in the merged report, so the
+/// artifact shows what failed).
 pub fn bench(args: &Args) -> i32 {
     use metaai_bench::scenario;
 
@@ -662,7 +657,6 @@ pub fn bench(args: &Args) -> i32 {
             if let Err(e) = std::fs::create_dir_all(out_dir) {
                 return fail(&format!("cannot create {out_dir}: {e}"));
             }
-            let pr: u32 = args.num_or("pr", 9);
 
             let mut runs = Vec::new();
             let mut errors = 0usize;
@@ -694,7 +688,7 @@ pub fn bench(args: &Args) -> i32 {
             }
 
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            let merged = scenario::merged_json(pr, cores, &runs);
+            let merged = scenario::merged_json(cores, &runs);
             let merged_path = format!("{out_dir}/merged.json");
             if let Err(e) = std::fs::write(&merged_path, merged.render()) {
                 return fail(&format!("cannot write {merged_path}: {e}"));
@@ -704,31 +698,6 @@ pub fn bench(args: &Args) -> i32 {
                 "{} scenario run(s), {errors} error(s) → {merged_path}",
                 total
             );
-
-            if let Some(path) = args.options.get("merge-into") {
-                use metaai_bench::gate::Json;
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => return fail(&format!("cannot read {path}: {e}")),
-                };
-                let report = match metaai_bench::gate::parse(&text) {
-                    Ok(j) => j,
-                    Err(e) => return fail(&format!("{path} is not valid JSON: {e}")),
-                };
-                let (Json::Obj(mut pairs), Json::Obj(fresh)) = (report, merged) else {
-                    return fail(&format!("{path} is not a JSON object"));
-                };
-                let scenarios = fresh
-                    .into_iter()
-                    .find(|(k, _)| k == "scenarios")
-                    .expect("merged report always has a scenarios key");
-                pairs.retain(|(k, _)| k != "scenarios");
-                pairs.push(scenarios);
-                if let Err(e) = std::fs::write(path, Json::Obj(pairs).render()) {
-                    return fail(&format!("cannot write {path}: {e}"));
-                }
-                println!("scenarios subtree merged into {path}");
-            }
 
             if errors > 0 {
                 1

@@ -74,6 +74,16 @@ impl WeightSchedule {
     pub fn num_symbols(&self) -> usize {
         self.codes.first().map_or(0, |c| c.len())
     }
+
+    /// Relative weight-realization error against the `weights` this
+    /// schedule was solved for: RMS residual divided by the RMS of the
+    /// scaled targets. Small values (≪ 1) mean the hardware faithfully
+    /// reproduces the trained network.
+    pub fn relative_error(&self, weights: &CMat) -> f64 {
+        let rms_target =
+            self.scale * weights.fro_norm() / ((weights.rows() * weights.cols()) as f64).sqrt();
+        self.rms_residual / rms_target
+    }
 }
 
 /// Builds [`WeightSchedule`]s for a fixed link geometry.
@@ -232,15 +242,6 @@ impl WeightMapper {
             rms_residual: (sq_sum / (r * u) as f64).sqrt(),
         }
     }
-
-    /// Relative weight-realization error: RMS residual divided by the RMS
-    /// of the scaled targets. Small values (≪ 1) mean the hardware
-    /// faithfully reproduces the trained network.
-    pub fn relative_error(&self, weights: &CMat, schedule: &WeightSchedule) -> f64 {
-        let rms_target =
-            schedule.scale * weights.fro_norm() / ((weights.rows() * weights.cols()) as f64).sqrt();
-        schedule.rms_residual / rms_target
-    }
 }
 
 #[cfg(test)]
@@ -283,7 +284,7 @@ mod tests {
         let m = small_mapper();
         let w = random_weights(2, 5, 3);
         let sched = m.map(&w, C64::ZERO);
-        let rel = m.relative_error(&w, &sched);
+        let rel = sched.relative_error(&w);
         assert!(rel < 0.02, "relative realization error {rel}");
     }
 
@@ -336,8 +337,8 @@ mod tests {
 
         assert_eq!(warm.codes.len(), 3);
         assert_eq!(warm.codes[0].len(), 6);
-        let warm_rel = after.relative_error(&w, &warm);
-        let cold_rel = after.relative_error(&w, &cold);
+        let warm_rel = warm.relative_error(&w);
+        let cold_rel = cold.relative_error(&w);
         assert!(
             warm_rel < cold_rel + 0.01,
             "warm remap error {warm_rel} vs cold {cold_rel}"

@@ -66,8 +66,6 @@ pub struct MetaAiSystem {
     /// The metasurface (with fabrication phase errors drawn from the
     /// config's seed).
     pub array: MtsArray,
-    /// The weight mapper for this geometry.
-    pub mapper: WeightMapper,
     /// The digitally trained network ("simulation model").
     pub net: ComplexLnn,
     /// The solved metasurface schedule.
@@ -84,7 +82,7 @@ pub struct MetaAiSystem {
     pub noise_floor: f64,
     /// The stacked cascade behind `channels`, when this deployment is an
     /// L-layer stack (`None` for the paper's single-surface deployment).
-    /// For stacks, `array`/`mapper`/`schedule` describe layer 0 only —
+    /// For stacks, `array`/`schedule` describe layer 0 only —
     /// the composed truth lives here.
     pub stack: Option<StackDeployment>,
     /// Column-major re/im planes of `channels`, split once at deployment
@@ -196,7 +194,6 @@ impl SystemBuilder {
         MetaAiSystem {
             config,
             array,
-            mapper,
             net,
             schedule,
             channels,
@@ -242,12 +239,10 @@ impl SystemBuilder {
         let planes = CPlanes::from_cmat(&channels);
         let net = weights.effective_net();
         let array = geometry.surfaces[0].clone();
-        let mapper = WeightMapper::new(&config, &array);
         let schedule = legacy_schedule(&stack_schedule);
         MetaAiSystem {
             config,
             array,
-            mapper,
             net,
             schedule,
             channels,
@@ -405,9 +400,7 @@ impl MetaAiSystem {
     pub fn realization_error(&self) -> f64 {
         match &self.stack {
             Some(stack) => stack.schedule.relative_error(&stack.weights.factors),
-            None => self
-                .mapper
-                .relative_error(&self.net.weights, &self.schedule),
+            None => self.schedule.relative_error(&self.net.weights),
         }
     }
 
@@ -505,12 +498,9 @@ pub fn redeploy_warm(
         );
         let channels = realize_stack(&geometry, &stack_schedule);
         let planes = CPlanes::from_cmat(&channels);
-        let array = geometry.surfaces[0].clone();
-        let link = metaai_mts::channel::MtsLink::new(&array, config.tx, config.rx, config.freq_hz);
         return MetaAiSystem {
             config: config.clone(),
-            array,
-            mapper: WeightMapper::from_link(link, config.kappa),
+            array: geometry.surfaces[0].clone(),
             net: system.net.clone(),
             schedule: legacy_schedule(&stack_schedule),
             channels,
@@ -532,7 +522,6 @@ pub fn redeploy_warm(
     MetaAiSystem {
         config: config.clone(),
         array,
-        mapper,
         net: system.net.clone(),
         schedule,
         channels,

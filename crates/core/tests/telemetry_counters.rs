@@ -1,4 +1,6 @@
-//! Pinned telemetry totals for the inference engine.
+//! Pinned operation counts: the engine's chip/sample/draw totals, the
+//! solver's sweeps and solves per deployment path, and the heap
+//! allocations of one served request.
 //!
 //! The chip/sample/draw counters are derived from the engine's documented
 //! accounting (`chips = rows × draws-per-row`, one aggregated AWGN draw
@@ -7,15 +9,75 @@
 //! sample represents, the expected constants here must be re-derived, not
 //! merely re-recorded.
 //!
+//! The sweep, solve and allocation pins are recorded counts. None of them
+//! depends on the host or on the rayon thread count, so they gate what a
+//! wall clock cannot: one extra descent sweep per solve, or one extra
+//! allocation per request, fails here on any machine.
+//!
 //! All tests share the process-global registry, so they serialize on one
 //! mutex and reset the instruments while holding it.
 
+use metaai::config::SystemConfig;
 use metaai::engine::OtaEngine;
+use metaai::mapper::WeightMapper;
 use metaai::ota::OtaConditions;
+use metaai::pipeline::MetaAiSystem;
 use metaai_math::rng::SimRng;
-use metaai_math::{CMat, CVec};
+use metaai_math::{CMat, CVec, C64};
+use metaai_mts::array::{MtsArray, Prototype};
+use metaai_mts::solver::SolverScratch;
+use metaai_nn::complex_lnn::ComplexLnn;
+use metaai_sim::{StackGeometry, StackSolver, StackSpec, StackWeights};
 use metaai_telemetry::{MetricValue, Registry};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard, OnceLock};
+
+/// The system allocator, counting allocations (and reallocations) made
+/// by each thread, so a measurement on one thread ignores every other.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_allocation() {
+    // `try_with`: the slot is gone while the thread is being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards to `System` unchanged; counting touches
+// only a const-initialized thread-local, which never allocates.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Heap allocations `f` makes on the calling thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
 
 const ROWS: usize = 4; // output classes = channel rows
 const U: usize = 6; // symbols per sample
@@ -160,5 +222,126 @@ fn disabled_telemetry_records_nothing() {
         histogram_count(registry, "metaai.core.engine.sample_seconds"),
         0
     );
+    drop(guard);
+}
+
+fn random_weights(r: usize, u: usize, seed: u64) -> CMat {
+    let mut rng = SimRng::seed_from_u64(seed);
+    CMat::from_fn(r, u, |_, _| rng.complex_gaussian(1.0))
+}
+
+/// `(sweeps, solves)` on the solver counters since the last reset.
+fn solver_work(registry: &Registry) -> (u64, u64) {
+    (
+        counter(registry, "metaai.mts.solver.sweeps"),
+        counter(registry, "metaai.mts.solver.solves"),
+    )
+}
+
+const MAP_ROWS: usize = 4;
+const MAP_COLS: usize = 24;
+/// Recorded descent sweeps of the cold 4 × 24 map (~2.2 per solve).
+const COLD_SWEEPS: u64 = 210;
+/// Recorded sweeps of the warm remap after the receiver moves 40° → 43°.
+const WARM_SWEEPS: u64 = 195;
+/// Recorded sweeps and solves of the 2-layer, 2 × 128-atom stack solve
+/// (one single-target solve per layer per weight).
+const STACK_SWEEPS: u64 = 418;
+const STACK_SOLVES: u64 = 192;
+/// Recorded heap allocations of one steady-state `score_indexed` call:
+/// `default_conditions` builds an n-length `EnvChannel` and an all-ones
+/// `mts_factor`. A constant-or-per-symbol `OtaConditions` takes this to 0.
+const SERVED_ALLOCATIONS: u64 = 2;
+
+#[test]
+fn a_cold_map_and_a_warm_remap_take_pinned_sweeps() {
+    let (guard, registry) = lock_registry();
+    let config = SystemConfig::paper_default();
+    let array = MtsArray::paper_prototype(Prototype::DualBand, config.mts_center);
+    let weights = random_weights(MAP_ROWS, MAP_COLS, 11);
+
+    let cold = WeightMapper::new(&config, &array).map(&weights, C64::ZERO);
+    assert_eq!(
+        solver_work(registry),
+        (COLD_SWEEPS, (MAP_ROWS * MAP_COLS) as u64)
+    );
+
+    registry.reset();
+    let moved = config.clone().with_rx_at(3.0, 43.0);
+    let mut scratch = SolverScratch::new();
+    WeightMapper::new(&moved, &array).remap(&weights, C64::ZERO, &cold, &mut scratch);
+    assert_eq!(
+        solver_work(registry),
+        (WARM_SWEEPS, (MAP_ROWS * MAP_COLS) as u64)
+    );
+    drop(guard);
+}
+
+#[test]
+fn a_two_layer_stack_solve_takes_pinned_sweeps() {
+    let (guard, registry) = lock_registry();
+    let config = SystemConfig::paper_default();
+    let spec = StackSpec::new(
+        config.prototype,
+        config.freq_hz,
+        config.tx,
+        config.rx,
+        config.mts_center,
+        2,
+        128,
+    );
+    let geometry = StackGeometry::build(&spec);
+    let weights = StackWeights::from_effective(&random_weights(MAP_ROWS, MAP_COLS, 41), 2);
+    StackSolver::new(&geometry, config.kappa).solve(&weights.factors, C64::ZERO);
+    assert_eq!(solver_work(registry), (STACK_SWEEPS, STACK_SOLVES));
+    drop(guard);
+}
+
+/// A deployed 3-class system over 16 symbols: the serve path's unit of
+/// work is [`MetaAiSystem::score_indexed`].
+fn served_system() -> (MetaAiSystem, CVec) {
+    let mut rng = SimRng::seed_from_u64(5);
+    let net = ComplexLnn::from_weights(random_weights(3, 16, 6));
+    let x = CVec::from_fn(16, |_| rng.complex_gaussian(1.0));
+    (MetaAiSystem::builder().deploy(net), x)
+}
+
+#[test]
+fn one_served_request_costs_pinned_chips_and_draws() {
+    let (guard, registry) = lock_registry();
+    let (system, x) = served_system();
+    registry.reset();
+    let mut out = Vec::new();
+    system.score_indexed(&x, 9, 0, &mut out);
+    assert_eq!(counter(registry, "metaai.core.engine.samples"), 1);
+    // Cancellation is on by default: 3 rows × 16 symbols × SLOTS chips,
+    // and one aggregated AWGN draw per row.
+    assert_eq!(
+        counter(registry, "metaai.core.engine.chips"),
+        (3 * 16 * SLOTS) as u64
+    );
+    assert_eq!(counter(registry, "metaai.core.engine.awgn_draws"), 3);
+    drop(guard);
+}
+
+#[test]
+fn a_steady_state_served_request_makes_pinned_allocations() {
+    let (guard, registry) = lock_registry();
+    let (system, x) = served_system();
+    let mut out = Vec::new();
+    // The first call sizes `out` and the kernel's thread-local scratch.
+    system.score_indexed(&x, 9, 0, &mut out);
+    for index in 1..=8 {
+        let n = allocations_in(|| {
+            system.score_indexed(&x, 9, index, &mut out);
+        });
+        assert_eq!(n, SERVED_ALLOCATIONS, "request {index}");
+    }
+    // Telemetry off: the same count.
+    registry.set_enabled(false);
+    let n = allocations_in(|| {
+        system.score_indexed(&x, 9, 9, &mut out);
+    });
+    assert_eq!(n, SERVED_ALLOCATIONS);
     drop(guard);
 }

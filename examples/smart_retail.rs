@@ -54,11 +54,9 @@ fn main() {
     // the weight sum is a 256-way redundancy.
     let mut rng = SimRng::seed_from_u64(5);
     system.array.inject_stuck_faults(0.05, &mut rng);
-    system.set_channels(realize_channels(
-        &system.schedule,
-        &system.mapper.link,
-        &system.array,
-    ));
+    let link =
+        metaai_mts::channel::MtsLink::new(&system.array, config.tx, config.rx, config.freq_hz);
+    system.set_channels(realize_channels(&system.schedule, &link, &system.array));
     let degraded = system.ota_accuracy(&test, "retail-stuck");
     println!("with 5 % stuck atoms: {:.1} %", 100.0 * degraded);
 
@@ -69,17 +67,13 @@ fn main() {
         .config(config.clone())
         .deploy(system.net.clone());
     // Stale: schedule for the OLD position, receiver at the NEW one.
-    stale.mapper.link = metaai_mts::channel::MtsLink::new(
+    let moved_link = metaai_mts::channel::MtsLink::new(
         &stale.array,
         moved_cfg.tx,
         moved_cfg.rx,
         moved_cfg.freq_hz,
     );
-    stale.set_channels(realize_channels(
-        &stale.schedule,
-        &stale.mapper.link,
-        &stale.array,
-    ));
+    stale.set_channels(realize_channels(&stale.schedule, &moved_link, &stale.array));
     let stale_acc = stale.ota_accuracy(&test, "retail-stale");
     println!(
         "after receiver moved (stale schedule): {:.1} %",

@@ -132,3 +132,28 @@ fn prototype_tracks_simulation_within_the_paper_band() {
         "prototype {proto} too far below simulation {sim}"
     );
 }
+
+/// The tier-1 accuracy pin formerly recorded in BENCH_pr10.json's
+/// `accuracy` section (0.458333 digital / 0.391667 OTA): AFHQ quick,
+/// seed 42, 8 epochs with CDFA only, deployed on the paper's 256-atom
+/// prototype. Everything is seeded and thread-count independent, so the
+/// counts are exact. The scenario recipes train with CDFA plus noise, so
+/// they do not cover this configuration.
+#[test]
+fn afhq_quick_accuracy_is_pinned_exactly() {
+    let config = SystemConfig::paper_default();
+    let (train, test) = generate(DatasetId::Afhq, Scale::Quick, 42).modulate(config.modulation);
+    let tcfg = TrainConfig {
+        epochs: 8,
+        seed: 42,
+        ..TrainConfig::default()
+    }
+    .with_augmentation(Augmentation::cdfa_default());
+    let system = MetaAiSystem::builder()
+        .config(config)
+        .num_atoms(256)
+        .train_and_deploy(&train, &tcfg);
+    assert_eq!(test.len(), 120);
+    assert_eq!(system.digital_accuracy(&test), 55.0 / 120.0);
+    assert_eq!(system.ota_accuracy(&test, "perf-report"), 47.0 / 120.0);
+}

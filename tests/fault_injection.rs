@@ -7,6 +7,7 @@ use metaai::ota::realize_channels;
 use metaai::pipeline::MetaAiSystem;
 use metaai_datasets::{generate, DatasetId, Scale};
 use metaai_math::rng::SimRng;
+use metaai_mts::channel::MtsLink;
 use metaai_mts::control::ControlModel;
 use metaai_nn::augment::Augmentation;
 use metaai_nn::train::TrainConfig;
@@ -29,6 +30,12 @@ fn build() -> (MetaAiSystem, metaai_nn::data::ComplexDataset) {
     )
 }
 
+/// The deployment's own Tx → MTS → Rx link (geometry only, so it is the
+/// same before and after atom faults).
+fn link(sys: &MetaAiSystem) -> MtsLink {
+    MtsLink::new(&sys.array, sys.config.tx, sys.config.rx, sys.config.freq_hz)
+}
+
 #[test]
 fn small_stuck_fraction_degrades_gracefully() {
     let (mut sys, test) = build();
@@ -36,11 +43,7 @@ fn small_stuck_fraction_degrades_gracefully() {
 
     let mut rng = SimRng::seed_from_u64(1);
     sys.array.inject_stuck_faults(0.05, &mut rng);
-    sys.set_channels(realize_channels(
-        &sys.schedule,
-        &sys.mapper.link,
-        &sys.array,
-    ));
+    sys.set_channels(realize_channels(&sys.schedule, &link(&sys), &sys.array));
     let degraded = sys.ota_accuracy(&test, "fault-5");
 
     // 5 % of a 256-atom aperture: the redundancy of the sum absorbs it.
@@ -55,11 +58,7 @@ fn massive_stuck_fraction_destroys_the_computation() {
     let (mut sys, test) = build();
     let mut rng = SimRng::seed_from_u64(2);
     sys.array.inject_stuck_faults(0.9, &mut rng);
-    sys.set_channels(realize_channels(
-        &sys.schedule,
-        &sys.mapper.link,
-        &sys.array,
-    ));
+    sys.set_channels(realize_channels(&sys.schedule, &link(&sys), &sys.array));
     let broken = sys.ota_accuracy(&test, "fault-90");
     assert!(broken < 0.5, "90% stuck atoms should break it: {broken}");
 }
