@@ -4,9 +4,10 @@
 //! The serving path cannot see drift — it scores against the channels
 //! realized at deployment time. The probe re-realizes the deployed
 //! schedule against the world's current geometry
-//! ([`MetaAiSystem::realize_live`] — one live link for a single surface,
-//! every hop re-linked for a stacked cascade), scores a fixed seeded
-//! probe set over it, and reports three signals:
+//! ([`MetaAiSystem::realize_live`] — every hop of the deployed stack
+//! re-linked, one hop for the paper's single surface, with whatever
+//! stuck atoms the surfaces carry), scores a fixed seeded probe set over
+//! it, and reports three signals:
 //!
 //! * **probe accuracy** — ground truth on the probe labels;
 //! * **channel residual** — *phase-aligned* relative Frobenius distance

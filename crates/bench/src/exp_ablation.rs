@@ -30,7 +30,7 @@ use metaai_math::C64;
 use metaai_mts::array::{MtsArray, Prototype};
 use metaai_mts::solver::WeightSolver;
 use metaai_nn::deep_complex::{train_deep_complex, DeepComplexConfig};
-use metaai_nn::train::train_complex;
+use metaai_nn::engine::TrainEngine;
 use metaai_phy::sync::SyncErrorModel;
 use metaai_rf::environment::EnvChannel;
 
@@ -38,7 +38,7 @@ use metaai_rf::environment::EnvChannel;
 /// safety factor. Returns `(κ, relative error, accuracy)`.
 pub fn kappa_sweep(ctx: &ExpContext, kappas: &[f64]) -> Vec<(f64, f64, f64)> {
     let (train, test) = ctx.dataset(DatasetId::Afhq);
-    let net = train_complex(&train, &ctx.train_config());
+    let net = TrainEngine::new(ctx.train_config()).train(&train);
     kappas
         .iter()
         .map(|&kappa| {
@@ -134,7 +134,7 @@ pub fn detection_averaging(ctx: &ExpContext, detections: &[usize]) -> Vec<(usize
 /// Fabrication-quality sensitivity: per-atom phase-error σ vs accuracy.
 pub fn phase_noise_sweep(ctx: &ExpContext, sigmas: &[f64]) -> Vec<(f64, f64)> {
     let (train, test) = ctx.dataset(DatasetId::Mnist);
-    let net = train_complex(&train, &ctx.train_config());
+    let net = TrainEngine::new(ctx.train_config()).train(&train);
     sigmas
         .iter()
         .map(|&sigma| {
@@ -161,7 +161,7 @@ pub fn multipath_scheme_comparison(ctx: &ExpContext) -> Vec<(&'static str, f64, 
         seed: ctx.seed,
         ..SystemConfig::paper_default()
     };
-    let net = train_complex(&train, &ctx.train_config());
+    let net = TrainEngine::new(ctx.train_config()).train(&train);
 
     // The environmental gain both schemes must defeat.
     let mut env_rng = SimRng::derive(ctx.seed, "abl-env");
@@ -183,8 +183,7 @@ pub fn multipath_scheme_comparison(ctx: &ExpContext) -> Vec<(&'static str, f64, 
     let mut sys_eqn8 = MetaAiSystem::builder()
         .config(base.clone())
         .deploy(net.clone());
-    sys_eqn8.schedule = sched_eqn8;
-    sys_eqn8.set_channels(realize_channels(&sys_eqn8.schedule, &mapper.link, &array));
+    sys_eqn8.set_channels(realize_channels(&sched_eqn8, &mapper.link, &array));
 
     // Cancellation: the standard deployment.
     let sys_cancel = probe;
@@ -234,7 +233,7 @@ pub fn linear_vs_nonlinear(
         .iter()
         .map(|&id| {
             let (train, test) = ctx.dataset(id);
-            let lnn = train_complex(&train, &ctx.train_config());
+            let lnn = TrainEngine::new(ctx.train_config()).train(&train);
             let lnn_acc = metaai_nn::train::evaluate(&lnn, &test);
             let deep = train_deep_complex(
                 &train,

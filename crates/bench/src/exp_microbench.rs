@@ -8,8 +8,9 @@ use metaai_math::rng::SimRng;
 use metaai_math::C64;
 use metaai_mts::solver::WeightSolver;
 use metaai_mts::wdd::{wdd_sweep, WddConfig};
+use metaai_nn::engine::TrainEngine;
 use metaai_nn::pnn_stack::train_stacked;
-use metaai_nn::train::{train_complex, TrainConfig};
+use metaai_nn::train::TrainConfig;
 use metaai_phy::sync::{EnvelopeDetector, SyncErrorModel};
 use metaai_rf::antenna::AntennaPattern;
 use metaai_rf::environment::{EnvChannel, Environment, EnvironmentKind};
@@ -49,7 +50,7 @@ pub fn fig7(
         .iter()
         .map(|&id| {
             let (train, test) = ctx.dataset(id);
-            let net = train_complex(&train, &ctx.train_config());
+            let net = TrainEngine::new(ctx.train_config()).train(&train);
             let config = SystemConfig {
                 seed: ctx.seed,
                 ..SystemConfig::paper_default()
@@ -260,13 +261,11 @@ pub fn fig29(ctx: &ExpContext, layers: &[usize]) -> (Vec<(usize, f64)>, f64) {
     let train = metaai_nn::train::toy_problem(10, 64, 60, 0.95, ctx.seed, ctx.seed + 1);
     let test = metaai_nn::train::toy_problem(10, 64, 25, 0.95, ctx.seed, ctx.seed + 2);
     let digital = {
-        let net = train_complex(
-            &train,
-            &TrainConfig {
-                epochs: 40,
-                ..TrainConfig::default()
-            },
-        );
+        let net = TrainEngine::new(TrainConfig {
+            epochs: 40,
+            ..TrainConfig::default()
+        })
+        .train(&train);
         metaai_nn::train::evaluate(&net, &test)
     };
     let series = layers

@@ -7,7 +7,7 @@ use metaai::parallel::{antenna_positions, AntennaParallel, SubcarrierParallel};
 use metaai::pipeline::MetaAiSystem;
 use metaai_datasets::DatasetId;
 use metaai_mts::array::MtsArray;
-use metaai_nn::train::train_complex;
+use metaai_nn::engine::TrainEngine;
 
 /// One Fig 18 row: baseline (sequential), subcarrier-parallel, and
 /// antenna-parallel accuracy for one dataset.
@@ -33,7 +33,7 @@ pub fn fig18(ctx: &ExpContext, datasets: &[DatasetId]) -> Vec<Fig18Row> {
                 seed: ctx.seed,
                 ..SystemConfig::paper_default()
             };
-            let net = train_complex(&train, &ctx.train_config());
+            let net = TrainEngine::new(ctx.train_config()).train(&train);
 
             let sys = MetaAiSystem::builder()
                 .config(config.clone())
@@ -73,13 +73,11 @@ pub fn fig31(ctx: &ExpContext, degrees: &[usize]) -> Vec<(usize, f64, f64)> {
                 seed: ctx.seed,
                 ..SystemConfig::paper_default()
             };
-            let net = train_complex(
-                &train,
-                &metaai_nn::train::TrainConfig {
-                    epochs: 25,
-                    ..metaai_nn::train::TrainConfig::default()
-                },
-            );
+            let net = TrainEngine::new(metaai_nn::train::TrainConfig {
+                epochs: 25,
+                ..metaai_nn::train::TrainConfig::default()
+            })
+            .train(&train);
             let array = MtsArray::paper_prototype(config.prototype, config.mts_center);
 
             // A tighter link budget than the default makes the

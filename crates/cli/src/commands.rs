@@ -9,9 +9,10 @@ use metaai_mts::control::ControlModel;
 use metaai_nn::augment::Augmentation;
 use metaai_nn::complex_lnn::ComplexLnn;
 use metaai_nn::data::ComplexDataset;
+use metaai_nn::engine::TrainEngine;
 use metaai_nn::io::{load_model, save_model};
 use metaai_nn::metrics::ConfusionMatrix;
-use metaai_nn::train::{train_complex_with_stats, TrainConfig};
+use metaai_nn::train::TrainConfig;
 
 fn parse_dataset(name: &str) -> Result<DatasetId, String> {
     match name.to_ascii_lowercase().as_str() {
@@ -139,7 +140,7 @@ pub fn train(args: &Args) -> i32 {
         let (weights, stats) = metaai_sim::train_stack_with_stats(&s.train, layers, &tcfg);
         (weights.effective_net(), stats)
     } else {
-        train_complex_with_stats(&s.train, &tcfg)
+        TrainEngine::new(tcfg).train_with_stats(&s.train)
     };
     let last = stats.last().expect("at least one epoch");
     println!(

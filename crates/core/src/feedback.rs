@@ -171,14 +171,10 @@ pub fn track(
 
         // One inference at the *actual* receiver position with the
         // *currently deployed* (possibly stale) schedule.
-        let live_link = metaai_mts::channel::MtsLink::new(
-            &current.array,
-            current.config.tx,
+        let live_channels = current.realize_live(&SystemConfig {
             rx,
-            current.config.freq_hz,
-        );
-        let live_channels =
-            crate::ota::realize_channels(&current.schedule, &live_link, &current.array);
+            ..current.config.clone()
+        });
         let i = k % test.len();
         let x: &CVec = &test.inputs[i];
         let cond = current.default_conditions(x.len(), &mut rng);
@@ -306,6 +302,39 @@ mod tests {
         assert_eq!(report.recalibrations, 0, "static Rx must stay calibrated");
         assert!(report.accuracy > 0.6, "accuracy {}", report.accuracy);
         assert_eq!(report.downtime, 0.0);
+    }
+
+    #[test]
+    fn tracking_a_stack_scores_the_whole_cascade() {
+        // At its own receiver position, a 2-layer system's first tracked
+        // inference sees the deployed cascade — not layer 0 alone, and
+        // not a redeploy flattened to one surface.
+        let train = toy_problem(3, 32, 40, 0.35, 60, 161);
+        let test = toy_problem(3, 32, 20, 0.35, 60, 261);
+        let tcfg = TrainConfig {
+            epochs: 5,
+            ..TrainConfig::default()
+        };
+        let sys = MetaAiSystem::builder()
+            .layers(2)
+            .train_and_deploy(&train, &tcfg);
+        let report = track(
+            &sys,
+            &test,
+            &[sys.config.rx],
+            0.5,
+            &FeedbackMonitor::default(),
+            &ControlModel::default(),
+            &MobilityModel::paper_prototype(0.05),
+        );
+        let mut rng = SimRng::derive(sys.config.seed, "feedback-track");
+        let x = &test.inputs[0];
+        let cond = sys.default_conditions(x.len(), &mut rng);
+        let scores = OtaEngine::new(&sys.channels).scores(x, &cond, &mut rng);
+        assert_eq!(
+            report.steps[0].margin,
+            Some(FeedbackMonitor::margin(&scores))
+        );
     }
 
     #[test]

@@ -18,10 +18,14 @@
 //! ([`parallel`], Eqns 9–10), multi-sensor fusion ([`fusion`],
 //! Eqns 11–12), the end-to-end energy/latency model of Appendix A.4
 //! ([`energy`]), receiver-mobility recalibration ([`mobility`]), and the
-//! confidence-feedback reconfiguration protocol ([`feedback`]). Stacked
-//! L-layer cascades are modeled in [`metaai_sim`] and deployed through
-//! the same [`pipeline::SystemBuilder`] via
-//! [`layers(L)`](pipeline::SystemBuilder::layers).
+//! confidence-feedback reconfiguration protocol ([`feedback`]).
+//!
+//! Every deployment is an L-layer cascade modeled in [`metaai_sim`]; the
+//! paper's single surface is L = 1, the default of
+//! [`layers(L)`](pipeline::SystemBuilder::layers). One schedule type
+//! ([`WeightSchedule`]), one solve loop ([`metaai_sim::StackSolver`],
+//! which [`WeightMapper`] wraps for one layer) and one realization
+//! ([`metaai_sim::realize_stack`]) serve both.
 //!
 //! Start with [`config::SystemConfig`] and [`pipeline::MetaAiSystem`]; the
 //! `examples/` directory of the workspace shows complete flows.

@@ -10,94 +10,28 @@
 //!    multipath-aware variant, offsetting a known static `H_e`);
 //! 3. records both the code schedule (what the controller loads) and the
 //!    achieved complex sums (what the physics will deliver).
+//!
+//! A [`WeightMapper`] is a one-layer [`StackSolver`]: the paper's single
+//! surface is the L = 1 case of the cascade, and both share one solve
+//! loop ([`metaai_sim::solve`]).
 
 use crate::config::SystemConfig;
 use metaai_math::{CMat, C64};
 use metaai_mts::array::MtsArray;
-use metaai_mts::atom::PhaseCode;
 use metaai_mts::channel::MtsLink;
-use metaai_mts::solver::{SolverScratch, StateTable, WeightSolver};
-use metaai_telemetry::{Counter, Histogram};
-use rayon::prelude::*;
-use std::sync::OnceLock;
+use metaai_mts::solver::SolverScratch;
+use metaai_sim::{StackSchedule, StackSolver};
+use std::slice;
+use std::sync::Arc;
 
-/// Mapper-stage instruments, registered once with the global registry.
-struct MapperMetrics {
-    maps: Counter,
-    weights_mapped: Counter,
-    map_seconds: Histogram,
-}
-
-fn metrics() -> &'static MapperMetrics {
-    static METRICS: OnceLock<MapperMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = metaai_telemetry::global();
-        MapperMetrics {
-            maps: r.counter("metaai.core.mapper.maps"),
-            weights_mapped: r.counter("metaai.core.mapper.weights_mapped"),
-            map_seconds: r.latency_histogram("metaai.core.mapper.map_seconds"),
-        }
-    })
-}
-
-/// Registers the mapper's instruments with the global telemetry registry.
-pub fn register_metrics() {
-    let _ = metrics();
-}
-
-/// Weights solved per parallel work item in [`WeightMapper::map`]. Each
-/// chunk owns one [`SolverScratch`], amortizing buffer allocation over the
-/// chunk instead of paying it per (r, i).
-const MAP_CHUNK: usize = 32;
-
-/// The complete metasurface programme for one trained network: one
-/// configuration per (output class, input symbol).
-#[derive(Clone, Debug)]
-pub struct WeightSchedule {
-    /// `codes[r][i]` is the atom configuration realizing weight `(r, i)`.
-    pub codes: Vec<Vec<Vec<PhaseCode>>>,
-    /// Achieved normalized channel sums (`Σ e^{j(φ^p+φ)}`), `R × U`.
-    pub achieved: CMat,
-    /// The global weight scale σ applied before solving.
-    pub scale: f64,
-    /// RMS solver residual across all weights (normalized units).
-    pub rms_residual: f64,
-}
-
-impl WeightSchedule {
-    /// Number of output classes.
-    pub fn num_outputs(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// Number of input symbols.
-    pub fn num_symbols(&self) -> usize {
-        self.codes.first().map_or(0, |c| c.len())
-    }
-
-    /// Relative weight-realization error against the `weights` this
-    /// schedule was solved for: RMS residual divided by the RMS of the
-    /// scaled targets. Small values (≪ 1) mean the hardware faithfully
-    /// reproduces the trained network.
-    pub fn relative_error(&self, weights: &CMat) -> f64 {
-        let rms_target =
-            self.scale * weights.fro_norm() / ((weights.rows() * weights.cols()) as f64).sqrt();
-        self.rms_residual / rms_target
-    }
-}
+pub use metaai_sim::WeightSchedule;
 
 /// Builds [`WeightSchedule`]s for a fixed link geometry.
 pub struct WeightMapper {
     /// The far-field link the schedule is solved against.
     pub link: MtsLink,
-    /// Single-target solver sharing the link's path phasors.
-    solver: WeightSolver,
-    /// Precomputed per-atom state contributions, shared by every solve.
-    table: StateTable,
-    /// Safe reachable radius (normalized units).
-    pub reach: f64,
-    /// κ safety factor.
-    pub kappa: f64,
+    /// The one-layer solver over the link's path phasors.
+    solver: StackSolver,
 }
 
 impl WeightMapper {
@@ -109,95 +43,22 @@ impl WeightMapper {
 
     /// Creates a mapper from an explicit link.
     pub fn from_link(link: MtsLink, kappa: f64) -> Self {
-        // κ = 0 would scale every weight to the origin and make the
-        // schedule meaningless, so zero is excluded (the old
-        // `(0.0..=1.0).contains` check let it through).
-        assert!(kappa > 0.0 && kappa <= 1.0, "κ must be in (0, 1]");
-        let solver = WeightSolver::single(link.path_phasors.clone(), 2);
-        let table = solver.state_table();
-        let reach = solver.reachable_radius(0);
-        WeightMapper {
-            link,
-            solver,
-            table,
-            reach,
-            kappa,
-        }
+        let solver = StackSolver::from_links(slice::from_ref(&link), kappa);
+        WeightMapper { link, solver }
     }
 
-    /// The global scale σ for a weight matrix: `κ·reach / max|w|`.
-    pub fn weight_scale(&self, weights: &CMat) -> f64 {
-        let max_w = weights.max_abs();
-        assert!(max_w > 0.0, "cannot map an all-zero weight matrix");
-        self.kappa * self.reach / max_w
-    }
-
-    /// Solves the full schedule for `weights` (Eqn 7). `h_env_offset` is
-    /// the Eqn 8 compensation term in *normalized* units (`H_e / α_p`),
-    /// or zero when the cancellation scheme handles multipath instead.
+    /// Solves the full schedule for `weights` (Eqn 7), rayon-parallel over
+    /// weights. `h_env_offset` is the Eqn 8 compensation term in
+    /// *normalized* units (`H_e / α_p`), or zero when the cancellation
+    /// scheme handles multipath instead.
     pub fn map(&self, weights: &CMat, h_env_offset: C64) -> WeightSchedule {
-        let tele = metaai_telemetry::enabled().then(metrics);
-        let _span = tele.map(|m| m.map_seconds.span());
-        let scale = self.weight_scale(weights);
-        let r = weights.rows();
-        let u = weights.cols();
-        if let Some(m) = tele {
-            m.maps.inc();
-            m.weights_mapped.add((r * u) as u64);
-        }
-
-        // Solve each (r, i) independently — embarrassingly parallel. Work
-        // is chunked so each worker reuses one solver scratch across its
-        // chunk; the state table is shared read-only by everyone.
-        let total = r * u;
-        let per_chunk: Vec<Vec<(Vec<PhaseCode>, C64, f64)>> = (0..total.div_ceil(MAP_CHUNK))
-            .into_par_iter()
-            .map(|c| {
-                let mut scratch = SolverScratch::new();
-                let lo = c * MAP_CHUNK;
-                let hi = (lo + MAP_CHUNK).min(total);
-                (lo..hi)
-                    .map(|idx| {
-                        let (row, col) = (idx / u, idx % u);
-                        let target = weights[(row, col)] * scale - h_env_offset;
-                        let res = self.solver.solve_with(&[target], &self.table, &mut scratch);
-                        (res.codes, res.achieved[0], res.residual)
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut codes = vec![vec![Vec::new(); u]; r];
-        let mut achieved = CMat::zeros(r, u);
-        let mut sq_sum = 0.0;
-        for (idx, (c, a, resid)) in per_chunk.into_iter().flatten().enumerate() {
-            let (row, col) = (idx / u, idx % u);
-            codes[row][col] = c;
-            achieved[(row, col)] = a;
-            sq_sum += resid * resid;
-        }
-
-        WeightSchedule {
-            codes,
-            achieved,
-            scale,
-            rms_residual: (sq_sum / (r * u) as f64).sqrt(),
-        }
+        only_layer(self.solver.solve(slice::from_ref(weights), h_env_offset))
     }
 
     /// [`map`](Self::map), warm-started from a previous schedule's codes —
-    /// the online-adaptation path: after a small channel drift the old
-    /// configuration is already near the new optimum, so each (r, i)
-    /// solve is seeded with `warm.codes[r][i]` instead of the
-    /// phase-aligned initialization and typically converges in a sweep
-    /// or two.
-    ///
-    /// Deliberately **sequential**: the re-solve runs on the adaptation
-    /// controller's single low-priority thread, so it neither steals
-    /// cores from serving workers nor lets the worker count influence the
-    /// result (remap output is a pure function of its inputs). One
-    /// caller-owned `scratch` is reused across all `R × U` solves — reuse
-    /// it across rounds too.
+    /// the online-adaptation path ([`StackSolver::resolve_warm`]):
+    /// sequential on the caller's thread, reusing `scratch` across all
+    /// `R × U` solves (reuse it across rounds too).
     pub fn remap(
         &self,
         weights: &CMat,
@@ -205,43 +66,20 @@ impl WeightMapper {
         warm: &WeightSchedule,
         scratch: &mut SolverScratch,
     ) -> WeightSchedule {
-        let tele = metaai_telemetry::enabled().then(metrics);
-        let _span = tele.map(|m| m.map_seconds.span());
-        let scale = self.weight_scale(weights);
-        let r = weights.rows();
-        let u = weights.cols();
-        assert_eq!(
-            (warm.num_outputs(), warm.num_symbols()),
-            (r, u),
-            "warm schedule shape must match the weight matrix"
-        );
-        if let Some(m) = tele {
-            m.maps.inc();
-            m.weights_mapped.add((r * u) as u64);
-        }
-
-        let mut codes = vec![vec![Vec::new(); u]; r];
-        let mut achieved = CMat::zeros(r, u);
-        let mut sq_sum = 0.0;
-        for row in 0..r {
-            for col in 0..u {
-                let target = weights[(row, col)] * scale - h_env_offset;
-                let res =
-                    self.solver
-                        .solve_warm(&[target], &warm.codes[row][col], &self.table, scratch);
-                achieved[(row, col)] = res.achieved[0];
-                sq_sum += res.residual * res.residual;
-                codes[row][col] = res.codes;
-            }
-        }
-
-        WeightSchedule {
-            codes,
-            achieved,
-            scale,
-            rms_residual: (sq_sum / (r * u) as f64).sqrt(),
-        }
+        only_layer(self.solver.resolve_warm(
+            slice::from_ref(weights),
+            h_env_offset,
+            slice::from_ref(warm),
+            scratch,
+        ))
     }
+}
+
+/// The layer of a one-layer programme (just built, so the `Arc` is not
+/// shared and unwrapping it copies nothing).
+fn only_layer(mut schedule: StackSchedule) -> WeightSchedule {
+    let layer = schedule.layers.pop().expect("a one-layer solve");
+    Arc::unwrap_or_clone(layer)
 }
 
 #[cfg(test)]
@@ -249,6 +87,7 @@ mod tests {
     use super::*;
     use metaai_math::rng::SimRng;
     use metaai_mts::array::Prototype;
+    use metaai_mts::solver::WeightSolver;
 
     fn small_mapper() -> WeightMapper {
         let config = SystemConfig::paper_default();
@@ -265,8 +104,9 @@ mod tests {
     fn scale_places_max_weight_at_kappa_reach() {
         let m = small_mapper();
         let w = random_weights(3, 8, 1);
-        let s = m.weight_scale(&w);
-        assert!((s * w.max_abs() - m.kappa * m.reach).abs() < 1e-9);
+        let s = m.map(&w, C64::ZERO).scale;
+        let reach = WeightSolver::single(m.link.path_phasors.clone(), 2).reachable_radius(0);
+        assert!((s * w.max_abs() - m.solver.kappa * reach).abs() < 1e-9);
     }
 
     #[test]
@@ -355,7 +195,7 @@ mod tests {
     #[should_panic(expected = "all-zero weight")]
     fn rejects_zero_weights() {
         let m = small_mapper();
-        m.weight_scale(&CMat::zeros(2, 2));
+        m.map(&CMat::zeros(2, 2), C64::ZERO);
     }
 
     #[test]
@@ -375,6 +215,6 @@ mod tests {
         let array = MtsArray::paper_prototype(Prototype::DualBand, config.mts_center);
         let link = MtsLink::new(&array, config.tx, config.rx, config.freq_hz);
         let m = WeightMapper::from_link(link, 1.0);
-        assert_eq!(m.kappa, 1.0);
+        assert_eq!(m.solver.kappa, 1.0);
     }
 }

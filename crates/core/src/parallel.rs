@@ -399,18 +399,17 @@ impl SubcarrierParallel {
 mod tests {
     use super::*;
     use metaai_mts::array::Prototype;
-    use metaai_nn::train::{toy_problem, train_complex, TrainConfig};
+    use metaai_nn::engine::TrainEngine;
+    use metaai_nn::train::{toy_problem, TrainConfig};
 
     fn trained(classes: usize, u: usize) -> (ComplexLnn, Vec<CVec>, Vec<usize>) {
         let train = toy_problem(classes, u, 40, 0.3, 60, 160);
         let test = toy_problem(classes, u, 15, 0.3, 60, 260);
-        let net = train_complex(
-            &train,
-            &TrainConfig {
-                epochs: 20,
-                ..TrainConfig::default()
-            },
-        );
+        let net = TrainEngine::new(TrainConfig {
+            epochs: 20,
+            ..TrainConfig::default()
+        })
+        .train(&train);
         (net, test.inputs, test.labels)
     }
 

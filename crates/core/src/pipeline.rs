@@ -3,8 +3,8 @@
 
 use crate::config::SystemConfig;
 use crate::engine::{InferenceOutcome, InferenceRequest, OtaEngine};
-use crate::mapper::{WeightMapper, WeightSchedule};
-use crate::ota::{realize_channels, signal_power, OtaConditions};
+use crate::mapper::WeightSchedule;
+use crate::ota::{signal_power, OtaConditions};
 use metaai_math::rng::SimRng;
 use metaai_math::{CMat, CPlanes, CVec, C64};
 use metaai_mts::array::MtsArray;
@@ -14,9 +14,11 @@ use metaai_nn::engine::TrainEngine;
 use metaai_nn::train::TrainConfig;
 use metaai_rf::environment::{EnvChannel, Environment};
 use metaai_rf::noise::Awgn;
-use metaai_sim::{realize_stack, train_stack, StackSchedule, StackSolver, StackSpec, StackWeights};
+use metaai_sim::{
+    realize_stack, train_stack, StackGeometry, StackSchedule, StackSolver, StackSpec, StackWeights,
+};
 use metaai_telemetry::{Counter, Histogram};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Pipeline-stage instruments, registered once with the global registry.
 struct PipelineMetrics {
@@ -45,15 +47,15 @@ pub fn register_metrics() {
 }
 
 /// A deployed L-layer cascade ([`metaai_sim`]): the stack's geometry,
-/// the trained per-layer weight factors, and the per-layer 2-bit
-/// programme realizing them.
+/// the per-layer weight factors, and the per-layer 2-bit programme
+/// realizing them. L = 1 is the paper's single surface.
 pub struct StackDeployment {
     /// Per-layer surfaces and hop links, in path order.
-    pub geometry: metaai_sim::StackGeometry,
-    /// Trained layer factors `W_l` (their entrywise product is the
-    /// system's effective network).
+    pub geometry: StackGeometry,
+    /// Layer factors `W_l` (their entrywise product is the system's
+    /// effective network; for L = 1 the factor is the network itself).
     pub weights: StackWeights,
-    /// Per-layer residual-compensated 2-bit schedules.
+    /// Per-layer 2-bit schedules (residual-compensated for l ≥ 1).
     pub schedule: StackSchedule,
 }
 
@@ -63,13 +65,16 @@ pub struct StackDeployment {
 pub struct MetaAiSystem {
     /// Deployment configuration.
     pub config: SystemConfig,
-    /// The metasurface (with fabrication phase errors drawn from the
-    /// config's seed).
+    /// Read-only copy of layer 0's surface (for L = 1, the paper's one
+    /// surface, with fabrication phase errors drawn from the config's
+    /// seed). The deployed surfaces live in `stack`; writing here changes
+    /// nothing that is realized.
     pub array: MtsArray,
     /// The digitally trained network ("simulation model").
     pub net: ComplexLnn,
-    /// The solved metasurface schedule.
-    pub schedule: WeightSchedule,
+    /// Layer 0's solved schedule, shared with `stack.schedule.layers[0]`
+    /// (read-only).
+    pub schedule: Arc<WeightSchedule>,
     /// Realized physical channels `H[r, i]` ("prototype model").
     ///
     /// Prefer [`MetaAiSystem::set_channels`] for replacing the matrix: the
@@ -80,26 +85,21 @@ pub struct MetaAiSystem {
     /// reference geometry sees `config.snr_db`. Redeployments keep the
     /// floor: moving the receiver changes signal power, not noise.
     pub noise_floor: f64,
-    /// The stacked cascade behind `channels`, when this deployment is an
-    /// L-layer stack (`None` for the paper's single-surface deployment).
-    /// For stacks, `array`/`schedule` describe layer 0 only —
-    /// the composed truth lives here.
-    pub stack: Option<StackDeployment>,
+    /// The deployed cascade behind `channels`: surfaces, factors and
+    /// per-layer schedules, for every L.
+    pub stack: StackDeployment,
     /// Column-major re/im planes of `channels`, split once at deployment
     /// so per-request engines ([`MetaAiSystem::engine`]) skip the split.
     planes: CPlanes,
 }
 
-/// Layer 0 of a stack schedule viewed as a legacy single-surface
-/// [`WeightSchedule`] — keeps `system.schedule` populated for code that
-/// reports scale/residual without being stack-aware.
-fn legacy_schedule(stack: &StackSchedule) -> WeightSchedule {
-    let first = &stack.layers[0];
-    WeightSchedule {
-        codes: first.codes.clone(),
-        achieved: first.achieved.clone(),
-        scale: first.scale,
-        rms_residual: first.rms_residual,
+/// Fabrication-noise stream of layer `l` in an L-layer stack. The
+/// paper's single surface keeps its own stream name.
+fn noise_stream(layers: usize, l: usize) -> String {
+    if layers == 1 {
+        "atom-phase-noise".to_owned()
+    } else {
+        format!("atom-phase-noise-layer-{l}")
     }
 }
 
@@ -153,8 +153,7 @@ impl SystemBuilder {
 
     /// Sets the number of cascaded metasurface layers (default 1).
     ///
-    /// `layers(1)` is exactly the paper's single-surface deployment —
-    /// same RNG streams, same mapper, bitwise-identical system. With
+    /// `layers(1)` is the paper's single-surface deployment. With
     /// `layers ≥ 2`, [`deploy`](Self::deploy) factorizes the network
     /// across the stack and [`train_and_deploy`](Self::train_and_deploy)
     /// trains product-parameterized layer factors
@@ -165,95 +164,61 @@ impl SystemBuilder {
         self
     }
 
-    /// Deploys an already-trained network: builds the array (with seeded
-    /// fabrication phase noise), solves the metasurface schedule, realizes
-    /// the physical channels, and anchors the receiver noise floor at the
-    /// configured SNR.
+    /// Deploys an already-trained network: splits it into
+    /// [`layers`](Self::layers) balanced factors
+    /// ([`StackWeights::from_effective`]; one layer keeps the network
+    /// itself) and deploys them as [`deploy_stack`](Self::deploy_stack)
+    /// does. `system.net` is `net`.
     pub fn deploy(self, net: ComplexLnn) -> MetaAiSystem {
-        if self.layers > 1 {
-            let weights = StackWeights::from_effective(&net.weights, self.layers);
-            return self.deploy_stack(weights);
-        }
-        let tele = metaai_telemetry::enabled().then(metrics);
-        let _span = tele.map(|m| m.deploy_seconds.span());
-        if let Some(m) = tele {
-            m.deploys.inc();
-        }
-        let config = self.config;
-        let mut array =
-            MtsArray::with_atom_count(config.prototype, self.num_atoms, config.mts_center);
-        if config.atom_phase_noise > 0.0 {
-            let mut rng = SimRng::derive(config.seed, "atom-phase-noise");
-            array.inject_phase_noise(config.atom_phase_noise, &mut rng);
-        }
-        let mapper = WeightMapper::new(&config, &array);
-        let schedule = mapper.map(&net.weights, C64::ZERO);
-        let channels = realize_channels(&schedule, &mapper.link, &array);
-        let noise_floor = signal_power(&channels) / metaai_math::stats::from_db(config.snr_db);
-        let planes = CPlanes::from_cmat(&channels);
-        MetaAiSystem {
-            config,
-            array,
-            net,
-            schedule,
-            channels,
-            noise_floor,
-            stack: None,
-            planes,
-        }
+        let weights = StackWeights::from_effective(&net.weights, self.layers);
+        self.deploy_weights(net, weights)
     }
 
-    /// Deploys pre-trained stack factors as an L-layer cascade: lays the
-    /// surfaces out along the Tx → Rx path (injecting per-layer seeded
-    /// fabrication noise from `atom-phase-noise-layer-{l}` streams),
-    /// solves every layer's 2-bit programme with residual compensation,
-    /// and realizes the composed effective channel — the scoring engine
-    /// downstream sees a [`CMat`] exactly as in the single-surface case.
+    /// Deploys layer factors as an L-layer cascade: lays the surfaces out
+    /// along the Tx → Rx path with seeded fabrication phase noise (stream
+    /// `atom-phase-noise` for L = 1, `atom-phase-noise-layer-{l}`
+    /// otherwise), solves every layer's 2-bit programme, realizes the
+    /// composed channel, and anchors the receiver noise floor at the
+    /// configured SNR. The scoring engine downstream sees a [`CMat`] for
+    /// every L.
     pub fn deploy_stack(self, weights: StackWeights) -> MetaAiSystem {
+        let net = weights.effective_net();
+        self.deploy_weights(net, weights)
+    }
+
+    fn deploy_weights(self, net: ComplexLnn, weights: StackWeights) -> MetaAiSystem {
         let tele = metaai_telemetry::enabled().then(metrics);
         let _span = tele.map(|m| m.deploy_seconds.span());
         if let Some(m) = tele {
             m.deploys.inc();
         }
         let config = self.config;
+        let layers = weights.num_layers();
         let spec = StackSpec::new(
             config.prototype,
             config.freq_hz,
             config.tx,
             config.rx,
             config.mts_center,
-            weights.num_layers(),
+            layers,
             self.num_atoms,
         );
-        let mut geometry = metaai_sim::StackGeometry::build(&spec);
+        let mut geometry = StackGeometry::build(&spec);
         if config.atom_phase_noise > 0.0 {
             for (l, surface) in geometry.surfaces.iter_mut().enumerate() {
-                let mut rng = SimRng::derive(config.seed, &format!("atom-phase-noise-layer-{l}"));
+                let mut rng = SimRng::derive(config.seed, &noise_stream(layers, l));
                 surface.inject_phase_noise(config.atom_phase_noise, &mut rng);
             }
         }
-        let solver = StackSolver::new(&geometry, config.kappa);
-        let stack_schedule = solver.solve(&weights.factors, C64::ZERO);
-        let channels = realize_stack(&geometry, &stack_schedule);
+        let schedule = StackSolver::new(&geometry, config.kappa).solve(&weights.factors, C64::ZERO);
+        let channels = realize_stack(&geometry, &schedule);
         let noise_floor = signal_power(&channels) / metaai_math::stats::from_db(config.snr_db);
-        let planes = CPlanes::from_cmat(&channels);
-        let net = weights.effective_net();
-        let array = geometry.surfaces[0].clone();
-        let schedule = legacy_schedule(&stack_schedule);
-        MetaAiSystem {
-            config,
-            array,
-            net,
+        let stack = StackDeployment {
+            geometry,
+            weights,
             schedule,
-            channels,
-            noise_floor,
-            stack: Some(StackDeployment {
-                geometry,
-                weights,
-                schedule: stack_schedule,
-            }),
-            planes,
-        }
+        };
+        MetaAiSystem::assemble(config, net, stack, channels, noise_floor)
     }
 
     /// Trains a network on `train` (through the batched, deterministic
@@ -275,6 +240,28 @@ impl MetaAiSystem {
     /// Starts a [`SystemBuilder`] — the primary way to construct a system.
     pub fn builder() -> SystemBuilder {
         SystemBuilder::default()
+    }
+
+    /// A system over `stack`, with the layer-0 mirrors and the plane
+    /// cache derived from it.
+    fn assemble(
+        config: SystemConfig,
+        net: ComplexLnn,
+        stack: StackDeployment,
+        channels: CMat,
+        noise_floor: f64,
+    ) -> MetaAiSystem {
+        let planes = CPlanes::from_cmat(&channels);
+        MetaAiSystem {
+            config,
+            array: stack.geometry.surfaces[0].clone(),
+            net,
+            schedule: Arc::clone(&stack.schedule.layers[0]),
+            channels,
+            noise_floor,
+            stack,
+            planes,
+        }
     }
 
     /// Accuracy of the digital network ("simulation" column of Table 1).
@@ -394,69 +381,71 @@ impl MetaAiSystem {
         self.ota_accuracy_with(test, label, |rng| self.default_conditions(n, rng))
     }
 
-    /// Relative weight-realization error of the deployed schedule. For a
-    /// stacked deployment this is the *composed* cascade error
-    /// ([`StackSchedule::relative_error`]), not any single layer's.
+    /// Relative weight-realization error of the deployed programme
+    /// ([`StackSchedule::relative_error`]): the single surface's RMS
+    /// residual rule for L = 1, the composed cascade error otherwise.
     pub fn realization_error(&self) -> f64 {
-        match &self.stack {
-            Some(stack) => stack.schedule.relative_error(&stack.weights.factors),
-            None => self.schedule.relative_error(&self.net.weights),
-        }
+        self.stack
+            .schedule
+            .relative_error(&self.stack.weights.factors)
     }
 
-    /// Number of cascaded metasurface layers (1 for the single-surface
-    /// deployment).
+    /// Number of cascaded metasurface layers (1 for the paper's
+    /// single-surface deployment).
     pub fn num_layers(&self) -> usize {
-        self.stack.as_ref().map_or(1, |s| s.geometry.num_layers())
+        self.stack.geometry.num_layers()
     }
 
     /// Re-realizes the *deployed* programme against `world`'s geometry —
     /// what the receiver would actually see if the endpoints moved while
-    /// the schedule stayed frozen. Single-surface deployments rebuild the
-    /// one live link; stacks re-link every hop and compose. Health probes
-    /// use this to measure drift without being stack-aware.
+    /// the schedule stayed frozen: every hop is re-linked and the layers
+    /// compose. Health probes use this to measure drift.
     pub fn realize_live(&self, world: &SystemConfig) -> CMat {
-        match &self.stack {
-            Some(stack) => {
-                let live = stack.geometry.relinked(world.tx, world.rx, world.freq_hz);
-                realize_stack(&live, &stack.schedule)
-            }
-            None => {
-                let link = metaai_mts::channel::MtsLink::new(
-                    &self.array,
-                    world.tx,
-                    world.rx,
-                    world.freq_hz,
-                );
-                realize_channels(&self.schedule, &link, &self.array)
-            }
+        let live = self
+            .stack
+            .geometry
+            .relinked(world.tx, world.rx, world.freq_hz);
+        realize_stack(&live, &self.stack.schedule)
+    }
+
+    /// Sticks a random `fraction` of the atoms of every surface at random
+    /// states (drawn from `rng` in layer order), then re-realizes the
+    /// channels. The faults stay with the hardware: [`redeploy_warm`] and
+    /// [`realize_live`](Self::realize_live) see them.
+    pub fn inject_stuck_faults(&mut self, fraction: f64, rng: &mut SimRng) {
+        for surface in &mut self.stack.geometry.surfaces {
+            surface.inject_stuck_faults(fraction, rng);
         }
+        self.array = self.stack.geometry.surfaces[0].clone();
+        self.set_channels(realize_stack(&self.stack.geometry, &self.stack.schedule));
     }
 }
 
 /// Re-deploys an existing system at a new geometry (e.g. after the
-/// receiver moved): re-solves the schedule against the new link. The
-/// receiver's thermal noise floor is *kept* from the original deployment —
-/// moving devices changes signal power, not the noise.
+/// receiver moved): rebuilds the surfaces from the config's seed and
+/// re-solves the same layer factors cold, with the same layer count and
+/// atom budget. The receiver's thermal noise floor is *kept* from the
+/// original deployment — moving devices changes signal power, not the
+/// noise.
 pub fn redeploy(system: &MetaAiSystem, config: &SystemConfig) -> MetaAiSystem {
     let mut moved = MetaAiSystem::builder()
         .config(config.clone())
-        .deploy(system.net.clone());
+        .num_atoms(system.stack.geometry.total_atoms())
+        .deploy_weights(system.net.clone(), system.stack.weights.clone());
     moved.noise_floor = system.noise_floor;
     moved
 }
 
-/// [`redeploy`], warm-started for the online-adaptation loop: re-solves
-/// the schedule against `config`'s geometry by seeding every per-weight
-/// descent with the *current* schedule's codes
-/// ([`WeightMapper::remap`]), instead of rebuilding from scratch.
+/// [`redeploy`], warm-started for the online-adaptation loop: re-links
+/// every hop against `config`'s endpoints and re-solves every layer by
+/// seeding each per-weight descent with the *current* codes
+/// ([`StackSolver::resolve_warm`]), instead of rebuilding from scratch.
 ///
 /// Differences from a cold [`redeploy`], all deliberate:
 ///
-/// * the **array is cloned**, not rebuilt — the physical surface (its
-///   atom count and fabrication phase noise) does not change because the
-///   receiver moved, whereas a cold redeploy re-injects noise and resets
-///   any custom atom count to the builder default;
+/// * the **surfaces are cloned**, not rebuilt — the physical hardware
+///   (atom counts, fabrication phase noise, stuck atoms) does not change
+///   because the receiver moved;
 /// * the solve is **sequential** on the caller's thread, reusing
 ///   `scratch` across rounds — no rayon fan-out competing with serving
 ///   workers, and the result is independent of worker count;
@@ -469,8 +458,8 @@ pub fn redeploy(system: &MetaAiSystem, config: &SystemConfig) -> MetaAiSystem {
 ///
 /// `h_env_offset` is the Eqn-8 quasi-static environmental component the
 /// re-solve compensates (e.g. a sampled
-/// [`Interferer::scatter_gain`](metaai_rf::interference::Interferer::scatter_gain));
-/// pass [`C64::ZERO`] when the environment is clean.
+/// [`Interferer::scatter_gain`](metaai_rf::interference::Interferer::scatter_gain)),
+/// in normalized units; pass [`C64::ZERO`] when the environment is clean.
 pub fn redeploy_warm(
     system: &MetaAiSystem,
     config: &SystemConfig,
@@ -482,53 +471,29 @@ pub fn redeploy_warm(
     if let Some(m) = tele {
         m.deploys.inc();
     }
-    if let Some(stack) = &system.stack {
-        // Stacked analogue: same physical surfaces, every hop re-linked
-        // against the moved endpoints, every layer warm-resolved from its
-        // current codes (sequentially, with the caller's scratch).
-        let geometry = stack
-            .geometry
-            .relinked(config.tx, config.rx, config.freq_hz);
-        let solver = StackSolver::new(&geometry, config.kappa);
-        let stack_schedule = solver.resolve_warm(
-            &stack.weights.factors,
-            h_env_offset,
-            &stack.schedule,
-            scratch,
-        );
-        let channels = realize_stack(&geometry, &stack_schedule);
-        let planes = CPlanes::from_cmat(&channels);
-        return MetaAiSystem {
-            config: config.clone(),
-            array: geometry.surfaces[0].clone(),
-            net: system.net.clone(),
-            schedule: legacy_schedule(&stack_schedule),
-            channels,
-            noise_floor: system.noise_floor,
-            stack: Some(StackDeployment {
-                geometry,
-                weights: stack.weights.clone(),
-                schedule: stack_schedule,
-            }),
-            planes,
-        };
-    }
-    let array = system.array.clone();
-    let link = metaai_mts::channel::MtsLink::new(&array, config.tx, config.rx, config.freq_hz);
-    let mapper = WeightMapper::from_link(link, config.kappa);
-    let schedule = mapper.remap(&system.net.weights, h_env_offset, &system.schedule, scratch);
-    let channels = realize_channels(&schedule, &mapper.link, &array);
-    let planes = CPlanes::from_cmat(&channels);
-    MetaAiSystem {
-        config: config.clone(),
-        array,
-        net: system.net.clone(),
+    let stack = &system.stack;
+    let geometry = stack
+        .geometry
+        .relinked(config.tx, config.rx, config.freq_hz);
+    let schedule = StackSolver::new(&geometry, config.kappa).resolve_warm(
+        &stack.weights.factors,
+        h_env_offset,
+        &stack.schedule.layers,
+        scratch,
+    );
+    let channels = realize_stack(&geometry, &schedule);
+    let stack = StackDeployment {
+        geometry,
+        weights: stack.weights.clone(),
         schedule,
+    };
+    MetaAiSystem::assemble(
+        config.clone(),
+        system.net.clone(),
+        stack,
         channels,
-        noise_floor: system.noise_floor,
-        stack: None,
-        planes,
-    }
+        system.noise_floor,
+    )
 }
 
 #[cfg(test)]
@@ -636,8 +601,7 @@ mod tests {
             .layers(2)
             .train_and_deploy(&train, &tcfg);
         assert_eq!(sys.num_layers(), 2);
-        let stack = sys.stack.as_ref().expect("a 2-layer system has a stack");
-        assert_eq!(stack.geometry.total_atoms(), 256);
+        assert_eq!(sys.stack.geometry.total_atoms(), 256);
         assert!(sys.digital_accuracy(&test) > 0.9);
         let rel = sys.realization_error();
         assert!(rel < 0.1, "composed realization error {rel}");
@@ -651,22 +615,102 @@ mod tests {
 
     #[test]
     fn one_layer_is_exactly_the_single_surface_deployment() {
+        // The paper's single surface is a one-layer stack: its factor is
+        // the trained network itself, its surface carries the
+        // `atom-phase-noise` stream, the layer-0 mirrors share the
+        // stack's schedule, and deploying the factor as a stack realizes
+        // the same channels.
         let train = toy_problem(3, 32, 30, 0.35, 50, 151);
         let tcfg = TrainConfig {
             epochs: 10,
             ..TrainConfig::default()
         };
-        let plain = MetaAiSystem::builder()
-            .config(SystemConfig::paper_default())
-            .train_and_deploy(&train, &tcfg);
+        let config = SystemConfig::paper_default();
         let one = MetaAiSystem::builder()
-            .config(SystemConfig::paper_default())
-            .layers(1)
+            .config(config.clone())
             .train_and_deploy(&train, &tcfg);
-        assert!(one.stack.is_none(), "layers(1) short-circuits the stack");
-        assert_eq!(one.net.weights, plain.net.weights);
-        assert_eq!(one.schedule.codes, plain.schedule.codes);
-        assert_eq!(one.channels, plain.channels);
+        assert_eq!(one.num_layers(), 1);
+        assert_eq!(one.stack.weights.factors, vec![one.net.weights.clone()]);
+        assert!(Arc::ptr_eq(&one.schedule, &one.stack.schedule.layers[0]));
+
+        let mut surface = MtsArray::paper_prototype(config.prototype, config.mts_center);
+        let mut rng = SimRng::derive(config.seed, "atom-phase-noise");
+        surface.inject_phase_noise(config.atom_phase_noise, &mut rng);
+        for ((a, b), c) in one
+            .array
+            .atoms
+            .iter()
+            .zip(&surface.atoms)
+            .zip(&one.stack.geometry.surfaces[0].atoms)
+        {
+            assert_eq!(a.phase_error.to_bits(), b.phase_error.to_bits());
+            assert_eq!(a.phase_error.to_bits(), c.phase_error.to_bits());
+        }
+
+        let stacked = MetaAiSystem::builder()
+            .config(config)
+            .deploy_stack(one.stack.weights.clone());
+        assert_eq!(stacked.schedule.codes, one.schedule.codes);
+        assert_eq!(stacked.channels, one.channels);
+    }
+
+    #[test]
+    fn redeploy_keeps_the_layer_count_and_atom_budget() {
+        let train = toy_problem(3, 16, 24, 0.35, 50, 153);
+        let tcfg = TrainConfig {
+            epochs: 5,
+            ..TrainConfig::default()
+        };
+        let sys = MetaAiSystem::builder()
+            .layers(2)
+            .num_atoms(64)
+            .train_and_deploy(&train, &tcfg);
+        let moved = SystemConfig::paper_default().with_rx_at(3.0, 43.0);
+        let cold = redeploy(&sys, &moved);
+        assert_eq!(cold.num_layers(), 2);
+        assert_eq!(cold.stack.geometry.total_atoms(), 64);
+        assert_eq!(cold.stack.weights, sys.stack.weights);
+        assert_eq!(cold.noise_floor, sys.noise_floor);
+        // Redeploying in place rebuilds the very same system.
+        let same = redeploy(&sys, &sys.config);
+        assert_eq!(same.channels, sys.channels);
+    }
+
+    #[test]
+    fn stuck_faults_hit_every_layer_and_survive_a_warm_redeploy() {
+        let train = toy_problem(3, 16, 24, 0.35, 50, 154);
+        let tcfg = TrainConfig {
+            epochs: 5,
+            ..TrainConfig::default()
+        };
+        let mut sys = MetaAiSystem::builder()
+            .layers(2)
+            .num_atoms(128)
+            .train_and_deploy(&train, &tcfg);
+        let healthy = sys.channels.clone();
+        sys.inject_stuck_faults(0.3, &mut SimRng::seed_from_u64(3));
+        assert_ne!(sys.channels, healthy);
+        assert_eq!(sys.realize_live(&sys.config), sys.channels);
+        let stuck = |s: &MetaAiSystem| -> Vec<Vec<bool>> {
+            s.stack
+                .geometry
+                .surfaces
+                .iter()
+                .map(|a| a.atoms.iter().map(|x| x.stuck_at.is_some()).collect())
+                .collect()
+        };
+        let faults = stuck(&sys);
+        assert!(faults.iter().all(|layer| layer.contains(&true)));
+        assert_eq!(
+            sys.array.atoms.len(),
+            sys.stack.geometry.surfaces[0].atoms.len()
+        );
+
+        let moved = SystemConfig::paper_default().with_rx_at(3.0, 43.0);
+        let mut scratch = metaai_mts::solver::SolverScratch::new();
+        let warm = redeploy_warm(&sys, &moved, C64::ZERO, &mut scratch);
+        assert_eq!(stuck(&warm), faults);
+        assert_eq!(warm.realize_live(&moved), warm.channels);
     }
 
     #[test]
@@ -686,7 +730,7 @@ mod tests {
         let mut scratch = metaai_mts::solver::SolverScratch::new();
         let warm = redeploy_warm(&sys, &moved, C64::ZERO, &mut scratch);
 
-        let (ws, ss) = (warm.stack.as_ref().unwrap(), sys.stack.as_ref().unwrap());
+        let (ws, ss) = (&warm.stack, &sys.stack);
         for (a, b) in ws.geometry.surfaces.iter().zip(&ss.geometry.surfaces) {
             assert_eq!(a.num_atoms(), b.num_atoms());
             for (x, y) in a.atoms.iter().zip(&b.atoms) {

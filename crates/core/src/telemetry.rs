@@ -4,8 +4,8 @@
 //! use; a snapshot taken before a stage ran would silently omit it.
 //! [`install`] forces registration across all instrumented crates so a
 //! `--metrics-out` snapshot always lists the full instrument set (engine,
-//! trainer, solver, mapper, pipeline, fusion, parallel), zero-valued where
-//! a stage never ran.
+//! trainer, solver, stack solve, pipeline, fusion, parallel), zero-valued
+//! where a stage never ran.
 //!
 //! The instrument naming scheme is `metaai.<crate>.<stage>.<what>` —
 //! see DESIGN.md §10 for the full inventory and the rules for adding one.
@@ -18,7 +18,7 @@ pub fn install() -> &'static Registry {
     metaai_mts::solver::register_metrics();
     metaai_nn::engine::register_metrics();
     crate::engine::register_metrics();
-    crate::mapper::register_metrics();
+    metaai_sim::solve::register_metrics();
     crate::pipeline::register_metrics();
     crate::fusion::register_metrics();
     crate::parallel::register_metrics();
@@ -38,7 +38,7 @@ mod tests {
             "metaai.core.engine.samples",
             "metaai.core.engine.chips",
             "metaai.core.engine.sample_seconds",
-            "metaai.core.mapper.map_seconds",
+            "metaai.sim.stack.solve_seconds",
             "metaai.core.pipeline.deploy_seconds",
             "metaai.core.fusion.inferences",
             "metaai.core.parallel.deploys",

@@ -74,7 +74,8 @@ pub fn train_discrete(data: &ComplexDataset, cfg: &TrainConfig, bits: u8) -> Com
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::{evaluate, toy_problem, train_complex};
+    use crate::engine::TrainEngine;
+    use crate::train::{evaluate, toy_problem};
 
     #[test]
     fn quantized_weights_live_on_the_alphabet() {
@@ -120,7 +121,7 @@ mod tests {
             epochs: 30,
             ..TrainConfig::default()
         };
-        let continuous = evaluate(&train_complex(&train, &cfg), &test);
+        let continuous = evaluate(&TrainEngine::new(cfg.clone()).train(&train), &test);
         let discrete = evaluate(&train_discrete(&train, &cfg, 2), &test);
         assert!(
             continuous >= discrete,

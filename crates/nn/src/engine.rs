@@ -171,10 +171,7 @@ impl TrainScratch {
 /// Batched, deterministic trainer for the paper's complex LNN.
 ///
 /// Construction is cheap; [`train_with_stats`](Self::train_with_stats)
-/// owns all scratch for the run. The free functions
-/// [`crate::train::train_complex`] and
-/// [`crate::train::train_complex_with_stats`] are thin shims over this
-/// type.
+/// owns all scratch for the run.
 #[derive(Clone, Debug)]
 pub struct TrainEngine {
     cfg: TrainConfig,

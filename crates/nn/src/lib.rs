@@ -41,4 +41,4 @@ pub mod train;
 pub use complex_lnn::ComplexLnn;
 pub use data::{ComplexDataset, RealDataset};
 pub use engine::TrainEngine;
-pub use train::{train_complex, TrainConfig};
+pub use train::TrainConfig;

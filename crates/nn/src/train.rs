@@ -5,12 +5,12 @@
 //!
 //! The training loop itself lives in [`crate::engine::TrainEngine`] —
 //! batched, deterministic, and bitwise independent of the worker count.
-//! The free functions here are thin shims kept for source compatibility.
+//! This module holds its configuration, per-epoch statistics, test-set
+//! evaluation and a synthetic toy problem.
 
 use crate::augment::Augmentation;
 use crate::complex_lnn::ComplexLnn;
 use crate::data::ComplexDataset;
-use crate::engine::TrainEngine;
 use metaai_math::rng::SimRng;
 use metaai_math::CVec;
 use rayon::prelude::*;
@@ -72,21 +72,6 @@ pub struct EpochStats {
     pub accuracy: f64,
 }
 
-/// Trains a [`ComplexLnn`] on `data`, returning the network and per-epoch
-/// statistics. Thin shim over [`TrainEngine::train_with_stats`].
-pub fn train_complex_with_stats(
-    data: &ComplexDataset,
-    cfg: &TrainConfig,
-) -> (ComplexLnn, Vec<EpochStats>) {
-    TrainEngine::new(cfg.clone()).train_with_stats(data)
-}
-
-/// Trains a [`ComplexLnn`] and discards telemetry. Thin shim over
-/// [`TrainEngine::train`].
-pub fn train_complex(data: &ComplexDataset, cfg: &TrainConfig) -> ComplexLnn {
-    TrainEngine::new(cfg.clone()).train(data)
-}
-
 /// Parallel test-set evaluation.
 pub fn evaluate(net: &ComplexLnn, data: &ComplexDataset) -> f64 {
     if data.is_empty() {
@@ -140,6 +125,7 @@ pub fn toy_problem(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::TrainEngine;
 
     #[test]
     fn learns_a_separable_problem() {
@@ -149,7 +135,7 @@ mod tests {
             epochs: 20,
             ..TrainConfig::default()
         };
-        let net = train_complex(&train, &cfg);
+        let net = TrainEngine::new(cfg.clone()).train(&train);
         let acc = evaluate(&net, &test);
         assert!(acc > 0.9, "accuracy {acc}");
     }
@@ -157,7 +143,7 @@ mod tests {
     #[test]
     fn loss_decreases_over_epochs() {
         let train = toy_problem(3, 16, 30, 0.4, 3, 300);
-        let (_, stats) = train_complex_with_stats(&train, &TrainConfig::quick());
+        let (_, stats) = TrainEngine::new(TrainConfig::quick()).train_with_stats(&train);
         let first = stats.first().expect("stats").loss;
         let last = stats.last().expect("stats").loss;
         assert!(last < first * 0.8, "loss {first} → {last}");
@@ -170,8 +156,8 @@ mod tests {
             epochs: 3,
             ..TrainConfig::default()
         };
-        let a = train_complex(&train, &cfg);
-        let b = train_complex(&train, &cfg);
+        let a = TrainEngine::new(cfg.clone()).train(&train);
+        let b = TrainEngine::new(cfg.clone()).train(&train);
         assert_eq!(a.weights, b.weights);
     }
 
@@ -182,21 +168,19 @@ mod tests {
         let train = toy_problem(3, 32, 60, 0.25, 5, 500);
         let test = toy_problem(3, 32, 20, 0.25, 5, 600);
 
-        let plain = train_complex(
-            &train,
-            &TrainConfig {
-                epochs: 25,
-                ..TrainConfig::default()
-            },
-        );
-        let robust = train_complex(
-            &train,
-            &TrainConfig {
+        let plain = TrainEngine::new(TrainConfig {
+            epochs: 25,
+            ..TrainConfig::default()
+        })
+        .train(&train);
+        let robust = TrainEngine::new(
+            TrainConfig {
                 epochs: 25,
                 ..TrainConfig::default()
             }
             .with_augmentation(Augmentation::cdfa_coarse_only()),
-        );
+        )
+        .train(&train);
 
         // Evaluate both on inputs shifted by 3 symbols (3 µs at 1 Msym/s),
         // well inside the coarse residual range the robust model trained
@@ -219,16 +203,13 @@ mod tests {
         let train = toy_problem(3, 32, 60, 0.2, 7, 700);
         let test = toy_problem(3, 32, 25, 0.2, 7, 800);
 
-        let plain = train_complex(
-            &train,
-            &TrainConfig {
-                epochs: 20,
-                ..TrainConfig::default()
-            },
-        );
-        let robust = train_complex(
-            &train,
-            &TrainConfig {
+        let plain = TrainEngine::new(TrainConfig {
+            epochs: 20,
+            ..TrainConfig::default()
+        })
+        .train(&train);
+        let robust = TrainEngine::new(
+            TrainConfig {
                 epochs: 20,
                 ..TrainConfig::default()
             }
@@ -236,7 +217,8 @@ mod tests {
                 snr_db_min: 0.0,
                 snr_db_max: 10.0,
             }),
-        );
+        )
+        .train(&train);
 
         // Noisy test set at 3 dB.
         let mut rng = SimRng::seed_from_u64(9);
@@ -269,6 +251,6 @@ mod tests {
     #[should_panic(expected = "empty dataset")]
     fn rejects_empty_training_set() {
         let empty = ComplexDataset::new(Vec::new(), Vec::new(), 2);
-        train_complex(&empty, &TrainConfig::default());
+        TrainEngine::new(TrainConfig::default()).train(&empty);
     }
 }

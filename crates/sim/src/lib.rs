@@ -26,9 +26,18 @@
 //! * [`solve`] — per-layer reuse of the 2-bit state-table solver
 //!   ([`metaai_mts::solver::WeightSolver::solve_with`], plus the warm
 //!   variant for online adaptation), with *residual compensation*: layer
-//!   `l` retargets against the error the layers before it actually
+//!   `l ≥ 1` retargets against the error the layers before it actually
 //!   accumulated, so the cascade's multiplicative quantization error is
 //!   actively cancelled rather than compounded ([`solve::StackSolver`]).
+//!   Each layer's programme is a [`WeightSchedule`].
+//!
+//! The paper's single surface is the L = 1 case, not a separate model:
+//! `metaai::mapper::WeightMapper` is a one-layer [`StackSolver`], and
+//! every `metaai::MetaAiSystem` deploys through [`StackGeometry`],
+//! [`StackSolver`] and [`realize_stack`]. For one layer the geometry's
+//! link is the plain [`MtsLink`], [`StackWeights::from_effective`] keeps
+//! the network itself, and layer 0's target is never clamped, so the
+//! single surface is solved exactly as the paper's Eqns 7–8 state.
 //!
 //! The digital expressivity of the product parameterization equals a
 //! single LNN (an entrywise product of complex scalars is one complex
@@ -50,6 +59,6 @@ pub mod solve;
 pub mod stack;
 pub mod train;
 
-pub use solve::{realize_stack, LayerSchedule, StackSchedule, StackSolver};
+pub use solve::{realize_stack, StackSchedule, StackSolver, WeightSchedule};
 pub use stack::{StackGeometry, StackSpec};
 pub use train::{train_stack, train_stack_with_stats, StackWeights};

@@ -1,35 +1,43 @@
 //! Per-layer 2-bit quantization of the stack, with residual compensation.
 //!
-//! Each layer reuses the single-surface machinery unchanged: a
-//! [`WeightSolver`] over that hop's path phasors, its precomputed
-//! [`StateTable`], and [`solve_with`](WeightSolver::solve_with) /
+//! This is the one solve loop of the workspace: the paper's single
+//! surface is the one-layer case, and `metaai::mapper::WeightMapper`
+//! is a one-layer [`StackSolver`]. Each layer runs a [`WeightSolver`]
+//! over that hop's path phasors, its precomputed [`StateTable`], and
+//! [`solve_with`](WeightSolver::solve_with) /
 //! [`solve_warm`](WeightSolver::solve_warm) with a caller-owned
 //! [`SolverScratch`]. Layer `l` scales its factor by
-//! `σ_l = κ·reach_l / max|W_l|`, exactly the single-surface rule.
+//! `σ_l = κ·reach_l / max|W_l|`, which places the largest weight at
+//! `κ·reach` — a global factor, so classification is unchanged (Sec 3.2
+//! of the paper).
 //!
 //! The cascade multiplies per-layer *achieved* sums, so quantization
 //! errors compound multiplicatively — unless later layers aim at what the
 //! earlier ones actually delivered. Solving layers in path order per
-//! weight, layer `l`'s target is
+//! weight, layer `l ≥ 1`'s target is
 //!
 //! ```text
 //! t_l[r,i] = σ_l·W_l[r,i] · (Π_{k<l} σ_k·W_k[r,i]) / (Π_{k<l} A_k[r,i])
 //! ```
 //!
-//! (clamped to the layer's reachable disc): the correction ratio steers
-//! the running product back onto the ideal trajectory, giving every
-//! weight L greedy descent shots at its target instead of one. The last
-//! layer can also fold in an Eqn-8 environmental offset, mirroring the
-//! single-surface compensation.
+//! clamped to the layer's disc of radius `κ·reach_l`: the correction
+//! ratio steers the running product back onto the ideal trajectory,
+//! giving every weight L greedy descent shots at its target instead of
+//! one, and the clamp stops a small achieved product from blowing the
+//! quotient up. Layer 0 aims at its own scaled weight `σ_0·W_0[r,i]`
+//! unclamped — it has no division, and σ_0 already bounds it. The last
+//! layer also folds in the Eqn-8 environmental offset (for one layer,
+//! exactly the paper's `σ·w − H_e/α`).
 
 use crate::stack::StackGeometry;
 use metaai_math::{CMat, C64};
 use metaai_mts::atom::PhaseCode;
-use metaai_mts::channel::RealizationTable;
+use metaai_mts::channel::{MtsLink, RealizationTable};
 use metaai_mts::solver::{SolverScratch, StateTable, WeightSolver};
 use metaai_telemetry::{Counter, Histogram};
 use rayon::prelude::*;
-use std::sync::OnceLock;
+use std::borrow::Borrow;
+use std::sync::{Arc, OnceLock};
 
 /// Stack-solver instruments, registered once with the global registry.
 struct StackMetrics {
@@ -64,33 +72,58 @@ pub fn entrywise_product(factors: &[CMat]) -> CMat {
     })
 }
 
-/// Weights solved per parallel work item in [`StackSolver::solve`] —
-/// same chunking rule as the single-surface mapper.
+/// Weights solved per parallel work item in [`StackSolver::solve`]. Each
+/// chunk owns one [`SolverScratch`], amortizing buffer allocation over the
+/// chunk instead of paying it per (r, i).
 const SOLVE_CHUNK: usize = 32;
 
 /// One weight's solve through the whole cascade: per-layer
 /// `(codes, achieved, residual)` in path order.
 type WeightSolve = Vec<(Vec<PhaseCode>, C64, f64)>;
 
-/// One layer's solved programme: codes, achieved normalized sums, the
-/// layer scale σ_l, and the RMS residual of this layer's targets.
+/// One surface's solved programme for one trained network: one
+/// configuration per (output class, input symbol).
 #[derive(Clone, Debug)]
-pub struct LayerSchedule {
-    /// `codes[r][i]` is this layer's atom configuration for weight `(r, i)`.
+pub struct WeightSchedule {
+    /// `codes[r][i]` is the atom configuration realizing weight `(r, i)`.
     pub codes: Vec<Vec<Vec<PhaseCode>>>,
-    /// Achieved normalized sums `A_l[r, i]`, `R × U`.
+    /// Achieved normalized channel sums (`Σ e^{j(φ^p+φ)}`), `R × U`.
     pub achieved: CMat,
-    /// The layer scale σ_l applied before solving.
+    /// The scale σ applied to this layer's weights before solving.
     pub scale: f64,
-    /// RMS residual against this layer's (compensated) targets.
+    /// RMS solver residual across all weights (normalized units), against
+    /// this layer's (compensated) targets.
     pub rms_residual: f64,
 }
 
-/// The full cascade programme: one [`LayerSchedule`] per layer.
+impl WeightSchedule {
+    /// Number of output classes.
+    pub fn num_outputs(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// Number of input symbols.
+    pub fn num_symbols(&self) -> usize {
+        self.codes.first().map_or(0, |c| c.len())
+    }
+
+    /// Relative weight-realization error against the `weights` this
+    /// schedule was solved for: RMS residual divided by the RMS of the
+    /// scaled targets. Small values (≪ 1) mean the hardware faithfully
+    /// reproduces the trained network.
+    pub fn relative_error(&self, weights: &CMat) -> f64 {
+        let rms_target =
+            self.scale * weights.fro_norm() / ((weights.rows() * weights.cols()) as f64).sqrt();
+        self.rms_residual / rms_target
+    }
+}
+
+/// The full cascade programme: one [`WeightSchedule`] per layer, each
+/// behind an [`Arc`] so a deployment can hand layer 0 out without a copy.
 #[derive(Clone, Debug)]
 pub struct StackSchedule {
     /// Layer schedules in path order.
-    pub layers: Vec<LayerSchedule>,
+    pub layers: Vec<Arc<WeightSchedule>>,
 }
 
 impl StackSchedule {
@@ -104,12 +137,17 @@ impl StackSchedule {
         self.layers[0].achieved.cols()
     }
 
-    /// Relative realization error of the *composed* cascade: the
+    /// Relative realization error of the deployed programme. One layer
+    /// reports its own RMS-residual rule
+    /// ([`WeightSchedule::relative_error`]); a cascade reports the
     /// Frobenius distance between the achieved product `Π A_l` and the
-    /// ideal `Π σ_l·W_l`, over the ideal's norm. The single-layer case
-    /// reduces to the single-surface relative error.
+    /// ideal `Π σ_l·W_l`, over the ideal's norm. The two agree
+    /// mathematically for one layer, not bit for bit.
     pub fn relative_error(&self, factors: &[CMat]) -> f64 {
         assert_eq!(factors.len(), self.layers.len(), "one factor per layer");
+        if let [layer] = self.layers.as_slice() {
+            return layer.relative_error(&factors[0]);
+        }
         let (r, u) = (self.num_outputs(), self.num_symbols());
         let mut err_sq = 0.0;
         let mut ideal_sq = 0.0;
@@ -133,6 +171,8 @@ impl StackSchedule {
 struct LayerSolver {
     solver: WeightSolver,
     table: StateTable,
+    /// `κ·reach`: where σ places the largest weight, and the radius
+    /// compensated targets are clamped to.
     limit: f64,
 }
 
@@ -147,9 +187,15 @@ pub struct StackSolver {
 impl StackSolver {
     /// Builds per-layer solvers over `geom`'s hop links.
     pub fn new(geom: &StackGeometry, kappa: f64) -> Self {
+        StackSolver::from_links(&geom.links, kappa)
+    }
+
+    /// Builds one layer solver per hop link, in path order.
+    pub fn from_links(links: &[MtsLink], kappa: f64) -> Self {
+        // κ = 0 would scale every weight to the origin and make the
+        // schedule meaningless, so zero is excluded.
         assert!(kappa > 0.0 && kappa <= 1.0, "κ must be in (0, 1]");
-        let layers = geom
-            .links
+        let layers = links
             .iter()
             .map(|link| {
                 let solver = WeightSolver::single(link.path_phasors.clone(), 2);
@@ -193,7 +239,7 @@ impl StackSolver {
         factors: &[CMat],
         scales: &[f64],
         env_offset_norm: C64,
-        warm: Option<&StackSchedule>,
+        warm: Option<&[&WeightSchedule]>,
         scratch: &mut SolverScratch,
     ) -> WeightSolve {
         let last = self.layers.len() - 1;
@@ -202,28 +248,28 @@ impl StackSolver {
         let mut out = Vec::with_capacity(self.layers.len());
         for (l, layer) in self.layers.iter().enumerate() {
             let ideal = factors[l][(row, col)] * scales[l];
-            // Steer the running product back onto the ideal trajectory;
-            // the final layer additionally absorbs the Eqn-8 offset.
-            let desired = if l == last {
-                ideal_prod * ideal - env_offset_norm
-            } else {
-                ideal_prod * ideal
-            };
-            let mut target = if achieved_prod.norm_sq() > f64::MIN_POSITIVE {
-                desired / achieved_prod
-            } else {
-                ideal
-            };
-            if target.abs() > layer.limit {
-                target = C64::from_polar(layer.limit, target.arg());
+            let mut target = if l == 0 { ideal } else { ideal_prod * ideal };
+            if l == last {
+                target -= env_offset_norm;
+            }
+            if l > 0 {
+                // Steer the running product back onto the ideal
+                // trajectory, within the layer's reachable disc.
+                if achieved_prod.norm_sq() > f64::MIN_POSITIVE {
+                    target /= achieved_prod;
+                } else {
+                    target = ideal;
+                }
+                if target.abs() > layer.limit {
+                    target = C64::from_polar(layer.limit, target.arg());
+                }
             }
             let res = match warm {
-                Some(w) => layer.solver.solve_warm(
-                    &[target],
-                    &w.layers[l].codes[row][col],
-                    &layer.table,
-                    scratch,
-                ),
+                Some(w) => {
+                    layer
+                        .solver
+                        .solve_warm(&[target], &w[l].codes[row][col], &layer.table, scratch)
+                }
                 None => layer.solver.solve_with(&[target], &layer.table, scratch),
             };
             let achieved = res.achieved[0];
@@ -274,44 +320,54 @@ impl StackSolver {
         self.collect_schedule(r, u, &scales, per_chunk.into_iter().flatten())
     }
 
-    /// [`solve`](Self::solve), warm-started from a previous cascade
-    /// programme — the online-adaptation path. Deliberately sequential on
-    /// the caller's thread with one reusable `scratch`, like the
-    /// single-surface warm remap: no rayon fan-out competing with serving
-    /// workers, and the result is a pure function of its inputs.
-    pub fn resolve_warm(
+    /// [`solve`](Self::solve), warm-started from a previous programme's
+    /// per-layer schedules — the online-adaptation path: after a small
+    /// channel drift the old configuration is already near the new
+    /// optimum, so each solve is seeded with the previous codes instead
+    /// of the phase-aligned initialization and typically converges in a
+    /// sweep or two.
+    ///
+    /// Deliberately **sequential** on the caller's thread with one
+    /// reusable `scratch` (reuse it across rounds too): no rayon fan-out
+    /// competing with serving workers, and the result is a pure function
+    /// of its inputs.
+    pub fn resolve_warm<W: Borrow<WeightSchedule>>(
         &self,
         factors: &[CMat],
         env_offset_norm: C64,
-        warm: &StackSchedule,
+        warm: &[W],
         scratch: &mut SolverScratch,
     ) -> StackSchedule {
         let tele = metaai_telemetry::enabled().then(metrics);
         let _span = tele.map(|m| m.solve_seconds.span());
         let scales = self.scales(factors);
         let (r, u) = (factors[0].rows(), factors[0].cols());
-        assert_eq!(
-            (warm.num_outputs(), warm.num_symbols()),
-            (r, u),
-            "warm schedule shape must match the weight factors"
-        );
+        let warm: Vec<&WeightSchedule> = warm.iter().map(Borrow::borrow).collect();
+        assert_eq!(warm.len(), self.layers.len(), "one warm schedule per layer");
+        for w in &warm {
+            assert_eq!(
+                (w.num_outputs(), w.num_symbols()),
+                (r, u),
+                "warm schedule shape must match the weight factors"
+            );
+        }
         if let Some(m) = tele {
             m.solves.inc();
             m.weights_solved.add((self.layers.len() * r * u) as u64);
         }
 
-        let solved = (0..r * u).map(|idx| {
-            self.solve_weight(
-                (idx / u, idx % u),
-                factors,
-                &scales,
-                env_offset_norm,
-                Some(warm),
-                scratch,
-            )
-        });
-        // The iterator is lazy; collect before assembling per-layer views.
-        let solved: Vec<_> = solved.collect();
+        let solved: Vec<WeightSolve> = (0..r * u)
+            .map(|idx| {
+                self.solve_weight(
+                    (idx / u, idx % u),
+                    factors,
+                    &scales,
+                    env_offset_norm,
+                    Some(&warm),
+                    scratch,
+                )
+            })
+            .collect();
         self.collect_schedule(r, u, &scales, solved.into_iter())
     }
 
@@ -341,11 +397,13 @@ impl StackSolver {
             .zip(achieved)
             .zip(sq_sums)
             .zip(scales)
-            .map(|(((codes, achieved), sq_sum), &scale)| LayerSchedule {
-                codes,
-                achieved,
-                scale,
-                rms_residual: (sq_sum / (r * u) as f64).sqrt(),
+            .map(|(((codes, achieved), sq_sum), &scale)| {
+                Arc::new(WeightSchedule {
+                    codes,
+                    achieved,
+                    scale,
+                    rms_residual: (sq_sum / (r * u) as f64).sqrt(),
+                })
             })
             .collect();
         StackSchedule { layers }
@@ -487,7 +545,7 @@ mod tests {
         let solver = StackSolver::new(&moved, 0.9);
         let cold = solver.solve(&factors, C64::ZERO);
         let mut scratch = SolverScratch::new();
-        let warm = solver.resolve_warm(&factors, C64::ZERO, &base, &mut scratch);
+        let warm = solver.resolve_warm(&factors, C64::ZERO, &base.layers, &mut scratch);
         let warm_rel = warm.relative_error(&factors);
         let cold_rel = cold.relative_error(&factors);
         assert!(
@@ -495,7 +553,7 @@ mod tests {
             "warm {warm_rel} vs cold {cold_rel}"
         );
         // Pure function of its inputs: scratch reuse changes nothing.
-        let again = solver.resolve_warm(&factors, C64::ZERO, &base, &mut scratch);
+        let again = solver.resolve_warm(&factors, C64::ZERO, &base.layers, &mut scratch);
         for (x, y) in warm.layers.iter().zip(&again.layers) {
             assert_eq!(x.codes, y.codes);
         }

@@ -100,9 +100,15 @@ impl StackWeights {
     /// every layer gets the L-th root `|w|^{1/L}·e^{jθ/L}`, equalizing
     /// per-layer dynamic range (each layer's solver quantizes magnitudes
     /// compressed by the root). Deploying a pre-trained net onto a stack
-    /// goes through here.
+    /// goes through here. For one layer the root is the identity, so the
+    /// factor is `weights` itself, bit for bit.
     pub fn from_effective(weights: &CMat, layers: usize) -> StackWeights {
         assert!(layers >= 1, "a stack needs at least one layer");
+        if layers == 1 {
+            return StackWeights {
+                factors: vec![weights.clone()],
+            };
+        }
         let root = CMat::from_fn(weights.rows(), weights.cols(), |r, c| {
             let w = weights[(r, c)];
             C64::from_polar(w.abs().powf(1.0 / layers as f64), w.arg() / layers as f64)
@@ -326,6 +332,8 @@ mod tests {
         // Every layer's dynamic range is the cube root of the original.
         let max = stack.factors[0].max_abs();
         assert!((max - w.max_abs().powf(1.0 / 3.0)).abs() < 1e-9);
+        // One layer is the network itself, bit for bit.
+        assert_eq!(StackWeights::from_effective(&w, 1).factors, vec![w]);
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //! ```
 
 use metaai::config::SystemConfig;
-use metaai::ota::realize_channels;
 use metaai::pipeline::{redeploy, MetaAiSystem};
 use metaai_datasets::{generate, DatasetId, Scale};
 use metaai_math::rng::SimRng;
@@ -53,10 +52,7 @@ fn main() {
     // remaining 95 % of the aperture keeps the classifier serviceable —
     // the weight sum is a 256-way redundancy.
     let mut rng = SimRng::seed_from_u64(5);
-    system.array.inject_stuck_faults(0.05, &mut rng);
-    let link =
-        metaai_mts::channel::MtsLink::new(&system.array, config.tx, config.rx, config.freq_hz);
-    system.set_channels(realize_channels(&system.schedule, &link, &system.array));
+    system.inject_stuck_faults(0.05, &mut rng);
     let degraded = system.ota_accuracy(&test, "retail-stuck");
     println!("with 5 % stuck atoms: {:.1} %", 100.0 * degraded);
 
@@ -67,13 +63,7 @@ fn main() {
         .config(config.clone())
         .deploy(system.net.clone());
     // Stale: schedule for the OLD position, receiver at the NEW one.
-    let moved_link = metaai_mts::channel::MtsLink::new(
-        &stale.array,
-        moved_cfg.tx,
-        moved_cfg.rx,
-        moved_cfg.freq_hz,
-    );
-    stale.set_channels(realize_channels(&stale.schedule, &moved_link, &stale.array));
+    stale.set_channels(stale.realize_live(&moved_cfg));
     let stale_acc = stale.ota_accuracy(&test, "retail-stale");
     println!(
         "after receiver moved (stale schedule): {:.1} %",

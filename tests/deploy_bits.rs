@@ -10,12 +10,14 @@
 use metaai::config::SystemConfig;
 use metaai::mapper::{WeightMapper, WeightSchedule};
 use metaai::ota::realize_channels;
+use metaai::pipeline::{redeploy_warm, MetaAiSystem};
 use metaai_math::rng::SimRng;
 use metaai_math::{CMat, C64};
 use metaai_mts::array::{MtsArray, Prototype};
 use metaai_mts::atom::PhaseCode;
 use metaai_mts::channel::MtsLink;
-use metaai_mts::solver::WeightSolver;
+use metaai_mts::solver::{SolverScratch, WeightSolver};
+use metaai_nn::complex_lnn::ComplexLnn;
 use metaai_sim::{
     realize_stack, StackGeometry, StackSchedule, StackSolver, StackSpec, StackWeights,
 };
@@ -199,5 +201,47 @@ fn two_layer_stack_matches_recorded_bits() {
         cmat_digest(&realize_stack(&geometry, &schedule)),
     ];
     const RECORDED: [u64; 2] = [0xd461_cf7b_c440_d0b5, 0xe6a8_b360_e0fa_542c];
+    assert_eq!(digests, RECORDED);
+}
+
+/// Digest of a deployed system: its realized channels, every layer's
+/// codes, the noise floor and the realization error.
+fn system_digest(sys: &MetaAiSystem) -> u64 {
+    let layers = &sys.stack.schedule.layers;
+    fnv(sys
+        .channels
+        .as_slice()
+        .iter()
+        .flat_map(c64_words)
+        .chain(layers.iter().flat_map(|l| codes_words(&l.codes)))
+        .chain([sys.noise_floor.to_bits(), sys.realization_error().to_bits()]))
+}
+
+/// The builder's own deploy at paper defaults (256 atoms, fabrication
+/// noise on), then a warm re-solve to a moved receiver with an Eqn-8
+/// offset — for the single surface and for a 2-layer stack. Recorded
+/// while the single surface still had a deployment path of its own.
+#[test]
+fn paper_default_deploy_and_warm_redeploy_match_recorded_bits() {
+    let net = ComplexLnn::from_weights(random_weights(10, 60, 51));
+    let moved = SystemConfig::paper_default().with_rx_at(3.0, 43.0);
+    let mut scratch = SolverScratch::new();
+    let digests: Vec<u64> = [(1, 256), (2, 128)]
+        .into_iter()
+        .flat_map(|(layers, atoms)| {
+            let sys = MetaAiSystem::builder()
+                .layers(layers)
+                .num_atoms(atoms)
+                .deploy(net.clone());
+            let warm = redeploy_warm(&sys, &moved, C64::new(8.0, 3.0), &mut scratch);
+            [system_digest(&sys), system_digest(&warm)]
+        })
+        .collect();
+    const RECORDED: [u64; 4] = [
+        0x689a_93c0_9c8b_bd74,
+        0x98ad_ba97_46a9_2992,
+        0xf4e5_e02a_b416_4bd4,
+        0x9a00_1631_5cf6_38b5,
+    ];
     assert_eq!(digests, RECORDED);
 }

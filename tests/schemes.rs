@@ -11,7 +11,8 @@ use metaai_math::C64;
 use metaai_mts::array::MtsArray;
 use metaai_nn::augment::Augmentation;
 use metaai_nn::data::ComplexDataset;
-use metaai_nn::train::{train_complex, TrainConfig};
+use metaai_nn::engine::TrainEngine;
+use metaai_nn::train::TrainConfig;
 use metaai_phy::sync::SyncErrorModel;
 use metaai_rf::environment::EnvChannel;
 
@@ -126,13 +127,11 @@ fn both_parallelism_schemes_classify_one_shot() {
     let train = metaai_nn::train::toy_problem(4, 64, 50, 0.4, 12, 112);
     let test = metaai_nn::train::toy_problem(4, 64, 20, 0.4, 12, 212);
     let config = SystemConfig::paper_default();
-    let net = train_complex(
-        &train,
-        &TrainConfig {
-            epochs: 20,
-            ..TrainConfig::default()
-        },
-    );
+    let net = TrainEngine::new(TrainConfig {
+        epochs: 20,
+        ..TrainConfig::default()
+    })
+    .train(&train);
     let array = MtsArray::paper_prototype(config.prototype, config.mts_center);
 
     let sub = SubcarrierParallel::deploy(&net, &config, &array);

@@ -5,9 +5,9 @@
 //! in fixed sub-chunk order, so the factors must be bitwise independent
 //! of the rayon worker count and reproducible across runs. The per-layer
 //! 2-bit solves are independent per weight, so the solved programmes
-//! carry the same contract. And a one-layer "stack" must collapse to the
-//! single-surface machinery exactly — same codes, same achieved sums,
-//! same realized channels.
+//! carry the same contract. And a one-layer stack is the paper's single
+//! surface exactly — same codes, same achieved sums, same realized
+//! channels.
 
 use metaai::config::SystemConfig;
 use metaai::mapper::WeightMapper;
@@ -148,8 +148,9 @@ fn a_one_layer_stack_solve_matches_the_single_surface_mapper() {
 }
 
 /// Deploying a one-factor stack through the pipeline realizes exactly
-/// the channels of the plain single-surface deployment (with fabrication
-/// noise disabled, the only divergence left would be a modeling bug).
+/// the channels of the plain single-surface deployment, at paper
+/// defaults: both draw the surface's fabrication noise from the
+/// `atom-phase-noise` stream.
 #[test]
 fn a_one_layer_stack_deployment_realizes_single_surface_channels() {
     let train = toy_problem(3, 16, 24, 0.35, 21, 121);
@@ -157,10 +158,8 @@ fn a_one_layer_stack_deployment_realizes_single_surface_channels() {
         epochs: 6,
         ..TrainConfig::default()
     };
-    let config = SystemConfig {
-        atom_phase_noise: 0.0,
-        ..SystemConfig::paper_default()
-    };
+    let config = SystemConfig::paper_default();
+    assert!(config.atom_phase_noise > 0.0);
     let plain = MetaAiSystem::builder()
         .config(config.clone())
         .num_atoms(64)
@@ -175,4 +174,8 @@ fn a_one_layer_stack_deployment_realizes_single_surface_channels() {
     assert_eq!(stack.channels, plain.channels);
     assert_eq!(stack.schedule.codes, plain.schedule.codes);
     assert_eq!(stack.noise_floor.to_bits(), plain.noise_floor.to_bits());
+    assert_eq!(
+        stack.realization_error().to_bits(),
+        plain.realization_error().to_bits()
+    );
 }
