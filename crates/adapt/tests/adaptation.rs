@@ -140,23 +140,28 @@ fn a_walking_receiver_triggers_resolves_and_swaps() {
 
 #[test]
 fn adaptation_is_bitwise_deterministic_across_runs_and_worker_counts() {
-    // The vendored rayon shim re-reads RAYON_NUM_THREADS per parallel
-    // op, so flipping it between runs exercises genuinely different
-    // worker counts for every rayon-parallel stage (deploys, scoring) —
-    // while the adaptation loop itself must not notice.
+    // Each run pins its worker count for every rayon-parallel stage it
+    // starts (deploys, scoring), so the runs exercise genuinely different
+    // worker counts — while the adaptation loop itself must not notice.
     type ScheduleCodes = Vec<Vec<Vec<PhaseCode>>>;
-    let run = |threads: &str| -> (Vec<(u64, u64)>, ScheduleCodes, Vec<f64>) {
-        std::env::set_var("RAYON_NUM_THREADS", threads);
-        let (mut ctl, _entry) = walking_controller(1.5);
-        let reports: Vec<StepReport> = (0..14).map(|_| ctl.step()).collect();
-        let codes = ctl.current().schedule.codes.clone();
-        let accuracies = reports.iter().map(|r| r.reading.probe_accuracy).collect();
-        (trigger_rounds(&reports), codes, accuracies)
+    let run = |threads: usize| -> (Vec<(u64, u64)>, ScheduleCodes, Vec<f64>) {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("worker pool");
+        pool.install(|| {
+            assert_eq!(rayon::current_num_threads(), threads);
+            let (mut ctl, _entry) = walking_controller(1.5);
+            let reports: Vec<StepReport> = (0..14).map(|_| ctl.step()).collect();
+            let codes = ctl.current().schedule.codes.clone();
+            let accuracies = reports.iter().map(|r| r.reading.probe_accuracy).collect();
+            (trigger_rounds(&reports), codes, accuracies)
+        })
     };
 
-    let a = run("1");
-    let b = run("4");
-    let c = run("1");
+    let a = run(1);
+    let b = run(4);
+    let c = run(1);
     assert_eq!(
         a.0, b.0,
         "trigger rounds and epochs differ across worker counts"
@@ -165,7 +170,6 @@ fn adaptation_is_bitwise_deterministic_across_runs_and_worker_counts() {
     assert_eq!(a.2, b.2, "probe readings differ across worker counts");
     assert_eq!(a.0, c.0, "trigger rounds differ across identical runs");
     assert_eq!(a.1, c.1, "schedules differ across identical runs");
-    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 /// A view whose very first probe round panics — stands in for any bug

@@ -125,23 +125,18 @@ pub fn train(args: &Args) -> i32 {
         return fail("--layers expects at least 1");
     }
     println!(
-        "training on {} samples ({} classes, U = {} symbols), {} epochs…",
+        "training on {} samples ({} classes, U = {} symbols), {} epochs, {layers} layer(s)…",
         s.train.len(),
         s.train.num_classes,
         s.train.input_len(),
         tcfg.epochs
     );
     let t0 = std::time::Instant::now();
-    let (net, stats) = if layers > 1 {
-        // Product-parameterized stack factors W_0 ⊙ … ⊙ W_{L-1}; the
-        // saved model is their effective (composed) network, which any
-        // stacked deployment can re-factorize.
-        println!("stacked mode: {layers} cascaded surfaces (product parameterization)");
-        let (weights, stats) = metaai_sim::train_stack_with_stats(&s.train, layers, &tcfg);
-        (weights.effective_net(), stats)
-    } else {
-        TrainEngine::new(tcfg).train_with_stats(&s.train)
-    };
+    // Product-parameterized factors W_0 ⊙ … ⊙ W_{L-1} (one layer: the
+    // complex LNN). The saved model is their effective network, which any
+    // stacked deployment can re-factorize.
+    let (weights, stats) = TrainEngine::new(tcfg).train_stack(&s.train, layers);
+    let net = weights.effective_net();
     let last = stats.last().expect("at least one epoch");
     println!(
         "done in {:.1?}: train loss {:.4}, train accuracy {:.2} %",

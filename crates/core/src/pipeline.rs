@@ -15,7 +15,7 @@ use metaai_nn::train::TrainConfig;
 use metaai_rf::environment::{EnvChannel, Environment};
 use metaai_rf::noise::Awgn;
 use metaai_sim::{
-    realize_stack, train_stack, StackGeometry, StackSchedule, StackSolver, StackSpec, StackWeights,
+    realize_stack, StackGeometry, StackSchedule, StackSolver, StackSpec, StackWeights,
 };
 use metaai_telemetry::{Counter, Histogram};
 use std::sync::{Arc, OnceLock};
@@ -156,8 +156,7 @@ impl SystemBuilder {
     /// `layers(1)` is the paper's single-surface deployment. With
     /// `layers ≥ 2`, [`deploy`](Self::deploy) factorizes the network
     /// across the stack and [`train_and_deploy`](Self::train_and_deploy)
-    /// trains product-parameterized layer factors
-    /// ([`metaai_sim::train_stack`]) instead.
+    /// trains that many product-parameterized factors.
     pub fn layers(mut self, layers: usize) -> Self {
         assert!(layers >= 1, "a deployment needs at least one layer");
         self.layers = layers;
@@ -221,18 +220,12 @@ impl SystemBuilder {
         MetaAiSystem::assemble(config, net, stack, channels, noise_floor)
     }
 
-    /// Trains a network on `train` (through the batched, deterministic
-    /// [`TrainEngine`]) and deploys it. With [`layers`](Self::layers) ≥ 2
-    /// this trains product-parameterized stack factors instead
-    /// ([`metaai_sim::train_stack`]) and deploys the cascade.
+    /// Trains one factor per [`layer`](Self::layers) on `train` (through
+    /// the batched, deterministic [`TrainEngine::train_stack`]; one layer
+    /// is the paper's complex LNN) and deploys them.
     pub fn train_and_deploy(self, train: &ComplexDataset, tcfg: &TrainConfig) -> MetaAiSystem {
-        if self.layers > 1 {
-            let weights = train_stack(train, self.layers, tcfg);
-            self.deploy_stack(weights)
-        } else {
-            let net = TrainEngine::new(tcfg.clone()).train(train);
-            self.deploy(net)
-        }
+        let (weights, _) = TrainEngine::new(tcfg.clone()).train_stack(train, self.layers);
+        self.deploy_stack(weights)
     }
 }
 

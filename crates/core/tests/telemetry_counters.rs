@@ -27,6 +27,8 @@ use metaai_math::{CMat, CVec, C64};
 use metaai_mts::array::{MtsArray, Prototype};
 use metaai_mts::solver::SolverScratch;
 use metaai_nn::complex_lnn::ComplexLnn;
+use metaai_nn::engine::TrainEngine;
+use metaai_nn::train::{toy_problem, TrainConfig};
 use metaai_sim::{StackGeometry, StackSolver, StackSpec, StackWeights};
 use metaai_telemetry::{MetricValue, Registry};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -294,6 +296,40 @@ fn a_two_layer_stack_solve_takes_pinned_sweeps() {
     let weights = StackWeights::from_effective(&random_weights(MAP_ROWS, MAP_COLS, 41), 2);
     StackSolver::new(&geometry, config.kappa).solve(&weights.factors, C64::ZERO);
     assert_eq!(solver_work(registry), (STACK_SWEEPS, STACK_SOLVES));
+    drop(guard);
+}
+
+/// The complex LNN and every stack train in one loop, so a stacked run
+/// counts its epochs, samples and batches as the single network does.
+#[test]
+fn training_counts_epochs_and_samples_at_every_layer_count() {
+    let (guard, registry) = lock_registry();
+    let data = toy_problem(3, 8, 5, 0.3, 3, 4); // 15 samples
+    let engine = TrainEngine::new(TrainConfig {
+        epochs: 2,
+        batch: 4,
+        ..TrainConfig::default()
+    });
+    for layers in [1, 2, 3] {
+        registry.reset();
+        engine.train_stack(&data, layers);
+        assert_eq!(
+            counter(registry, "metaai.nn.train.epochs"),
+            2,
+            "L = {layers}"
+        );
+        assert_eq!(
+            counter(registry, "metaai.nn.train.samples"),
+            2 * 15,
+            "L = {layers}"
+        );
+        // 15 samples in batches of 4: four batches per epoch.
+        assert_eq!(
+            histogram_count(registry, "metaai.nn.train.batch_seconds"),
+            2 * 4,
+            "L = {layers}"
+        );
+    }
     drop(guard);
 }
 

@@ -2,16 +2,20 @@
 //! of `metaai::engine::OtaEngine`.
 //!
 //! The paper trains its complex LNN with mini-batch momentum SGD (Sec 3.1:
-//! lr 8 × 10⁻³, momentum 0.95, batch 64, 60 epochs). The original loop in
+//! lr 8 × 10⁻³, momentum 0.95, batch 64, 60 epochs). Stacked surfaces
+//! train the entrywise product `W_0 ⊙ … ⊙ W_{L−1}` ([`StackWeights`])
+//! with the same loss, and [`TrainEngine::train_stack`] is the one
+//! epoch/batch loop for both: L = 1 is the complex LNN
+//! ([`TrainEngine::train_with_stats`]). The original loop in
 //! [`crate::train`] was single-threaded, cloned every input per sample per
 //! epoch, and threaded one mutable RNG through shuffling *and*
 //! augmentation — so it could not be parallelized without changing its
 //! output. This engine restructures the loop around three rules:
 //!
 //! 1. **Counter-derived RNG streams.** The epoch shuffle draws from
-//!    `SimRng::derive_indexed(seed, "train-shuffle", epoch)` and each
-//!    sample's augmentation chain from
-//!    `derive_indexed(seed, "train-augment", epoch·N + position)`, where
+//!    `SimRng::derive_indexed(seed, shuffle, epoch)` and each sample's
+//!    augmentation chain from
+//!    `derive_indexed(seed, augment, epoch·N + position)`, where
 //!    `position` is the sample's index in the shuffled epoch order. No RNG
 //!    state is shared between samples, so any sample's draws can be
 //!    reproduced in isolation, on any worker.
@@ -21,20 +25,33 @@
 //!    then merged sequentially in sub-chunk index order. Floating-point
 //!    addition order is therefore a pure function of the batch layout —
 //!    never of which worker ran which sub-chunk — so the trained weights
-//!    are bitwise independent of `RAYON_NUM_THREADS`.
+//!    are bitwise independent of the rayon worker count.
 //! 3. **Scratch reuse.** Gradient matrices and augmentation buffers are
 //!    allocated once per training run and reused across batches
 //!    (`apply_all_into` writes augmented samples into per-slot buffers);
 //!    the unaugmented path borrows the dataset input directly with no copy
 //!    at all.
 //!
+//! Two things depend on the layer count, each in one place. The stream
+//! names: L = 1 keeps the complex LNN's `train-complex` (init),
+//! `train-shuffle` and `train-augment`; L ≥ 2 uses
+//! `train-stack-layer-{l}`, `train-stack-shuffle` and
+//! `train-stack-augment` ([`StackWeights::init`] names the init streams).
+//! And the per-sample cogradient: L = 1 accumulates
+//! [`ComplexLnn::accumulate_grad`]'s `Γ_r·x̄_i` into its one factor, which
+//! is its own effective weights, so its batches form no product; L ≥ 2
+//! forms the effective weights and each factor's complement
+//! `Π_{k≠l} W_k` once per batch and accumulates
+//! `Γ_r·x̄_i·conj(Π_{k≠l} W_k)`.
+//!
 //! [`fold_batch`] is the generic reduction primitive; the deep trainers in
 //! [`crate::deep`], [`crate::deep_complex`] and [`crate::pnn_stack`] reuse
 //! it with their own scratch types.
 
 use crate::augment::apply_all_into;
-use crate::complex_lnn::ComplexLnn;
+use crate::complex_lnn::{add_weight_cograd, ComplexLnn, StackWeights};
 use crate::data::ComplexDataset;
+use crate::loss::magnitude_ce;
 use crate::train::{EpochStats, TrainConfig};
 use metaai_math::rng::SimRng;
 use metaai_math::{CMat, CVec, C64};
@@ -139,10 +156,10 @@ where
     n_sub
 }
 
-/// Per-sub-chunk scratch for the complex-LNN trainer: the partial gradient,
-/// running loss/accuracy counters, and the augmentation ping-pong buffers.
+/// Per-sub-chunk scratch: one partial gradient per factor, running
+/// loss/accuracy counters, and the augmentation ping-pong buffers.
 struct TrainScratch {
-    grad: CMat,
+    grads: Vec<CMat>,
     loss: f64,
     correct: usize,
     aug: CVec,
@@ -150,9 +167,11 @@ struct TrainScratch {
 }
 
 impl TrainScratch {
-    fn new(classes: usize, input_len: usize) -> Self {
+    fn new(layers: usize, classes: usize, input_len: usize) -> Self {
         TrainScratch {
-            grad: CMat::zeros(classes, input_len),
+            grads: (0..layers)
+                .map(|_| CMat::zeros(classes, input_len))
+                .collect(),
             loss: 0.0,
             correct: 0,
             aug: CVec::zeros(0),
@@ -161,17 +180,50 @@ impl TrainScratch {
     }
 
     fn reset(&mut self) {
-        self.grad.as_mut_slice().fill(C64::ZERO);
+        for g in &mut self.grads {
+            g.as_mut_slice().fill(C64::ZERO);
+        }
         self.loss = 0.0;
         self.correct = 0;
         // aug/tmp are overwritten per sample; no need to clear.
     }
 }
 
-/// Batched, deterministic trainer for the paper's complex LNN.
+/// Per factor `l`, the entrywise product of every other factor,
+/// `Π_{k≠l} W_k`, in path order.
+fn complements(factors: &[CMat]) -> Vec<CMat> {
+    let (rows, cols) = (factors[0].rows(), factors[0].cols());
+    (0..factors.len())
+        .map(|l| {
+            CMat::from_fn(rows, cols, |r, c| {
+                factors
+                    .iter()
+                    .enumerate()
+                    .filter(|&(k, _)| k != l)
+                    .fold(C64::ONE, |acc, (_, f)| acc * f[(r, c)])
+            })
+        })
+        .collect()
+}
+
+/// `grads[l][r, i] += Γ_r · x̄_i · conj(Π_{k≠l} W_k[r, i])`: one sample's
+/// cogradient of every factor of an L ≥ 2 network.
+fn add_factor_cograds(cograd: &CVec, x: &CVec, complements: &[CMat], grads: &mut [CMat]) {
+    for (grad, comp) in grads.iter_mut().zip(complements) {
+        for (r, g) in cograd.iter().enumerate() {
+            let row = grad.row_mut(r);
+            for (i, xi) in x.iter().enumerate() {
+                row[i] += *g * xi.conj() * comp[(r, i)].conj();
+            }
+        }
+    }
+}
+
+/// Batched, deterministic trainer for the paper's complex LNN and its
+/// L-factor product parameterization.
 ///
-/// Construction is cheap; [`train_with_stats`](Self::train_with_stats)
-/// owns all scratch for the run.
+/// Construction is cheap; [`train_stack`](Self::train_stack) owns all
+/// scratch for the run.
 #[derive(Clone, Debug)]
 pub struct TrainEngine {
     cfg: TrainConfig,
@@ -188,24 +240,36 @@ impl TrainEngine {
         &self.cfg
     }
 
-    /// Trains a [`ComplexLnn`] on `data`, returning the network and
-    /// per-epoch statistics. Output is a function of `(data, config)` only
-    /// — bitwise identical across runs and worker counts.
-    pub fn train_with_stats(&self, data: &ComplexDataset) -> (ComplexLnn, Vec<EpochStats>) {
+    /// Trains `layers` factors `W_0 ⊙ … ⊙ W_{L−1}` jointly on `data`,
+    /// returning them and per-epoch statistics of the effective network.
+    /// `layers = 1` is the paper's complex LNN. Output is a function of
+    /// `(data, config, layers)` only — bitwise identical across runs and
+    /// worker counts.
+    pub fn train_stack(
+        &self,
+        data: &ComplexDataset,
+        layers: usize,
+    ) -> (StackWeights, Vec<EpochStats>) {
         let cfg = &self.cfg;
         assert!(!data.is_empty(), "cannot train on an empty dataset");
         assert!(cfg.batch >= 1, "batch size must be at least 1");
-        let mut init_rng = SimRng::derive(cfg.seed, "train-complex");
-        let mut net = ComplexLnn::init(data.num_classes, data.input_len(), &mut init_rng);
         let (classes, input_len, n) = (data.num_classes, data.input_len(), data.len());
-        let mut velocity = CMat::zeros(classes, input_len);
+        let mut stack = StackWeights::init(classes, input_len, layers, cfg.seed);
+        let mut velocity: Vec<CMat> = (0..layers)
+            .map(|_| CMat::zeros(classes, input_len))
+            .collect();
         let mut stats = Vec::with_capacity(cfg.epochs);
 
-        let shuffle_stream = SimRng::stream_id("train-shuffle");
-        let aug_stream = SimRng::stream_id("train-augment");
+        let (shuffle, augment) = if layers == 1 {
+            ("train-shuffle", "train-augment")
+        } else {
+            ("train-stack-shuffle", "train-stack-augment")
+        };
+        let shuffle_stream = SimRng::stream_id(shuffle);
+        let aug_stream = SimRng::stream_id(augment);
         let slots = cfg.batch.min(n).div_ceil(GRAD_SUBCHUNK);
         let mut scratch: Vec<TrainScratch> = (0..slots)
-            .map(|_| TrainScratch::new(classes, input_len))
+            .map(|_| TrainScratch::new(layers, classes, input_len))
             .collect();
 
         // Telemetry is sampled once per run: a disabled registry costs one
@@ -222,7 +286,12 @@ impl TrainEngine {
 
             for (b, chunk) in order.chunks(cfg.batch).enumerate() {
                 let _batch_span = tele.map(|m| m.batch_seconds.span());
-                let net_ref = &net;
+                // Per-batch constants of L ≥ 2: the effective weights and
+                // each factor's complement product. One factor is its own
+                // effective weights and needs neither.
+                let products =
+                    (layers > 1).then(|| (stack.effective(), complements(&stack.factors)));
+                let effective = products.as_ref().map_or(&stack.factors[0], |p| &p.0);
                 let augs = cfg.augmentations.as_slice();
                 let seed = cfg.seed;
                 fold_batch(
@@ -245,14 +314,23 @@ impl TrainEngine {
                             );
                             &s.aug
                         };
-                        let out = net_ref.accumulate_grad(x, data.labels[idx], &mut s.grad);
+                        let label = data.labels[idx];
+                        let out = magnitude_ce(&effective.matvec(x), label);
+                        match &products {
+                            None => add_weight_cograd(&out.cograd, x, &mut s.grads[0]),
+                            Some((_, comps)) => {
+                                add_factor_cograds(&out.cograd, x, comps, &mut s.grads)
+                            }
+                        }
                         s.loss += out.loss;
-                        if out.predicted == data.labels[idx] {
+                        if out.predicted == label {
                             s.correct += 1;
                         }
                     },
                     |acc, part| {
-                        acc.grad.axpy(1.0, &part.grad);
+                        for (a, p) in acc.grads.iter_mut().zip(&part.grads) {
+                            a.axpy(1.0, p);
+                        }
                         acc.loss += part.loss;
                         acc.correct += part.correct;
                     },
@@ -261,16 +339,18 @@ impl TrainEngine {
                 let merged = &scratch[0];
                 epoch_loss += merged.loss;
                 correct += merged.correct;
-                // v ← μ·v − lr·(g / |chunk|); W ← W + v
-                velocity.scale_mut(cfg.momentum);
-                velocity.axpy(-cfg.lr / chunk.len() as f64, &merged.grad);
-                for (w, &v) in net
-                    .weights
-                    .as_mut_slice()
+                // Per factor: v ← μ·v − lr·(g / |chunk|); W ← W + v.
+                for ((w, v), g) in stack
+                    .factors
                     .iter_mut()
-                    .zip(velocity.as_slice())
+                    .zip(&mut velocity)
+                    .zip(&merged.grads)
                 {
-                    *w += v;
+                    v.scale_mut(cfg.momentum);
+                    v.axpy(-cfg.lr / chunk.len() as f64, g);
+                    for (wi, &vi) in w.as_mut_slice().iter_mut().zip(v.as_slice()) {
+                        *wi += vi;
+                    }
                 }
             }
 
@@ -293,7 +373,15 @@ impl TrainEngine {
             }
         }
 
-        (net, stats)
+        (stack, stats)
+    }
+
+    /// Trains a [`ComplexLnn`] on `data` (the one-factor
+    /// [`train_stack`](Self::train_stack)), returning the network and
+    /// per-epoch statistics.
+    pub fn train_with_stats(&self, data: &ComplexDataset) -> (ComplexLnn, Vec<EpochStats>) {
+        let (weights, stats) = self.train_stack(data, 1);
+        (weights.effective_net(), stats)
     }
 
     /// Trains and discards telemetry.
@@ -361,6 +449,34 @@ mod tests {
         })
         .train(&data);
         assert_ne!(a.weights, b.weights);
+    }
+
+    #[test]
+    fn a_two_layer_stack_learns_the_toy_problem() {
+        let data = toy_problem(3, 32, 40, 0.3, 9, 109);
+        let cfg = TrainConfig {
+            epochs: 12,
+            batch: 16,
+            ..TrainConfig::default()
+        };
+        let (stack, stats) = TrainEngine::new(cfg).train_stack(&data, 2);
+        assert_eq!(stack.num_layers(), 2);
+        let acc = crate::train::evaluate(&stack.effective_net(), &data);
+        assert!(acc > 0.9, "stacked digital accuracy {acc}");
+        assert!(
+            stats.last().unwrap().loss < stats[0].loss,
+            "loss must decrease"
+        );
+    }
+
+    #[test]
+    fn stack_training_is_deterministic_per_seed() {
+        let data = toy_problem(3, 16, 20, 0.3, 5, 105);
+        let engine = TrainEngine::new(quick_cfg());
+        assert_eq!(
+            engine.train_stack(&data, 2).0,
+            engine.train_stack(&data, 2).0
+        );
     }
 
     #[test]

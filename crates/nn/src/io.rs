@@ -18,6 +18,9 @@ use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"MAI1";
 
+/// Most weights [`read_model`] reserves before reading them (1 MiB).
+const MAX_RESERVE: usize = 1 << 16;
+
 /// Serializes a network into a writer.
 pub fn write_model<W: Write>(net: &ComplexLnn, mut w: W) -> io::Result<()> {
     w.write_all(MAGIC)?;
@@ -55,7 +58,9 @@ pub fn read_model<R: Read>(mut r: R) -> io::Result<ComplexLnn> {
             format!("implausible model shape {rows}×{cols}"),
         ));
     }
-    let mut data = Vec::with_capacity(rows * cols);
+    // The header is not trusted until the weights behind it have been
+    // read: reserve at most MAX_RESERVE up front and grow as they arrive.
+    let mut data = Vec::with_capacity((rows * cols).min(MAX_RESERVE));
     let mut buf8 = [0u8; 8];
     for _ in 0..rows * cols {
         r.read_exact(&mut buf8)?;

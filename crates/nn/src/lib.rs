@@ -6,11 +6,13 @@
 //! (lr 8 × 10⁻³, momentum 0.95, batch 64, 60 epochs). This crate provides
 //! that model and every training-time scheme the system needs:
 //!
-//! * the complex linear network with Wirtinger-calculus gradients
-//!   ([`complex_lnn`]),
+//! * the complex linear network with Wirtinger-calculus gradients, and
+//!   its product parameterization across L stacked surfaces
+//!   ([`complex_lnn`], [`StackWeights`]),
 //! * magnitude + softmax cross-entropy loss ([`loss`]),
-//! * the batched deterministic training engine ([`engine`]) and the
-//!   config/telemetry types plus compatibility shims around it ([`train`]),
+//! * the batched deterministic training engine, one loop for every L
+//!   ([`engine`]), and its config, per-epoch statistics and evaluation
+//!   ([`train`]),
 //! * the CDFA cyclic-shift and SNR-degradation augmentations
 //!   ([`augment`]),
 //! * the DiscreteNN baseline trained with discrete weights from the start
@@ -38,7 +40,7 @@ pub mod metrics;
 pub mod pnn_stack;
 pub mod train;
 
-pub use complex_lnn::ComplexLnn;
+pub use complex_lnn::{ComplexLnn, StackWeights};
 pub use data::{ComplexDataset, RealDataset};
 pub use engine::TrainEngine;
 pub use train::TrainConfig;

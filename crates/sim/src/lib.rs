@@ -18,11 +18,11 @@
 //! * [`stack`] — cascade geometry: per-layer [`MtsArray`]s placed along
 //!   the path, one [`MtsLink`] per hop, re-linkable when the endpoints
 //!   move ([`stack::StackGeometry`]);
-//! * [`train`] — product-parameterized layer weights
-//!   `W_eff = W_0 ⊙ W_1 ⊙ …` trained jointly by Wirtinger descent with
-//!   counter-derived per-layer RNG streams (`train-stack-layer-{l}`), so
-//!   the factors are bitwise independent of the rayon worker count
-//!   ([`train::train_stack`]);
+//! * [`StackWeights`] (re-exported from [`metaai_nn`]) — the
+//!   product-parameterized layer weights `W_eff = W_0 ⊙ W_1 ⊙ …`, which
+//!   [`TrainEngine::train_stack`](metaai_nn::TrainEngine::train_stack)
+//!   trains jointly by Wirtinger descent in the same loop as the single
+//!   complex LNN (L = 1), bitwise independent of the rayon worker count;
 //! * [`solve`] — per-layer reuse of the 2-bit state-table solver
 //!   ([`metaai_mts::solver::WeightSolver::solve_with`], plus the warm
 //!   variant for online adaptation), with *residual compensation*: layer
@@ -57,8 +57,7 @@
 
 pub mod solve;
 pub mod stack;
-pub mod train;
 
+pub use metaai_nn::StackWeights;
 pub use solve::{realize_stack, StackSchedule, StackSolver, WeightSchedule};
 pub use stack::{StackGeometry, StackSpec};
-pub use train::{train_stack, train_stack_with_stats, StackWeights};

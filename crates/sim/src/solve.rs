@@ -63,15 +63,6 @@ pub fn register_metrics() {
     let _ = metrics();
 }
 
-/// Entrywise product of a non-empty list of same-shape matrices.
-pub fn entrywise_product(factors: &[CMat]) -> CMat {
-    assert!(!factors.is_empty(), "empty factor list");
-    let (r, u) = (factors[0].rows(), factors[0].cols());
-    CMat::from_fn(r, u, |row, col| {
-        factors.iter().fold(C64::ONE, |acc, f| acc * f[(row, col)])
-    })
-}
-
 /// Weights solved per parallel work item in [`StackSolver::solve`]. Each
 /// chunk owns one [`SolverScratch`], amortizing buffer allocation over the
 /// chunk instead of paying it per (r, i).
@@ -443,9 +434,9 @@ pub fn realize_stack(geom: &StackGeometry, schedule: &StackSchedule) -> CMat {
 mod tests {
     use super::*;
     use crate::stack::StackSpec;
-    use crate::train::StackWeights;
     use metaai_math::rng::SimRng;
     use metaai_mts::array::Prototype;
+    use metaai_nn::StackWeights;
     use metaai_rf::geometry::Point3;
 
     fn geometry(layers: usize, total: usize) -> StackGeometry {

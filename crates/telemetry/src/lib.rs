@@ -10,10 +10,10 @@
 //!   Handles ([`Counter`], [`Gauge`], [`Histogram`]) are cheap `Arc`
 //!   clones; hot paths fetch them once and then touch only relaxed
 //!   atomics.
-//! * [`Span`] / [`StageTimer`] — RAII wall-clock timing into a latency
-//!   histogram. A span created while telemetry is disabled never calls
-//!   `Instant::now` and records nothing on drop: the disabled-mode cost is
-//!   one relaxed atomic load per span.
+//! * [`Span`] ([`Histogram::span`], [`Histogram::time`]) — RAII
+//!   wall-clock timing into a latency histogram. A span created while
+//!   telemetry is disabled never calls `Instant::now` and records nothing
+//!   on drop: the disabled-mode cost is one relaxed atomic load per span.
 //! * [`Registry::render_json`] / [`Registry::render_prometheus`] — stable,
 //!   deterministic snapshots (instruments sorted by name) for `--metrics-out`
 //!   files, BENCH JSON `telemetry` sections, and scrape endpoints.
@@ -38,7 +38,6 @@ mod render;
 
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricSnapshot, MetricValue, Registry, Span,
-    StageTimer,
 };
 
 use std::sync::OnceLock;

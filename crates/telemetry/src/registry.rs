@@ -165,48 +165,6 @@ impl Drop for Span {
     }
 }
 
-/// A named stage's latency histogram, pre-registered so the hot path only
-/// ever touches the handle.
-///
-/// ```
-/// let registry = metaai_telemetry::Registry::new();
-/// registry.set_enabled(true);
-/// let stage = metaai_telemetry::StageTimer::new(&registry, "metaai.demo.stage_seconds");
-/// {
-///     let _span = stage.span();
-///     // … stage work …
-/// }
-/// assert_eq!(stage.histogram().count(), 1);
-/// ```
-pub struct StageTimer {
-    hist: Histogram,
-}
-
-impl StageTimer {
-    /// Registers (or reuses) `name` as a latency histogram in `registry`.
-    pub fn new(registry: &Registry, name: &str) -> Self {
-        StageTimer {
-            hist: registry.latency_histogram(name),
-        }
-    }
-
-    /// Starts a span over this stage.
-    #[inline]
-    pub fn span(&self) -> Span {
-        self.hist.span()
-    }
-
-    /// Times `f` as one execution of this stage.
-    pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.hist.time(f)
-    }
-
-    /// The backing histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-}
-
 enum Instrument {
     Counter(Counter),
     Gauge(Gauge),
@@ -461,27 +419,27 @@ mod tests {
     fn span_records_into_the_histogram() {
         let r = Registry::new();
         r.set_enabled(true);
-        let t = StageTimer::new(&r, "metaai.test.stage_seconds");
+        let h = r.latency_histogram("metaai.test.stage_seconds");
         for _ in 0..3 {
-            let _span = t.span();
+            let _span = h.span();
         }
-        let v = t.time(|| 17);
+        let v = h.time(|| 17);
         assert_eq!(v, 17);
-        assert_eq!(t.histogram().count(), 4);
-        assert!(t.histogram().sum() >= 0.0);
+        assert_eq!(h.count(), 4);
+        assert!(h.sum() >= 0.0);
     }
 
     #[test]
     fn disabled_span_in_a_tight_loop_changes_nothing() {
         let r = Registry::new();
-        let t = StageTimer::new(&r, "metaai.test.noop_seconds");
+        let h = r.latency_histogram("metaai.test.noop_seconds");
         let c = r.counter("metaai.test.noop_events");
         for _ in 0..100_000 {
-            let _span = t.span();
+            let _span = h.span();
             c.inc();
         }
-        assert_eq!(t.histogram().count(), 0);
-        assert_eq!(t.histogram().sum(), 0.0);
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.sum(), 0.0);
         assert_eq!(c.value(), 0);
     }
 

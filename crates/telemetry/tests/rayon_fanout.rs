@@ -8,12 +8,12 @@ use rayon::prelude::*;
 
 #[test]
 fn counters_and_histograms_are_exact_under_rayon_fanout() {
-    // The vendored rayon shim sizes its pool from RAYON_NUM_THREADS on
-    // every parallel call (capped at 64, allowed to exceed the core
-    // count), so this forces real cross-thread contention even on a
-    // single-core host. This integration test is its own process, so the
-    // env var cannot leak into other tests.
-    std::env::set_var("RAYON_NUM_THREADS", "8");
+    // Eight workers, whatever the core count: real cross-thread
+    // contention even on a single-core host.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(8)
+        .build()
+        .expect("worker pool");
 
     let r = Registry::new();
     r.set_enabled(true);
@@ -22,17 +22,19 @@ fn counters_and_histograms_are_exact_under_rayon_fanout() {
     let latency = r.histogram("metaai.test.sample_seconds", &[0.5]);
 
     let n = 10_000usize;
-    let out: Vec<usize> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            samples.inc();
-            chips.add(3);
-            latency.observe((i % 2) as f64);
-            i
-        })
-        .collect();
+    let out: Vec<usize> = pool.install(|| {
+        assert_eq!(rayon::current_num_threads(), 8);
+        (0..n)
+            .into_par_iter()
+            .map(|i| {
+                samples.inc();
+                chips.add(3);
+                latency.observe((i % 2) as f64);
+                i
+            })
+            .collect()
+    });
 
-    std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(out.len(), n);
     assert_eq!(samples.value(), n as u64);
     assert_eq!(chips.value(), 3 * n as u64);

@@ -12,6 +12,9 @@ use metaai_rf::environment::EnvChannel;
 use metaai_rf::noise::Awgn;
 use proptest::prelude::*;
 
+mod common;
+use common::with_workers;
+
 /// A random channel matrix, input batch, and conditions drawn from `seed`.
 fn random_setup(
     seed: u64,
@@ -198,11 +201,8 @@ fn batch_results_are_worker_count_independent() {
             .collect::<Vec<_>>()
     };
     let default_threads = run();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let single = run();
-    std::env::set_var("RAYON_NUM_THREADS", "4");
-    let four = run();
-    std::env::remove_var("RAYON_NUM_THREADS");
+    let single = with_workers(1, run);
+    let four = with_workers(4, run);
     assert_eq!(default_threads, single);
     assert_eq!(default_threads, four);
 }

@@ -1,9 +1,10 @@
 //! Determinism and equivalence contracts for the stacked-cascade path.
 //!
-//! Stacked training draws every layer's initialization from its own
-//! counter-derived stream (`train-stack-layer-{l}`) and reduces gradients
-//! in fixed sub-chunk order, so the factors must be bitwise independent
-//! of the rayon worker count and reproducible across runs. The per-layer
+//! Stacked training (`TrainEngine::train_stack`) draws every layer's
+//! initialization from its own counter-derived stream
+//! (`train-stack-layer-{l}`) and reduces gradients in fixed sub-chunk
+//! order, so the factors must be bitwise independent of the rayon worker
+//! count and reproducible across runs. The per-layer
 //! 2-bit solves are independent per weight, so the solved programmes
 //! carry the same contract. And a one-layer stack is the paper's single
 //! surface exactly — same codes, same achieved sums, same realized
@@ -16,8 +17,12 @@ use metaai_math::rng::SimRng;
 use metaai_math::{CMat, C64};
 use metaai_mts::channel::MtsLink;
 use metaai_nn::augment::Augmentation;
+use metaai_nn::engine::TrainEngine;
 use metaai_nn::train::{toy_problem, TrainConfig};
-use metaai_sim::{train_stack, StackGeometry, StackSolver, StackSpec, StackWeights};
+use metaai_sim::{StackGeometry, StackSolver, StackSpec, StackWeights};
+
+mod common;
+use common::with_workers;
 
 /// `(re, im)` bit patterns of every factor entry, layer-major — equality
 /// means bitwise equality.
@@ -49,13 +54,11 @@ fn training_setup() -> (metaai_nn::data::ComplexDataset, TrainConfig) {
 #[test]
 fn stack_training_is_worker_count_independent() {
     let (data, cfg) = training_setup();
-    let run = || fingerprint(&train_stack(&data, 3, &cfg));
+    let engine = TrainEngine::new(cfg);
+    let run = || fingerprint(&engine.train_stack(&data, 3).0);
     let default_threads = run();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let single = run();
-    std::env::set_var("RAYON_NUM_THREADS", "4");
-    let four = run();
-    std::env::remove_var("RAYON_NUM_THREADS");
+    let single = with_workers(1, run);
+    let four = with_workers(4, run);
     assert_eq!(default_threads, single, "1 worker changed the factors");
     assert_eq!(default_threads, four, "4 workers changed the factors");
 }
@@ -63,15 +66,16 @@ fn stack_training_is_worker_count_independent() {
 #[test]
 fn stack_training_is_deterministic_across_runs_and_seeded() {
     let (data, cfg) = training_setup();
-    let a = train_stack(&data, 2, &cfg);
-    let b = train_stack(&data, 2, &cfg);
-    assert_eq!(fingerprint(&a), fingerprint(&b));
-
     let other = TrainConfig {
         seed: cfg.seed + 1,
         ..cfg.clone()
     };
-    let c = train_stack(&data, 2, &other);
+    let engine = TrainEngine::new(cfg);
+    let a = engine.train_stack(&data, 2).0;
+    let b = engine.train_stack(&data, 2).0;
+    assert_eq!(fingerprint(&a), fingerprint(&b));
+
+    let c = TrainEngine::new(other).train_stack(&data, 2).0;
     assert_ne!(
         fingerprint(&a),
         fingerprint(&c),
@@ -104,11 +108,8 @@ fn stack_solving_is_worker_count_independent() {
         s.layers.iter().map(|l| l.codes.clone()).collect::<Vec<_>>()
     };
     let default_threads = run();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let single = run();
-    std::env::set_var("RAYON_NUM_THREADS", "4");
-    let four = run();
-    std::env::remove_var("RAYON_NUM_THREADS");
+    let single = with_workers(1, run);
+    let four = with_workers(4, run);
     assert_eq!(default_threads, single, "1 worker changed the codes");
     assert_eq!(default_threads, four, "4 workers changed the codes");
 }

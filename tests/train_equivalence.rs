@@ -12,6 +12,9 @@ use metaai_nn::train::{toy_problem, EpochStats, TrainConfig};
 use metaai_nn::TrainEngine;
 use proptest::prelude::*;
 
+mod common;
+use common::with_workers;
+
 /// Weight and telemetry bit patterns: `(re, im)` bits per weight, then
 /// `(loss, accuracy)` bits per epoch.
 type Fingerprint = (Vec<(u64, u64)>, Vec<(u64, u64)>);
@@ -116,11 +119,8 @@ fn training_is_worker_count_independent() {
         fingerprint(&net, &stats)
     };
     let default_threads = run();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let single = run();
-    std::env::set_var("RAYON_NUM_THREADS", "3");
-    let three = run();
-    std::env::remove_var("RAYON_NUM_THREADS");
+    let single = with_workers(1, run);
+    let three = with_workers(3, run);
     assert_eq!(default_threads, single, "1 worker changed the result");
     assert_eq!(default_threads, three, "3 workers changed the result");
 }
