@@ -28,7 +28,7 @@ use metaai_datasets::DatasetId;
 use metaai_math::rng::SimRng;
 use metaai_math::C64;
 use metaai_mts::array::{MtsArray, Prototype};
-use metaai_mts::solver::WeightSolver;
+use metaai_mts::solver::{SolverScratch, WeightSolver};
 use metaai_nn::deep_complex::{train_deep_complex, DeepComplexConfig};
 use metaai_nn::engine::TrainEngine;
 use metaai_phy::sync::SyncErrorModel;
@@ -67,11 +67,13 @@ pub fn bit_depth_sweep(ctx: &ExpContext) -> Vec<(u8, f64)> {
             let solver = WeightSolver::single(phasors.clone(), bits);
             let reach = solver.reachable_radius(0);
             let trials = 80;
-            let mean: f64 = (0..trials)
-                .map(|_| {
-                    let t = C64::from_polar(0.6 * reach * rng.uniform().sqrt(), rng.phase());
-                    solver.solve_one(t).residual / reach
-                })
+            let targets: Vec<C64> = (0..trials)
+                .map(|_| C64::from_polar(0.6 * reach * rng.uniform().sqrt(), rng.phase()))
+                .collect();
+            let mean: f64 = solver
+                .solve_batch(&targets, &solver.state_table(), &mut SolverScratch::new())
+                .iter()
+                .map(|res| res.residual / reach)
                 .sum::<f64>()
                 / trials as f64;
             (bits, mean)
@@ -92,9 +94,10 @@ pub fn solver_sweeps(ctx: &ExpContext, sweeps: &[usize]) -> Vec<(usize, f64)> {
         .map(|&s| {
             let mut solver = WeightSolver::single(phasors.clone(), 2);
             solver.max_sweeps = s;
-            let mean: f64 = targets
+            let mean: f64 = solver
+                .solve_batch(&targets, &solver.state_table(), &mut SolverScratch::new())
                 .iter()
-                .map(|&t| solver.solve_one(t).residual)
+                .map(|res| res.residual)
                 .sum::<f64>()
                 / targets.len() as f64;
             (s, mean)

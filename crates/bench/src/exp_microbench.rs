@@ -6,7 +6,7 @@ use metaai::pipeline::MetaAiSystem;
 use metaai_datasets::DatasetId;
 use metaai_math::rng::SimRng;
 use metaai_math::C64;
-use metaai_mts::solver::WeightSolver;
+use metaai_mts::solver::{SolverScratch, WeightSolver};
 use metaai_mts::wdd::{wdd_sweep, WddConfig};
 use metaai_nn::engine::TrainEngine;
 use metaai_nn::pnn_stack::train_stacked;
@@ -27,12 +27,16 @@ pub fn fig6(ctx: &ExpContext, atom_counts: &[usize]) -> Vec<(usize, f64)> {
             let solver = WeightSolver::single(phasors, 2);
             let reach = solver.reachable_radius(0);
             let trials = 120;
-            let mean_rel: f64 = (0..trials)
+            let targets: Vec<C64> = (0..trials)
                 .map(|_| {
                     let r = 0.8 * reach * rng.uniform().sqrt();
-                    let t = C64::from_polar(r, rng.phase());
-                    solver.solve_one(t).residual / reach
+                    C64::from_polar(r, rng.phase())
                 })
+                .collect();
+            let mean_rel: f64 = solver
+                .solve_batch(&targets, &solver.state_table(), &mut SolverScratch::new())
+                .iter()
+                .map(|res| res.residual / reach)
                 .sum::<f64>()
                 / trials as f64;
             (m, mean_rel)

@@ -331,7 +331,7 @@ mod sweep_x86 {
     macro_rules! dispatch {
         ($name:ident, $avx2:ident, $n:expr) => {
             #[target_feature(enable = "avx2")]
-            unsafe fn $avx2(
+            pub(super) unsafe fn $avx2(
                 planes: &CPlanes,
                 first_row: usize,
                 s: &EngineScratch,
@@ -864,6 +864,74 @@ mod tests {
             sync_shift: -3,
             cancellation: true,
         }
+    }
+
+    /// CI's x86 hosts only run the AVX2 sweeps, so drive the portable
+    /// body (what non-x86 builds ship) against every AVX2 block width
+    /// directly, with and without cancellation.
+    #[test]
+    fn sweep_rows_isa_paths_agree_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                println!("note: no AVX2 on this host; ISA parity not checked");
+                return;
+            }
+            fn words<const N: usize>(acc: [(f64, f64); N]) -> Vec<u64> {
+                acc.iter()
+                    .flat_map(|&(re, im)| [re.to_bits(), im.to_bits()])
+                    .collect()
+            }
+            let mut rng = SimRng::seed_from_u64(61);
+            let (rows, u) = (16, 37);
+            let planes =
+                CPlanes::from_cmat(&CMat::from_fn(rows, u, |_, _| rng.complex_gaussian(1.0)));
+            let mut draw = || -> Vec<f64> { (0..u).map(|_| rng.normal(0.0, 1.0)).collect() };
+            let s = EngineScratch {
+                x_re: draw(),
+                x_im: draw(),
+                e_re: draw(),
+                e_im: draw(),
+            };
+            let mf = draw();
+            for cancellation in [false, true] {
+                for first in [0, 8] {
+                    // SAFETY (every block): AVX2 presence checked above.
+                    assert_eq!(
+                        words(sweep_rows::<8>(&planes, first, &s, &mf, cancellation)),
+                        words(unsafe {
+                            sweep_x86::by8_avx2(&planes, first, &s, &mf, cancellation)
+                        })
+                    );
+                }
+                for first in [0, 4, 12] {
+                    assert_eq!(
+                        words(sweep_rows::<4>(&planes, first, &s, &mf, cancellation)),
+                        words(unsafe {
+                            sweep_x86::by4_avx2(&planes, first, &s, &mf, cancellation)
+                        })
+                    );
+                }
+                for first in [0, 6, 14] {
+                    assert_eq!(
+                        words(sweep_rows::<2>(&planes, first, &s, &mf, cancellation)),
+                        words(unsafe {
+                            sweep_x86::by2_avx2(&planes, first, &s, &mf, cancellation)
+                        })
+                    );
+                }
+                for first in [0, 7, 15] {
+                    assert_eq!(
+                        words(sweep_rows::<1>(&planes, first, &s, &mf, cancellation)),
+                        words(unsafe {
+                            sweep_x86::by1_avx2(&planes, first, &s, &mf, cancellation)
+                        })
+                    );
+                }
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("note: not an x86-64 host; only the portable sweeps exist");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use metaai_math::{CMat, CVec, C64};
 use metaai_mts::array::MtsArray;
 use metaai_mts::atom::PhaseCode;
 use metaai_mts::channel::MtsLink;
-use metaai_mts::solver::WeightSolver;
+use metaai_mts::solver::{SolverScratch, WeightSolver};
 use metaai_nn::complex_lnn::ComplexLnn;
 use metaai_phy::ofdm::OfdmConfig;
 use metaai_rf::geometry::{deg_to_rad, place_at, Point3};
@@ -137,12 +137,13 @@ impl AntennaParallel {
             .collect();
         let rx_gains: Vec<f64> = (0..r).map(|l| 1.0 / (sigmas[l] * links[l].alpha)).collect();
 
-        // Joint solve per input symbol.
+        // Joint solve per input symbol, all against one state table.
+        let table = solver.state_table();
         let results: Vec<(Vec<PhaseCode>, Vec<C64>, f64)> = (0..u)
             .into_par_iter()
             .map(|i| {
                 let targets: Vec<C64> = (0..r).map(|l| net.weights[(l, i)] * sigmas[l]).collect();
-                let res = solver.solve(&targets);
+                let res = solver.solve_with(&targets, &table, &mut SolverScratch::new());
                 (res.codes, res.achieved, res.residual)
             })
             .collect();
@@ -308,19 +309,26 @@ impl SubcarrierParallel {
         let sigma = config.kappa * reach / p99;
 
         // Second pass: quantize each scaled slot value onto the hardware.
+        // One batch per symbol's slot sequence, all against one table.
         let limit = config.kappa * reach;
+        let table = solver.state_table();
         let slots: Vec<Vec<C64>> = ideal
             .par_iter()
             .map(|h| {
-                h.iter()
+                let targets: Vec<C64> = h
+                    .iter()
                     .map(|&z| {
                         let mut target = z * sigma;
                         if target.abs() > limit {
                             target = C64::from_polar(limit, target.arg());
                         }
-                        let res = solver.solve_one(target);
-                        res.achieved[0] * link.alpha
+                        target
                     })
+                    .collect();
+                solver
+                    .solve_batch(&targets, &table, &mut SolverScratch::new())
+                    .iter()
+                    .map(|res| res.achieved[0] * link.alpha)
                     .collect()
             })
             .collect();

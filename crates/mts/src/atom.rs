@@ -44,10 +44,10 @@ impl PhaseCode {
     /// The code at this depth whose phase is closest to `target` radians.
     pub fn quantize(target: f64, bits: u8) -> Self {
         assert!((1..=3).contains(&bits), "bit depth must be 1..=3");
-        let n = 1usize << bits;
-        let step = std::f64::consts::TAU / n as f64;
-        let idx = (target.rem_euclid(std::f64::consts::TAU) / step).round() as usize % n;
-        PhaseCode::new(idx as u8, bits)
+        PhaseCode {
+            index: nearest_state(target, 1 << bits),
+            bits,
+        }
     }
 
     /// The code π radians away (used by the intra-symbol weight flip —
@@ -57,6 +57,43 @@ impl PhaseCode {
         let half = self.state_count() as u8 / 2;
         PhaseCode::new((self.index + half) % self.state_count() as u8, self.bits)
     }
+}
+
+/// The index of the state nearest `target` radians among `n` states:
+/// exactly `(target.rem_euclid(TAU) / (TAU / n)).round() as usize % n`,
+/// without its two libm calls (the cold solve's initialization runs this
+/// once per atom per weight). For `|x| < TAU`, `x % TAU == x` exactly, so
+/// the `%` is needed only for larger `|x|` (and NaN/∞, which it maps to
+/// NaN as before); [`nearest_state_within_turn`] does the rest.
+#[inline]
+pub(crate) fn nearest_state(target: f64, n: usize) -> u8 {
+    use std::f64::consts::TAU;
+    let x = if target.abs() < TAU {
+        target
+    } else {
+        target.rem_euclid(TAU)
+    };
+    nearest_state_within_turn(x, n) as u8
+}
+
+/// [`nearest_state`] for `x` already in `(−TAU, TAU]` (or NaN): there
+/// `x.rem_euclid(TAU)` is `x + TAU` when `x < 0`, else `x`, and the
+/// remainder `r` lies in `[0, TAU]`. So `v = r / step` lies in `[0, n]`
+/// (`n` is a power of two, making `TAU / step == n` exact), where
+/// `round(v)` — half away from zero — is the number of half-steps
+/// `k + 0.5 ≤ v` for `k < n`; NaN counts none, as `NaN as usize` is 0.
+/// Branch-free, and counted in a 64-bit word as wide as `x`, so a loop of
+/// these vectorizes.
+#[inline(always)]
+pub(crate) fn nearest_state_within_turn(x: f64, n: usize) -> u64 {
+    use std::f64::consts::TAU;
+    let r = if x < 0.0 { x + TAU } else { x };
+    let v = r / (TAU / n as f64);
+    let mut rounded = 0u64;
+    for k in 0..n {
+        rounded += u64::from(v >= k as f64 + 0.5);
+    }
+    rounded & (n as u64 - 1)
 }
 
 /// One meta-atom: a programmable reflector with a discrete phase state,
@@ -143,6 +180,55 @@ mod tests {
                     err = TAU - err;
                 }
                 assert!(err <= step / 2.0 + 1e-9, "bits={bits} t={t} err={err}");
+            }
+        }
+    }
+
+    /// The libm form `nearest_state` replaces.
+    fn libm_state(target: f64, n: usize) -> usize {
+        (target.rem_euclid(TAU) / (TAU / n as f64)).round() as usize % n
+    }
+
+    #[test]
+    fn nearest_state_matches_the_libm_form_bitwise() {
+        let mut inputs = vec![
+            0.0,
+            -0.0,
+            TAU,
+            -TAU,
+            1e300,
+            -1e300,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        // ±4 ulps around every multiple of TAU/16 in [−2·TAU, 2·TAU]: the
+        // state boundaries of every depth, and the wrap points.
+        for k in -32i32..=32 {
+            let x = k as f64 * TAU / 16.0;
+            for d in -4i64..=4 {
+                for y in [x, -x] {
+                    inputs.push(f64::from_bits(y.to_bits().wrapping_add(d as u64)));
+                }
+            }
+        }
+        let mut rng = metaai_math::rng::SimRng::seed_from_u64(5);
+        for _ in 0..20_000 {
+            let word = |rng: &mut metaai_math::rng::SimRng| rng.below(1 << 32) as u64;
+            inputs.push(f64::from_bits(word(&mut rng) << 32 | word(&mut rng)));
+            inputs.push((rng.uniform() - 0.5) * 4.0 * TAU);
+            inputs.push(rng.phase() - rng.phase());
+        }
+        for &x in &inputs {
+            for n in [2usize, 4, 8] {
+                assert_eq!(
+                    usize::from(nearest_state(x, n)),
+                    libm_state(x, n),
+                    "x = {x:e} ({:#x}), n = {n}",
+                    x.to_bits()
+                );
             }
         }
     }

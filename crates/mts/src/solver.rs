@@ -16,13 +16,27 @@
 //! phase-aligned initialization converges to within quantization noise in
 //! a handful of sweeps.
 //!
+//! Single-target weights are solved in batches by the **lane kernel**
+//! ([`WeightSolver::solve_batch`], [`WeightSolver::solve_batch_warm`]):
+//! eight weights that share one [`StateTable`] descend in lockstep, one
+//! per lane, each atom's contribution row broadcast to every lane. Within
+//! one weight the descent is a serial chain (atom `m`'s choice updates the
+//! sum atom `m + 1` reads); across weights it is independent, so the lanes
+//! hide the chain's latency and fill SIMD registers. A lane that finishes
+//! is refilled with the batch's next weight at the sweep boundary. Every
+//! lane runs the scalar descent's operations in the scalar order, so
+//! codes, sums, residuals and sweep counts are bitwise those of a
+//! one-weight-at-a-time solve; [`WeightSolver::solve_with`] and
+//! [`WeightSolver::solve_warm`] are one-weight batches.
+//!
 //! The same machinery extends to the **joint multi-target** problem of the
 //! parallelism schemes (Eqns 9–10): one shared configuration must
 //! approximate `K` different weights, one per receive antenna (or
 //! per-subcarrier Fourier bin). The per-atom step then minimizes the sum
-//! of squared errors across all targets.
+//! of squared errors across all targets; that descent runs one
+//! configuration at a time.
 
-use crate::atom::PhaseCode;
+use crate::atom::{nearest_state, nearest_state_within_turn, PhaseCode};
 use metaai_math::C64;
 use metaai_telemetry::{Counter, Histogram};
 use std::sync::OnceLock;
@@ -32,6 +46,11 @@ use std::sync::OnceLock;
 /// mass drifting into the upper buckets is a direct signal the discrete
 /// realization is degrading.
 const RESIDUAL_BOUNDS: [f64; 8] = [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0];
+
+/// Weights the lane kernel descends in lockstep. Eight `f64` lanes are
+/// two AVX2 registers per quantity: two independent dependency chains per
+/// atom step.
+const LANES: usize = 8;
 
 /// Solver-stage instruments, registered once with the global registry.
 struct SolverMetrics {
@@ -60,9 +79,24 @@ pub fn register_metrics() {
     let _ = metrics();
 }
 
+/// Records finished solves: one solve, its sweeps and one residual
+/// observation per result.
+fn record(results: &[SolveResult]) {
+    if metaai_telemetry::enabled() {
+        let m = metrics();
+        m.solves.add(results.len() as u64);
+        m.sweeps.add(results.iter().map(|r| r.sweeps as u64).sum());
+        for r in results {
+            m.residual.observe(r.residual);
+        }
+    }
+}
+
 /// Precomputed per-atom state contributions for one [`WeightSolver`]:
-/// `contrib[t][atom · S + s] = phasors[t][atom] · e^{jφ_s}` with
-/// `S = 2^bits` states.
+/// for target `t`, entry `atom · S + s` of its planes holds
+/// `phasors[t][atom] · e^{jφ_s}` for the `S = 2^bits` states `s`, split
+/// into re/im planes so an atom's row of `S` contributions is one
+/// contiguous run per component.
 ///
 /// The coordinate-descent inner loop evaluates `phasors[t][atom] ·
 /// state_phasor` for every atom × state × sweep; tabulating the products
@@ -82,18 +116,44 @@ pub fn register_metrics() {
 /// workers.
 #[derive(Clone, Debug)]
 pub struct StateTable {
-    contrib: Vec<Vec<C64>>,
+    planes: Vec<Plane>,
     init_args: Vec<f64>,
     n_states: usize,
 }
 
-/// Reusable per-worker workspace for [`WeightSolver::solve_with`]: the
-/// codes and running-sums buffers that would otherwise be reallocated per
-/// call.
+/// One target's contributions, split re/im: `re[atom · S + s]`.
+#[derive(Clone, Debug)]
+struct Plane {
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl StateTable {
+    /// Target `t`'s contribution from `atom` in state `s`.
+    #[inline]
+    fn contrib(&self, t: usize, atom: usize, s: usize) -> C64 {
+        let i = atom * self.n_states + s;
+        C64::new(self.planes[t].re[i], self.planes[t].im[i])
+    }
+}
+
+/// Reusable per-worker workspace for the solver: the buffers that would
+/// otherwise be reallocated per call.
 #[derive(Clone, Debug, Default)]
 pub struct SolverScratch {
+    /// Joint descent: the configuration and one running sum per target.
     codes: Vec<PhaseCode>,
     sums: Vec<C64>,
+    /// Lane kernel: every batch weight's initial state indices, in groups
+    /// of `LANES` weights laid out as the lanes are (weight
+    /// `g · LANES + lane` at `init[(g · M + atom) · LANES + lane]`), and
+    /// initial sums.
+    init: Vec<u64>,
+    init_sums: Vec<C64>,
+    /// Lane kernel: the state indices of the weights in flight,
+    /// atom-major (`lanes[atom · LANES + lane]`), as 64-bit words so the
+    /// kernel compares and blends them in the lanes of its `f64` vectors.
+    lanes: Vec<u64>,
 }
 
 impl SolverScratch {
@@ -104,7 +164,7 @@ impl SolverScratch {
 }
 
 /// Result of solving for one configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SolveResult {
     /// The atom states found.
     pub codes: Vec<PhaseCode>,
@@ -194,24 +254,24 @@ impl WeightSolver {
     }
 
     /// Builds the per-atom state-contribution table for this solver. Build
-    /// it once and pass it to [`solve_with`](Self::solve_with) when solving
-    /// many targets against the same geometry.
+    /// it once and pass it to every solve against this geometry.
     pub fn state_table(&self) -> StateTable {
         let n_states = 1usize << self.bits;
         let state_phasors: Vec<C64> = (0..n_states)
             .map(|i| C64::cis(PhaseCode::new(i as u8, self.bits).phase()))
             .collect();
-        let contrib = self
+        let planes = self
             .phasors
             .iter()
             .map(|row| {
-                let mut c = Vec::with_capacity(row.len() * n_states);
-                for &u in row {
-                    for &sp in &state_phasors {
-                        c.push(u * sp);
-                    }
+                let c: Vec<C64> = row
+                    .iter()
+                    .flat_map(|&u| state_phasors.iter().map(move |&sp| u * sp))
+                    .collect();
+                Plane {
+                    re: c.iter().map(|z| z.re).collect(),
+                    im: c.iter().map(|z| z.im).collect(),
                 }
-                c
             })
             .collect();
         let init_args = self.phasors[0].iter().map(|u| u.arg()).collect();
@@ -219,31 +279,20 @@ impl WeightSolver {
             metrics().table_builds.inc();
         }
         StateTable {
-            contrib,
+            planes,
             init_args,
             n_states,
         }
     }
 
     /// Solves for one shared configuration approximating `targets[k]` on
-    /// target `k`'s phasor set (all in normalized units, i.e. `H_des / α`).
+    /// target `k`'s phasor set (all in normalized units, i.e. `H_des / α`),
+    /// starting from the phase-aligned initialization. `table` must come
+    /// from this solver's [`state_table`](Self::state_table).
     ///
-    /// Builds the state table once per call; batch callers should build it
-    /// themselves and use [`solve_with`](Self::solve_with).
-    pub fn solve(&self, targets: &[C64]) -> SolveResult {
-        self.solve_with(targets, &self.state_table(), &mut SolverScratch::new())
-    }
-
-    /// [`solve`](Self::solve) with a caller-provided state table and
-    /// reusable workspace. `table` must come from this solver's
-    /// [`state_table`](Self::state_table).
-    ///
-    /// Results are bitwise identical to the pre-table kernel: every product
-    /// the original inner loop computed on the fly is looked up instead
-    /// (same operands, same operation), and the summation order
-    /// `(sums[t] + contrib) − targets[t]` is preserved exactly — do not
-    /// "simplify" it to `(sums − targets) + contrib`, floating-point
-    /// addition is not associative.
+    /// A single-target solver runs this as a one-weight
+    /// [`solve_batch`](Self::solve_batch); callers with many targets
+    /// should batch them.
     pub fn solve_with(
         &self,
         targets: &[C64],
@@ -251,10 +300,9 @@ impl WeightSolver {
         scratch: &mut SolverScratch,
     ) -> SolveResult {
         self.check_inputs(targets, table);
-        // Phase-aligned initialization against the first target: point each
-        // atom's contribution at the target direction. Both angles are
-        // hoisted — the target's out of the atom loop, the atoms' into the
-        // table — with the operands and the subtraction unchanged.
+        if self.num_targets() == 1 {
+            return one(self.solve_batch(targets, table, scratch));
+        }
         let target_arg = targets[0].arg();
         scratch.codes.clear();
         scratch.codes.extend(
@@ -263,7 +311,7 @@ impl WeightSolver {
                 .iter()
                 .map(|&a| PhaseCode::quantize(target_arg - a, self.bits)),
         );
-        self.descend(targets, table, scratch)
+        self.descend_joint(targets, table, scratch)
     }
 
     /// [`solve_with`](Self::solve_with), but warm-started from `initial`
@@ -272,9 +320,9 @@ impl WeightSolver {
     /// are already near the new optimum and descent converges in a sweep
     /// or two instead of re-deriving the configuration from scratch.
     ///
-    /// The descent body is the exact same kernel `solve_with` runs, so a
-    /// warm solve seeded with the codes the phase-aligned init would have
-    /// produced is bitwise identical to the cold solve.
+    /// Descent after the initialization is the same kernel `solve_with`
+    /// runs, so a warm solve seeded with the codes the phase-aligned init
+    /// would have produced is bitwise identical to the cold solve.
     pub fn solve_warm(
         &self,
         targets: &[C64],
@@ -283,6 +331,73 @@ impl WeightSolver {
         scratch: &mut SolverScratch,
     ) -> SolveResult {
         self.check_inputs(targets, table);
+        if self.num_targets() == 1 {
+            return one(self.solve_batch_warm(targets, &[initial], table, scratch));
+        }
+        self.check_warm(initial);
+        scratch.codes.clear();
+        scratch.codes.extend_from_slice(initial);
+        self.descend_joint(targets, table, scratch)
+    }
+
+    /// Solves every target of a single-target solver independently, each
+    /// from its phase-aligned initialization: result `j` is exactly what
+    /// a one-target [`solve_with`](Self::solve_with) of `targets[j]`
+    /// returns, and the solver telemetry counts one solve per target.
+    pub fn solve_batch(
+        &self,
+        targets: &[C64],
+        table: &StateTable,
+        scratch: &mut SolverScratch,
+    ) -> Vec<SolveResult> {
+        self.descend_lanes(targets, Start::PhaseAligned, table, scratch)
+    }
+
+    /// [`solve_batch`](Self::solve_batch), with target `j` warm-started
+    /// from `initial[j]`: result `j` is exactly a one-target
+    /// [`solve_warm`](Self::solve_warm) of `targets[j]` from `initial[j]`.
+    pub fn solve_batch_warm(
+        &self,
+        targets: &[C64],
+        initial: &[&[PhaseCode]],
+        table: &StateTable,
+        scratch: &mut SolverScratch,
+    ) -> Vec<SolveResult> {
+        assert_eq!(initial.len(), targets.len(), "one warm start per target");
+        for codes in initial {
+            self.check_warm(codes);
+        }
+        self.descend_lanes(targets, Start::Warm(initial), table, scratch)
+    }
+
+    fn check_inputs(&self, targets: &[C64], table: &StateTable) {
+        assert_eq!(
+            targets.len(),
+            self.num_targets(),
+            "one target per phasor set"
+        );
+        self.check_table(table);
+    }
+
+    fn check_batch(&self, table: &StateTable) {
+        assert_eq!(
+            self.num_targets(),
+            1,
+            "batches solve single-target weights; joint solves use solve_with"
+        );
+        self.check_table(table);
+    }
+
+    fn check_table(&self, table: &StateTable) {
+        assert!(
+            table.planes.len() == self.num_targets()
+                && table.init_args.len() == self.num_atoms()
+                && table.n_states == 1 << self.bits,
+            "state table built for a different solver"
+        );
+    }
+
+    fn check_warm(&self, initial: &[PhaseCode]) {
         assert_eq!(
             initial.len(),
             self.num_atoms(),
@@ -292,34 +407,40 @@ impl WeightSolver {
             initial.iter().all(|c| c.bits == self.bits),
             "warm-start codes use a different bit depth"
         );
-        scratch.codes.clear();
-        scratch.codes.extend_from_slice(initial);
-        self.descend(targets, table, scratch)
     }
 
-    fn check_inputs(&self, targets: &[C64], table: &StateTable) {
-        assert_eq!(
-            targets.len(),
-            self.num_targets(),
-            "one target per phasor set"
-        );
-        assert!(
-            table.contrib.len() == self.num_targets() && table.init_args.len() == self.num_atoms(),
-            "state table built for a different solver"
-        );
+    /// The lane kernel over a batch, instantiated per state count.
+    fn descend_lanes(
+        &self,
+        targets: &[C64],
+        start: Start<'_>,
+        table: &StateTable,
+        scratch: &mut SolverScratch,
+    ) -> Vec<SolveResult> {
+        self.check_batch(table);
+        let results = match table.n_states {
+            2 => run_lanes::<2>(self, targets, start, table, scratch),
+            4 => run_lanes::<4>(self, targets, start, table, scratch),
+            8 => run_lanes::<8>(self, targets, start, table, scratch),
+            n => unreachable!("{n} states: bit depth must be 1..=3"),
+        };
+        record(&results);
+        results
     }
 
-    /// The shared coordinate-descent body: `scratch.codes` must already
+    /// The joint (`K ≥ 2`) coordinate descent: `scratch.codes` must already
     /// hold one code per atom (the initialization); everything after that
-    /// point is identical between cold and warm solves.
-    fn descend(
+    /// point is identical between cold and warm solves. The summation
+    /// order `(sums[t] + contrib) − targets[t]` is the pre-table kernel's
+    /// — do not "simplify" it to `(sums − targets) + contrib`,
+    /// floating-point addition is not associative.
+    fn descend_joint(
         &self,
         targets: &[C64],
         table: &StateTable,
         scratch: &mut SolverScratch,
     ) -> SolveResult {
         let k = self.num_targets();
-        let n_states = table.n_states;
         let codes = &mut scratch.codes;
 
         // Running sums per target (left fold from zero, matching `Sum`).
@@ -328,7 +449,7 @@ impl WeightSolver {
             codes
                 .iter()
                 .enumerate()
-                .map(|(atom, c)| table.contrib[t][atom * n_states + c.index as usize])
+                .map(|(atom, c)| table.contrib(t, atom, c.index as usize))
                 .fold(C64::ZERO, |a, b| a + b)
         }));
         let sums = &mut scratch.sums;
@@ -338,39 +459,23 @@ impl WeightSolver {
             sweeps = sweep + 1;
             let mut changed = false;
             for (atom, code) in codes.iter_mut().enumerate() {
-                let base = atom * n_states;
                 // Remove this atom's contribution from every sum.
                 for (t, sum) in sums.iter_mut().enumerate() {
-                    *sum -= table.contrib[t][base + code.index as usize];
+                    *sum -= table.contrib(t, atom, code.index as usize);
                 }
                 // Try every state; keep the one minimizing total error.
                 let mut best_state = code.index as usize;
                 let mut best_err = f64::INFINITY;
-                if k == 1 {
-                    // Single-target fast path (the mapper's case). A
-                    // one-element f64 sum is `0.0 + x = x`, so this matches
-                    // the generic loop bit for bit.
-                    let (sum0, target0) = (sums[0], targets[0]);
-                    let row = &table.contrib[0][base..base + n_states];
-                    for (s, &c) in row.iter().enumerate() {
-                        let err = (sum0 + c - target0).norm_sq();
-                        if err < best_err {
-                            best_err = err;
-                            best_state = s;
-                        }
-                    }
-                } else {
-                    for s in 0..n_states {
-                        let err: f64 = (0..k)
-                            .map(|t| {
-                                let trial = sums[t] + table.contrib[t][base + s];
-                                (trial - targets[t]).norm_sq()
-                            })
-                            .sum();
-                        if err < best_err {
-                            best_err = err;
-                            best_state = s;
-                        }
+                for s in 0..table.n_states {
+                    let err: f64 = (0..k)
+                        .map(|t| {
+                            let trial = sums[t] + table.contrib(t, atom, s);
+                            (trial - targets[t]).norm_sq()
+                        })
+                        .sum();
+                    if err < best_err {
+                        best_err = err;
+                        best_state = s;
                     }
                 }
                 if best_state != code.index as usize {
@@ -378,7 +483,7 @@ impl WeightSolver {
                     *code = PhaseCode::new(best_state as u8, self.bits);
                 }
                 for (t, sum) in sums.iter_mut().enumerate() {
-                    *sum += table.contrib[t][base + best_state];
+                    *sum += table.contrib(t, atom, best_state);
                 }
             }
             if !changed {
@@ -392,25 +497,334 @@ impl WeightSolver {
             .map(|(&s, &t)| (s - t).norm_sq())
             .sum::<f64>()
             .sqrt();
-        if metaai_telemetry::enabled() {
-            let m = metrics();
-            m.solves.inc();
-            m.sweeps.add(sweeps as u64);
-            m.residual.observe(residual);
-        }
-        SolveResult {
+        let result = SolveResult {
             codes: codes.clone(),
             achieved: sums.clone(),
             residual,
             sweeps,
+        };
+        record(std::slice::from_ref(&result));
+        result
+    }
+}
+
+/// The only result of a one-weight batch.
+fn one(mut results: Vec<SolveResult>) -> SolveResult {
+    results.pop().expect("one target, one result")
+}
+
+/// How a batch's descents start.
+#[derive(Clone, Copy)]
+enum Start<'a> {
+    /// The phase-aligned initialization against each target.
+    PhaseAligned,
+    /// One set of codes per target.
+    Warm(&'a [&'a [PhaseCode]]),
+}
+
+/// Descent state of the weights in flight, one lane each: the running
+/// sum, the target, and whether the current sweep changed a code (0 or 1).
+#[derive(Clone, Copy, Debug, Default)]
+struct Lanes {
+    sum_re: [f64; LANES],
+    sum_im: [f64; LANES],
+    t_re: [f64; LANES],
+    t_im: [f64; LANES],
+    changed: [u64; LANES],
+}
+
+/// [`lanes`] at the widest ISA this host runs.
+///
+/// As `metaai::engine` dispatches its row sweeps, the AVX2 path is the
+/// *same* safe body recompiled with 256-bit vectors available
+/// (`#[target_feature(enable = "avx2")]`, no intrinsics, FMA off), picked
+/// by a runtime check: every lane computes the identical `f64` sequence on
+/// every path, so ISA dispatch is bitwise-invisible.
+fn run_lanes<const S: usize>(
+    solver: &WeightSolver,
+    targets: &[C64],
+    start: Start<'_>,
+    table: &StateTable,
+    scratch: &mut SolverScratch,
+) -> Vec<SolveResult> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: guarded by the runtime feature check above.
+        return unsafe { run_lanes_avx2::<S>(solver, targets, start, table, scratch) };
+    }
+    lanes::<S>(solver, targets, start, table, scratch)
+}
+
+/// [`lanes`] compiled with AVX2 enabled.
+///
+/// # Safety
+///
+/// The CPU running it must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn run_lanes_avx2<const S: usize>(
+    solver: &WeightSolver,
+    targets: &[C64],
+    start: Start<'_>,
+    table: &StateTable,
+    scratch: &mut SolverScratch,
+) -> Vec<SolveResult> {
+    lanes::<S>(solver, targets, start, table, scratch)
+}
+
+/// Descends every weight of the batch, [`LANES`] at a time, with `S`
+/// states per atom.
+///
+/// Lanes enter and leave only at sweep boundaries, where every lane sits
+/// at atom 0: a lane whose sweep changed nothing, or that reached
+/// `max_sweeps`, retires and loads the batch's next weight. A retired
+/// weight is never swept again — `(s − c) + c` need not be `s` bitwise,
+/// and the achieved sum is the running sum.
+#[inline(always)]
+fn lanes<const S: usize>(
+    solver: &WeightSolver,
+    targets: &[C64],
+    start: Start<'_>,
+    table: &StateTable,
+    scratch: &mut SolverScratch,
+) -> Vec<SolveResult> {
+    let m = table.init_args.len();
+    let plane = &table.planes[0];
+    let SolverScratch {
+        init,
+        init_sums,
+        lanes,
+        ..
+    } = scratch;
+
+    // Initial state indices, a group of LANES weights at a time (the
+    // spare lanes of a short last group are filled but never loaded).
+    let group_len = m * LANES;
+    let groups = targets.len().div_ceil(LANES);
+    init.clear();
+    init.resize(groups * group_len, 0);
+    match start {
+        Start::PhaseAligned => {
+            for g in 0..groups {
+                let arg: [f64; LANES] = std::array::from_fn(|lane| {
+                    targets.get(g * LANES + lane).map_or(0.0, |t| t.arg())
+                });
+                let group = &mut init[g * group_len..(g + 1) * group_len];
+                phase_aligned::<S>(&arg, &table.init_args, group);
+            }
+        }
+        Start::Warm(initial) => {
+            for (j, codes) in initial.iter().enumerate() {
+                let (g, lane) = (j / LANES, j % LANES);
+                let group = &mut init[g * group_len..(g + 1) * group_len];
+                for (slot, c) in group.chunks_exact_mut(LANES).zip(*codes) {
+                    slot[lane] = u64::from(c.index);
+                }
+            }
         }
     }
 
-    /// Convenience for the single-target case.
-    pub fn solve_one(&self, target: C64) -> SolveResult {
-        assert_eq!(self.num_targets(), 1, "solver has multiple targets");
-        self.solve(&[target])
+    // Initial sums: a left fold from zero in atom order, as `Sum` folds,
+    // a group at a time.
+    init_sums.clear();
+    for g in 0..groups {
+        let group = &init[g * group_len..(g + 1) * group_len];
+        let mut sum_re = [0.0; LANES];
+        let mut sum_im = [0.0; LANES];
+        let rows = plane.re.chunks_exact(S).zip(plane.im.chunks_exact(S));
+        for (code, (row_re, row_im)) in group.chunks_exact(LANES).zip(rows) {
+            let (c_re, c_im) = select::<S>(code, row_re, row_im);
+            for lane in 0..LANES {
+                sum_re[lane] += c_re[lane];
+                sum_im[lane] += c_im[lane];
+            }
+        }
+        let n = (targets.len() - g * LANES).min(LANES);
+        init_sums.extend((0..n).map(|lane| C64::new(sum_re[lane], sum_im[lane])));
     }
+
+    let mut results = vec![SolveResult::default(); targets.len()];
+    let retire = |j: usize, codes: Vec<PhaseCode>, achieved: C64, sweeps| SolveResult {
+        codes,
+        achieved: vec![achieved],
+        residual: (achieved - targets[j]).norm_sq().sqrt(),
+        sweeps,
+    };
+    let code = |index: u64| PhaseCode {
+        index: index as u8,
+        bits: solver.bits,
+    };
+    lanes.clear();
+    lanes.resize(m * LANES, 0);
+    let mut st = Lanes::default();
+    // The weight in each lane (IDLE once the batch runs dry) and the
+    // sweeps it has taken.
+    const IDLE: usize = usize::MAX;
+    let mut in_flight = [IDLE; LANES];
+    let mut swept = [0usize; LANES];
+    let mut next = 0;
+    loop {
+        for lane in 0..LANES {
+            let j = in_flight[lane];
+            if j != IDLE {
+                swept[lane] += 1;
+                if st.changed[lane] != 0 && swept[lane] < solver.max_sweeps {
+                    st.changed[lane] = 0;
+                    continue;
+                }
+                let codes = lanes.chunks_exact(LANES).map(|c| code(c[lane])).collect();
+                let achieved = C64::new(st.sum_re[lane], st.sum_im[lane]);
+                results[j] = retire(j, codes, achieved, swept[lane]);
+                in_flight[lane] = IDLE;
+            }
+            while next < targets.len() {
+                let j = next;
+                next += 1;
+                let (g, column) = (j / LANES, j % LANES);
+                let group = init[g * group_len..(g + 1) * group_len].chunks_exact(LANES);
+                if solver.max_sweeps == 0 {
+                    let codes = group.map(|c| code(c[column])).collect();
+                    results[j] = retire(j, codes, init_sums[j], 0);
+                    continue;
+                }
+                for (slot, c) in lanes.chunks_exact_mut(LANES).zip(group) {
+                    slot[lane] = c[column];
+                }
+                st.sum_re[lane] = init_sums[j].re;
+                st.sum_im[lane] = init_sums[j].im;
+                st.t_re[lane] = targets[j].re;
+                st.t_im[lane] = targets[j].im;
+                st.changed[lane] = 0;
+                swept[lane] = 0;
+                in_flight[lane] = j;
+                break;
+            }
+        }
+        if in_flight.iter().all(|&j| j == IDLE) {
+            return results;
+        }
+        sweep_lanes::<S>(plane, lanes, &mut st);
+    }
+}
+
+/// The phase-aligned initialization of one group of weights with target
+/// angles `arg`: each atom's state index nearest `arg[lane] − args[atom]`,
+/// as `PhaseCode::quantize` picks it, into `out[atom · LANES + lane]`.
+/// Differences of two angles in `[−π, π]` lie within one turn, where the
+/// index needs no libm call; should any not, the group falls back to the
+/// general form.
+#[inline(always)]
+fn phase_aligned<const S: usize>(arg: &[f64; LANES], args: &[f64], out: &mut [u64]) {
+    let mut within_turn = true;
+    for (codes, &a) in out.chunks_exact_mut(LANES).zip(args) {
+        for lane in 0..LANES {
+            let x = arg[lane] - a;
+            within_turn &= x.abs() < std::f64::consts::TAU;
+            codes[lane] = nearest_state_within_turn(x, S);
+        }
+    }
+    if !within_turn {
+        for (codes, &a) in out.chunks_exact_mut(LANES).zip(args) {
+            for lane in 0..LANES {
+                codes[lane] = u64::from(nearest_state(arg[lane] - a, S));
+            }
+        }
+    }
+}
+
+/// Each lane's entry of one atom's row of `S` contributions, at the
+/// lane's state index: bitwise blends over the broadcast row, so the
+/// values are the table's own.
+#[inline(always)]
+fn select<const S: usize>(
+    code: &[u64],
+    row_re: &[f64],
+    row_im: &[f64],
+) -> ([f64; LANES], [f64; LANES]) {
+    let mut re = [0.0; LANES];
+    let mut im = [0.0; LANES];
+    for s in 0..S {
+        let (cr, ci) = (row_re[s], row_im[s]);
+        for lane in 0..LANES {
+            let hit = mask(code[lane] == s as u64);
+            re[lane] = blend(hit, cr, re[lane]);
+            im[lane] = blend(hit, ci, im[lane]);
+        }
+    }
+    (re, im)
+}
+
+/// One descent sweep of every lane over every atom, with `S` states per
+/// atom; `codes` holds the lanes' state indices atom-major.
+///
+/// Per lane this is the scalar descent, operation for operation: remove
+/// the atom's current contribution (`sum −= c[old]`), score every state
+/// as `((sum + c) − t).re² + ((sum + c) − t).im²` in state order with a
+/// strict `<` (the first minimum wins; all-NaN keeps the old state), then
+/// `sum += c[best]`. The selections are bitwise blends over the broadcast
+/// row, so the selected values are the table entries themselves, and no
+/// FMA contraction happens — rustc never fuses `mul` and `add` on its own.
+#[inline(always)]
+fn sweep_lanes<const S: usize>(plane: &Plane, codes: &mut [u64], st: &mut Lanes) {
+    // Locals, not `st`'s fields, so the state stays in registers.
+    let Lanes {
+        mut sum_re,
+        mut sum_im,
+        t_re,
+        t_im,
+        mut changed,
+    } = *st;
+    let rows = plane.re.chunks_exact(S).zip(plane.im.chunks_exact(S));
+    for ((row_re, row_im), code) in rows.zip(codes.chunks_exact_mut(LANES)) {
+        let mut best = [0u64; LANES];
+        best.copy_from_slice(code);
+        let (cur_re, cur_im) = select::<S>(code, row_re, row_im);
+        for lane in 0..LANES {
+            sum_re[lane] -= cur_re[lane];
+            sum_im[lane] -= cur_im[lane];
+        }
+        let mut best_err = [f64::INFINITY; LANES];
+        let (mut add_re, mut add_im) = (cur_re, cur_im);
+        for s in 0..S {
+            let (cr, ci) = (row_re[s], row_im[s]);
+            for lane in 0..LANES {
+                let dr = (sum_re[lane] + cr) - t_re[lane];
+                let di = (sum_im[lane] + ci) - t_im[lane];
+                let err = dr * dr + di * di;
+                let better = mask(err < best_err[lane]);
+                best_err[lane] = blend(better, err, best_err[lane]);
+                best[lane] = (s as u64 & better) | (best[lane] & !better);
+                add_re[lane] = blend(better, cr, add_re[lane]);
+                add_im[lane] = blend(better, ci, add_im[lane]);
+            }
+        }
+        for lane in 0..LANES {
+            changed[lane] |= u64::from(best[lane] != code[lane]);
+            sum_re[lane] += add_re[lane];
+            sum_im[lane] += add_im[lane];
+        }
+        code.copy_from_slice(&best);
+    }
+    *st = Lanes {
+        sum_re,
+        sum_im,
+        t_re,
+        t_im,
+        changed,
+    };
+}
+
+/// All ones when `b`, else zero: a lane mask for [`blend`].
+#[inline(always)]
+fn mask(b: bool) -> u64 {
+    0u64.wrapping_sub(u64::from(b))
+}
+
+/// `a` where `mask` is set, else `b` — a bitwise select, which the
+/// vectorizer keeps in registers where an `if` may become a branch.
+#[inline(always)]
+fn blend(mask: u64, a: f64, b: f64) -> f64 {
+    f64::from_bits((a.to_bits() & mask) | (b.to_bits() & !mask))
 }
 
 #[cfg(test)]
@@ -423,6 +837,11 @@ mod tests {
         (0..m).map(|_| rng.unit_phasor()).collect()
     }
 
+    /// One cold single-target solve against a freshly built table.
+    fn solve_one(solver: &WeightSolver, target: C64) -> SolveResult {
+        solver.solve_with(&[target], &solver.state_table(), &mut SolverScratch::new())
+    }
+
     #[test]
     fn single_target_residual_is_small_for_m256() {
         let solver = WeightSolver::single(random_phasors(256, 1), 2);
@@ -430,7 +849,7 @@ mod tests {
         for _ in 0..20 {
             let r = 0.6 * solver.reachable_radius(0) * rng.uniform();
             let target = C64::from_polar(r, rng.phase());
-            let res = solver.solve_one(target);
+            let res = solve_one(&solver, target);
             assert!(
                 res.residual < 1.5,
                 "residual {} for target {} (radius {})",
@@ -451,7 +870,7 @@ mod tests {
             for _ in 0..10 {
                 // Same *relative* target position across sizes.
                 let target = C64::from_polar(0.4 * m as f64, rng.phase());
-                total += solver.solve_one(target).residual / m as f64;
+                total += solve_one(&solver, target).residual / m as f64;
             }
             residuals.push(total / 10.0);
         }
@@ -475,7 +894,7 @@ mod tests {
     #[test]
     fn zero_target_is_reachable() {
         let solver = WeightSolver::single(random_phasors(256, 5), 2);
-        let res = solver.solve_one(C64::ZERO);
+        let res = solve_one(&solver, C64::ZERO);
         assert!(res.residual < 1.0, "residual {}", res.residual);
     }
 
@@ -494,7 +913,7 @@ mod tests {
             let targets: Vec<C64> = (0..k)
                 .map(|_| C64::from_polar(0.3 * m as f64, rng.phase()))
                 .collect();
-            let res = solver.solve(&targets);
+            let res = solver.solve_with(&targets, &solver.state_table(), &mut SolverScratch::new());
             per_target_residuals.push(res.residual / (k as f64).sqrt());
         }
         assert!(
@@ -517,8 +936,8 @@ mod tests {
         let mut e2 = 0.0;
         for _ in 0..10 {
             let t = C64::from_polar(30.0, rng.phase());
-            e1 += s1.solve_one(t).residual;
-            e2 += s2.solve_one(t).residual;
+            e1 += solve_one(&s1, t).residual;
+            e2 += solve_one(&s2, t).residual;
         }
         assert!(e2 < e1, "2-bit {e2} must beat 1-bit {e1}");
     }
@@ -526,15 +945,25 @@ mod tests {
     /// The pre-table coordinate-descent kernel, kept verbatim as the
     /// reference the optimised `solve` must match bit for bit.
     fn reference_solve(solver: &WeightSolver, targets: &[C64]) -> SolveResult {
+        let codes: Vec<PhaseCode> = solver.phasors[0]
+            .iter()
+            .map(|u| PhaseCode::quantize(targets[0].arg() - u.arg(), solver.bits))
+            .collect();
+        reference_descend(solver, targets, codes)
+    }
+
+    /// The transplant's descent from given initial codes: the warm-start
+    /// reference, and the second half of [`reference_solve`].
+    fn reference_descend(
+        solver: &WeightSolver,
+        targets: &[C64],
+        mut codes: Vec<PhaseCode>,
+    ) -> SolveResult {
         assert_eq!(targets.len(), solver.num_targets());
         let k = solver.num_targets();
         let n_states = 1usize << solver.bits;
         let state_phasors: Vec<C64> = (0..n_states)
             .map(|i| C64::cis(PhaseCode::new(i as u8, solver.bits).phase()))
-            .collect();
-        let mut codes: Vec<PhaseCode> = solver.phasors[0]
-            .iter()
-            .map(|u| PhaseCode::quantize(targets[0].arg() - u.arg(), solver.bits))
             .collect();
         let mut sums: Vec<C64> = (0..k)
             .map(|t| {
@@ -654,8 +1083,8 @@ mod tests {
     fn solve_is_deterministic() {
         let solver = WeightSolver::single(random_phasors(64, 13), 2);
         let t = C64::new(10.0, -5.0);
-        let a = solver.solve_one(t);
-        let b = solver.solve_one(t);
+        let a = solve_one(&solver, t);
+        let b = solve_one(&solver, t);
         assert_eq!(a.codes, b.codes);
         assert_eq!(a.residual, b.residual);
     }
@@ -736,12 +1165,159 @@ mod tests {
     fn achieved_matches_recomputed_sum() {
         let phasors = random_phasors(64, 17);
         let solver = WeightSolver::single(phasors.clone(), 2);
-        let res = solver.solve_one(C64::new(8.0, 3.0));
+        let res = solve_one(&solver, C64::new(8.0, 3.0));
         let recomputed: C64 = phasors
             .iter()
             .zip(&res.codes)
             .map(|(&u, c)| u * C64::cis(c.phase()))
             .sum();
         assert!((recomputed - res.achieved[0]).abs() < 1e-9);
+    }
+
+    fn assert_same(fast: &SolveResult, refr: &SolveResult) {
+        assert_eq!(fast.codes, refr.codes);
+        assert_eq!(fast.sweeps, refr.sweeps);
+        assert_eq!(fast.residual.to_bits(), refr.residual.to_bits());
+        assert_eq!(fast.achieved.len(), refr.achieved.len());
+        for (a, b) in fast.achieved.iter().zip(&refr.achieved) {
+            assert_eq!(a.re.to_bits(), b.re.to_bits());
+            assert_eq!(a.im.to_bits(), b.im.to_bits());
+        }
+    }
+
+    /// Batch sizes around the lane count: none, one lane, a partial
+    /// group, one refill, and four refills plus a straggler.
+    const BATCH_SIZES: [usize; 5] = [0, 1, 7, 9, 33];
+
+    /// Targets spread from zero to past the reachable radius, so lanes
+    /// retire after different sweep counts.
+    fn batch_targets(n: usize, m: usize, rng: &mut SimRng) -> Vec<C64> {
+        (0..n)
+            .map(|j| match j % 5 {
+                0 => C64::ZERO,
+                4 => C64::from_polar(1.2 * m as f64, rng.phase()),
+                _ => C64::from_polar(0.8 * m as f64 * rng.uniform(), rng.phase()),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lane_kernel_cold_batches_match_the_reference_bitwise() {
+        let mut rng = SimRng::seed_from_u64(51);
+        for bits in 1u8..=3 {
+            let mut solver = WeightSolver::single(random_phasors(40, 60 + bits as u64), bits);
+            let table = solver.state_table();
+            let mut scratch = SolverScratch::new();
+            for max_sweeps in [0, 1, 2, 6] {
+                solver.max_sweeps = max_sweeps;
+                for n in BATCH_SIZES {
+                    let targets = batch_targets(n, 40, &mut rng);
+                    let batch = solver.solve_batch(&targets, &table, &mut scratch);
+                    assert_eq!(batch.len(), n);
+                    for (res, &t) in batch.iter().zip(&targets) {
+                        assert_same(res, &reference_solve(&solver, &[t]));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lane_kernel_warm_batches_match_the_reference_bitwise() {
+        let mut rng = SimRng::seed_from_u64(53);
+        for bits in 1u8..=3 {
+            let mut solver = WeightSolver::single(random_phasors(40, 70 + bits as u64), bits);
+            let table = solver.state_table();
+            let mut scratch = SolverScratch::new();
+            for max_sweeps in [0, 1, 2, 6] {
+                solver.max_sweeps = 6;
+                let n = 33;
+                let before = batch_targets(n, 40, &mut rng);
+                let solved = solver.solve_batch(&before, &table, &mut scratch);
+                // Odd weights restart from their converged codes at their
+                // old target; even ones from perturbed codes at a nudged
+                // target.
+                let mut starts: Vec<Vec<PhaseCode>> = Vec::new();
+                let mut targets = Vec::new();
+                for (j, (res, &t)) in solved.iter().zip(&before).enumerate() {
+                    let mut codes = res.codes.clone();
+                    if j % 2 == 0 {
+                        for c in codes.iter_mut() {
+                            if rng.chance(0.2) {
+                                *c = PhaseCode::new(rng.below(1 << bits) as u8, bits);
+                            }
+                        }
+                        targets.push(t + C64::new(1.5, -1.0));
+                    } else {
+                        targets.push(t);
+                    }
+                    starts.push(codes);
+                }
+                solver.max_sweeps = max_sweeps;
+                for n in BATCH_SIZES {
+                    let initial: Vec<&[PhaseCode]> =
+                        starts[..n].iter().map(Vec::as_slice).collect();
+                    let batch =
+                        solver.solve_batch_warm(&targets[..n], &initial, &table, &mut scratch);
+                    for ((res, &t), start) in batch.iter().zip(&targets).zip(&starts) {
+                        assert_same(res, &reference_descend(&solver, &[t], start.clone()));
+                    }
+                }
+            }
+        }
+    }
+
+    /// CI's x86 hosts only run the AVX2 instantiation, so drive the
+    /// portable body (what non-x86 builds ship) against it directly, cold
+    /// and warm, at every depth.
+    #[test]
+    fn lane_kernel_isa_paths_agree_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                println!("note: no AVX2 on this host; ISA parity not checked");
+                return;
+            }
+            fn check<const S: usize>(bits: u8, rng: &mut SimRng) {
+                let solver = WeightSolver::single(random_phasors(64, 80 + bits as u64), bits);
+                let table = solver.state_table();
+                let mut scratch = SolverScratch::new();
+                let targets = batch_targets(33, 64, rng);
+                let cold = Start::PhaseAligned;
+                let portable = lanes::<S>(&solver, &targets, cold, &table, &mut scratch);
+                // SAFETY: AVX2 presence checked above.
+                let avx2 =
+                    unsafe { run_lanes_avx2::<S>(&solver, &targets, cold, &table, &mut scratch) };
+                for (a, b) in portable.iter().zip(&avx2) {
+                    assert_same(a, b);
+                }
+                let starts: Vec<Vec<PhaseCode>> = portable
+                    .iter()
+                    .map(|r| {
+                        let mut codes = r.codes.clone();
+                        for c in codes.iter_mut().step_by(5) {
+                            c.index = rng.below(S) as u8;
+                        }
+                        codes
+                    })
+                    .collect();
+                let initial: Vec<&[PhaseCode]> = starts.iter().map(Vec::as_slice).collect();
+                let nudged: Vec<C64> = targets.iter().map(|&t| t + C64::new(1.0, -0.5)).collect();
+                let warm = Start::Warm(&initial);
+                let portable = lanes::<S>(&solver, &nudged, warm, &table, &mut scratch);
+                // SAFETY: as above.
+                let avx2 =
+                    unsafe { run_lanes_avx2::<S>(&solver, &nudged, warm, &table, &mut scratch) };
+                for (a, b) in portable.iter().zip(&avx2) {
+                    assert_same(a, b);
+                }
+            }
+            let mut rng = SimRng::seed_from_u64(59);
+            check::<2>(1, &mut rng);
+            check::<4>(2, &mut rng);
+            check::<8>(3, &mut rng);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("note: not an x86-64 host; only the portable path exists");
     }
 }

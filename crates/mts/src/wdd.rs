@@ -9,7 +9,7 @@
 //! `M` and saturates near 256 atoms (Fig 30), which is how the paper picks
 //! its array size.
 
-use crate::solver::WeightSolver;
+use crate::solver::{SolverScratch, WeightSolver};
 use metaai_math::rng::SimRng;
 use metaai_math::C64;
 
@@ -53,16 +53,15 @@ pub fn estimate_wdd(m: usize, cfg: &WddConfig, rng: &mut SimRng) -> f64 {
     let scale = reach / DISK_RADIUS;
     let eps_abs = cfg.epsilon * scale;
 
-    let mut hits = 0usize;
-    for _ in 0..cfg.samples {
-        // Uniform over the disk: r = R√u.
-        let r = DISK_RADIUS * rng.uniform().sqrt();
-        let target_disk = C64::from_polar(r, rng.phase());
-        let res = solver.solve_one(target_disk * scale);
-        if res.residual <= eps_abs {
-            hits += 1;
-        }
-    }
+    let targets: Vec<C64> = (0..cfg.samples)
+        .map(|_| {
+            // Uniform over the disk: r = R√u.
+            let r = DISK_RADIUS * rng.uniform().sqrt();
+            C64::from_polar(r, rng.phase()) * scale
+        })
+        .collect();
+    let solved = solver.solve_batch(&targets, &solver.state_table(), &mut SolverScratch::new());
+    let hits = solved.iter().filter(|r| r.residual <= eps_abs).count();
     hits as f64 / cfg.samples as f64
 }
 

@@ -23,9 +23,9 @@
 //!   [`TrainEngine::train_stack`](metaai_nn::TrainEngine::train_stack)
 //!   trains jointly by Wirtinger descent in the same loop as the single
 //!   complex LNN (L = 1), bitwise independent of the rayon worker count;
-//! * [`solve`] — per-layer reuse of the 2-bit state-table solver
-//!   ([`metaai_mts::solver::WeightSolver::solve_with`], plus the warm
-//!   variant for online adaptation), with *residual compensation*: layer
+//! * [`solve`] — per-layer reuse of the 2-bit state-table solver's lane
+//!   kernel ([`metaai_mts::solver::WeightSolver::solve_batch`], plus the
+//!   warm variant for online adaptation), with *residual compensation*: layer
 //!   `l ≥ 1` retargets against the error the layers before it actually
 //!   accumulated, so the cascade's multiplicative quantization error is
 //!   actively cancelled rather than compounded ([`solve::StackSolver`]).

@@ -3,18 +3,21 @@
 //! This is the one solve loop of the workspace: the paper's single
 //! surface is the one-layer case, and `metaai::mapper::WeightMapper`
 //! is a one-layer [`StackSolver`]. Each layer runs a [`WeightSolver`]
-//! over that hop's path phasors, its precomputed [`StateTable`], and
-//! [`solve_with`](WeightSolver::solve_with) /
-//! [`solve_warm`](WeightSolver::solve_warm) with a caller-owned
-//! [`SolverScratch`]. Layer `l` scales its factor by
+//! over that hop's path phasors and its precomputed [`StateTable`]. The
+//! weights are solved in chunks, layer by layer: one
+//! [`solve_batch`](WeightSolver::solve_batch) (cold) or
+//! [`solve_batch_warm`](WeightSolver::solve_batch_warm) call per chunk
+//! and layer runs the lane kernel, with one [`SolverScratch`] per chunk
+//! (cold, rayon-parallel over chunks) or the caller's (warm, sequential).
+//! Layer `l` scales its factor by
 //! `σ_l = κ·reach_l / max|W_l|`, which places the largest weight at
 //! `κ·reach` — a global factor, so classification is unchanged (Sec 3.2
 //! of the paper).
 //!
 //! The cascade multiplies per-layer *achieved* sums, so quantization
 //! errors compound multiplicatively — unless later layers aim at what the
-//! earlier ones actually delivered. Solving layers in path order per
-//! weight, layer `l ≥ 1`'s target is
+//! earlier ones actually delivered. Solving layers in path order (a whole
+//! chunk's layer `l − 1` before its layer `l`), layer `l ≥ 1`'s target is
 //!
 //! ```text
 //! t_l[r,i] = σ_l·W_l[r,i] · (Π_{k<l} σ_k·W_k[r,i]) / (Π_{k<l} A_k[r,i])
@@ -33,10 +36,11 @@ use crate::stack::StackGeometry;
 use metaai_math::{CMat, C64};
 use metaai_mts::atom::PhaseCode;
 use metaai_mts::channel::{MtsLink, RealizationTable};
-use metaai_mts::solver::{SolverScratch, StateTable, WeightSolver};
+use metaai_mts::solver::{SolveResult, SolverScratch, StateTable, WeightSolver};
 use metaai_telemetry::{Counter, Histogram};
 use rayon::prelude::*;
 use std::borrow::Borrow;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Stack-solver instruments, registered once with the global registry.
@@ -63,14 +67,16 @@ pub fn register_metrics() {
     let _ = metrics();
 }
 
-/// Weights solved per parallel work item in [`StackSolver::solve`]. Each
-/// chunk owns one [`SolverScratch`], amortizing buffer allocation over the
-/// chunk instead of paying it per (r, i).
-const SOLVE_CHUNK: usize = 32;
+/// Weights per chunk: one parallel work item of [`StackSolver::solve`],
+/// one lane-kernel batch per layer, and one step of
+/// [`StackSolver::resolve_warm`]'s sequential loop. Each chunk owns one
+/// [`SolverScratch`] in `solve`. A chunk's descents finish at different
+/// sweeps, so a longer batch keeps the kernel's lanes filled for a larger
+/// share of the chunk.
+const SOLVE_CHUNK: usize = 128;
 
-/// One weight's solve through the whole cascade: per-layer
-/// `(codes, achieved, residual)` in path order.
-type WeightSolve = Vec<(Vec<PhaseCode>, C64, f64)>;
+/// One chunk's per-layer results, in path order, each in weight order.
+type ChunkSolve = Vec<Vec<SolveResult>>;
 
 /// One surface's solved programme for one trained network: one
 /// configuration per (output class, input symbol).
@@ -221,61 +227,80 @@ impl StackSolver {
             .collect()
     }
 
-    /// Solves one weight through every layer in path order, compensating
-    /// each layer's target for the residual the previous layers actually
-    /// accumulated. Returns per-layer `(codes, achieved, residual)`.
-    fn solve_weight(
+    /// Solves weights `range` (row-major indices into the `r × u`
+    /// factors) through every layer in path order, compensating each
+    /// layer's target for the residual the previous layers actually
+    /// accumulated. Layer `l`'s targets for the whole range are formed from
+    /// layer `l − 1`'s achieved sums, each weight with the operations of a
+    /// one-weight-at-a-time cascade, and solved as one lane-kernel batch.
+    /// Returns the per-layer results, in range order.
+    fn solve_chunk(
         &self,
-        (row, col): (usize, usize),
+        range: Range<usize>,
         factors: &[CMat],
         scales: &[f64],
         env_offset_norm: C64,
         warm: Option<&[&WeightSchedule]>,
         scratch: &mut SolverScratch,
-    ) -> WeightSolve {
+    ) -> ChunkSolve {
         let last = self.layers.len() - 1;
-        let mut ideal_prod = C64::ONE;
-        let mut achieved_prod = C64::ONE;
+        let u = factors[0].cols();
+        let n = range.len();
+        let mut ideal_prod = vec![C64::ONE; n];
+        let mut achieved_prod = vec![C64::ONE; n];
+        let mut ideals = Vec::with_capacity(n);
+        let mut targets = Vec::with_capacity(n);
         let mut out = Vec::with_capacity(self.layers.len());
         for (l, layer) in self.layers.iter().enumerate() {
-            let ideal = factors[l][(row, col)] * scales[l];
-            let mut target = if l == 0 { ideal } else { ideal_prod * ideal };
-            if l == last {
-                target -= env_offset_norm;
-            }
-            if l > 0 {
-                // Steer the running product back onto the ideal
-                // trajectory, within the layer's reachable disc.
-                if achieved_prod.norm_sq() > f64::MIN_POSITIVE {
-                    target /= achieved_prod;
-                } else {
-                    target = ideal;
+            ideals.clear();
+            targets.clear();
+            for (j, idx) in range.clone().enumerate() {
+                let ideal = factors[l][(idx / u, idx % u)] * scales[l];
+                let mut target = if l == 0 { ideal } else { ideal_prod[j] * ideal };
+                if l == last {
+                    target -= env_offset_norm;
                 }
-                if target.abs() > layer.limit {
-                    target = C64::from_polar(layer.limit, target.arg());
+                if l > 0 {
+                    // Steer the running product back onto the ideal
+                    // trajectory, within the layer's reachable disc.
+                    if achieved_prod[j].norm_sq() > f64::MIN_POSITIVE {
+                        target /= achieved_prod[j];
+                    } else {
+                        target = ideal;
+                    }
+                    if target.abs() > layer.limit {
+                        target = C64::from_polar(layer.limit, target.arg());
+                    }
                 }
+                ideals.push(ideal);
+                targets.push(target);
             }
-            let res = match warm {
+            let solved = match warm {
                 Some(w) => {
+                    let initial: Vec<&[PhaseCode]> = range
+                        .clone()
+                        .map(|idx| w[l].codes[idx / u][idx % u].as_slice())
+                        .collect();
                     layer
                         .solver
-                        .solve_warm(&[target], &w[l].codes[row][col], &layer.table, scratch)
+                        .solve_batch_warm(&targets, &initial, &layer.table, scratch)
                 }
-                None => layer.solver.solve_with(&[target], &layer.table, scratch),
+                None => layer.solver.solve_batch(&targets, &layer.table, scratch),
             };
-            let achieved = res.achieved[0];
-            out.push((res.codes, achieved, res.residual));
-            ideal_prod *= ideal;
-            achieved_prod *= achieved;
+            for (j, res) in solved.iter().enumerate() {
+                ideal_prod[j] *= ideals[j];
+                achieved_prod[j] *= res.achieved[0];
+            }
+            out.push(solved);
         }
         out
     }
 
     /// Solves the full cascade programme for `factors` (cold start,
-    /// rayon-parallel over weights; chunking cannot influence results
-    /// because every weight's L solves are independent of its neighbours).
-    /// `env_offset_norm` is the Eqn-8 compensation in the cascade's
-    /// normalized units (`H_e / Π_l α_l`), or zero.
+    /// rayon-parallel over chunks of weights; chunking cannot influence
+    /// results because every weight's L solves are independent of its
+    /// neighbours). `env_offset_norm` is the Eqn-8 compensation in the
+    /// cascade's normalized units (`H_e / Π_l α_l`), or zero.
     pub fn solve(&self, factors: &[CMat], env_offset_norm: C64) -> StackSchedule {
         let tele = metaai_telemetry::enabled().then(metrics);
         let _span = tele.map(|m| m.solve_seconds.span());
@@ -287,28 +312,16 @@ impl StackSolver {
         }
 
         let total = r * u;
-        let per_chunk: Vec<Vec<WeightSolve>> = (0..total.div_ceil(SOLVE_CHUNK))
+        let chunks: Vec<ChunkSolve> = (0..total.div_ceil(SOLVE_CHUNK))
             .into_par_iter()
             .map(|c| {
-                let mut scratch = SolverScratch::new();
                 let lo = c * SOLVE_CHUNK;
-                let hi = (lo + SOLVE_CHUNK).min(total);
-                (lo..hi)
-                    .map(|idx| {
-                        self.solve_weight(
-                            (idx / u, idx % u),
-                            factors,
-                            &scales,
-                            env_offset_norm,
-                            None,
-                            &mut scratch,
-                        )
-                    })
-                    .collect()
+                let range = lo..(lo + SOLVE_CHUNK).min(total);
+                let mut scratch = SolverScratch::new();
+                self.solve_chunk(range, factors, &scales, env_offset_norm, None, &mut scratch)
             })
             .collect();
-
-        self.collect_schedule(r, u, &scales, per_chunk.into_iter().flatten())
+        self.collect_schedule(r, u, &scales, chunks)
     }
 
     /// [`solve`](Self::solve), warm-started from a previous programme's
@@ -321,7 +334,7 @@ impl StackSolver {
     /// Deliberately **sequential** on the caller's thread with one
     /// reusable `scratch` (reuse it across rounds too): no rayon fan-out
     /// competing with serving workers, and the result is a pure function
-    /// of its inputs.
+    /// of its inputs. The lane kernel's parallelism is within one thread.
     pub fn resolve_warm<W: Borrow<WeightSchedule>>(
         &self,
         factors: &[CMat],
@@ -347,10 +360,12 @@ impl StackSolver {
             m.weights_solved.add((self.layers.len() * r * u) as u64);
         }
 
-        let solved: Vec<WeightSolve> = (0..r * u)
-            .map(|idx| {
-                self.solve_weight(
-                    (idx / u, idx % u),
+        let total = r * u;
+        let chunks: Vec<ChunkSolve> = (0..total)
+            .step_by(SOLVE_CHUNK)
+            .map(|lo| {
+                self.solve_chunk(
+                    lo..(lo + SOLVE_CHUNK).min(total),
                     factors,
                     &scales,
                     env_offset_norm,
@@ -359,15 +374,18 @@ impl StackSolver {
                 )
             })
             .collect();
-        self.collect_schedule(r, u, &scales, solved.into_iter())
+        self.collect_schedule(r, u, &scales, chunks)
     }
 
+    /// Assembles per-chunk results (chunks in weight order) into the
+    /// per-layer schedules; each layer's squared residuals are summed in
+    /// weight order.
     fn collect_schedule(
         &self,
         r: usize,
         u: usize,
         scales: &[f64],
-        solved: impl Iterator<Item = WeightSolve>,
+        chunks: Vec<ChunkSolve>,
     ) -> StackSchedule {
         let n_layers = self.layers.len();
         let mut codes: Vec<Vec<Vec<Vec<PhaseCode>>>> = (0..n_layers)
@@ -375,13 +393,18 @@ impl StackSolver {
             .collect();
         let mut achieved: Vec<CMat> = (0..n_layers).map(|_| CMat::zeros(r, u)).collect();
         let mut sq_sums = vec![0.0; n_layers];
-        for (idx, per_layer) in solved.enumerate() {
-            let (row, col) = (idx / u, idx % u);
-            for (l, (c, a, resid)) in per_layer.into_iter().enumerate() {
-                codes[l][row][col] = c;
-                achieved[l][(row, col)] = a;
-                sq_sums[l] += resid * resid;
+        let mut first = 0;
+        for chunk in chunks {
+            let len = chunk[0].len();
+            for (l, solved) in chunk.into_iter().enumerate() {
+                for (idx, res) in (first..).zip(solved) {
+                    let (row, col) = (idx / u, idx % u);
+                    codes[l][row][col] = res.codes;
+                    achieved[l][(row, col)] = res.achieved[0];
+                    sq_sums[l] += res.residual * res.residual;
+                }
             }
+            first += len;
         }
         let layers = codes
             .into_iter()
@@ -564,5 +587,103 @@ mod tests {
             * sched.layers[0].achieved[(1, 3)]
             * sched.layers[1].achieved[(1, 3)];
         assert!((h[(1, 3)] - expect).abs() < 1e-12 * expect.abs().max(1.0));
+    }
+    /// The per-weight cascade the chunked batches replaced, kept as the
+    /// reference: each weight through every layer in path order, one
+    /// one-target solve at a time. Also returns how many compensated
+    /// targets were clamped.
+    fn per_weight_reference(
+        solver: &StackSolver,
+        factors: &[CMat],
+        env_offset_norm: C64,
+        warm: Option<&StackSchedule>,
+    ) -> (Vec<Vec<SolveResult>>, usize) {
+        let scales = solver.scales(factors);
+        let (r, u) = (factors[0].rows(), factors[0].cols());
+        let last = solver.layers.len() - 1;
+        let mut scratch = SolverScratch::new();
+        let mut out = vec![Vec::new(); solver.layers.len()];
+        let mut clamped = 0;
+        for idx in 0..r * u {
+            let (row, col) = (idx / u, idx % u);
+            let mut ideal_prod = C64::ONE;
+            let mut achieved_prod = C64::ONE;
+            for (l, layer) in solver.layers.iter().enumerate() {
+                let ideal = factors[l][(row, col)] * scales[l];
+                let mut target = if l == 0 { ideal } else { ideal_prod * ideal };
+                if l == last {
+                    target -= env_offset_norm;
+                }
+                if l > 0 {
+                    if achieved_prod.norm_sq() > f64::MIN_POSITIVE {
+                        target /= achieved_prod;
+                    } else {
+                        target = ideal;
+                    }
+                    if target.abs() > layer.limit {
+                        target = C64::from_polar(layer.limit, target.arg());
+                        clamped += 1;
+                    }
+                }
+                let res = match warm {
+                    Some(w) => layer.solver.solve_warm(
+                        &[target],
+                        &w.layers[l].codes[row][col],
+                        &layer.table,
+                        &mut scratch,
+                    ),
+                    None => layer
+                        .solver
+                        .solve_with(&[target], &layer.table, &mut scratch),
+                };
+                ideal_prod *= ideal;
+                achieved_prod *= res.achieved[0];
+                out[l].push(res);
+            }
+        }
+        (out, clamped)
+    }
+
+    fn assert_matches_reference(sched: &StackSchedule, reference: &[Vec<SolveResult>], u: usize) {
+        for (layer, refs) in sched.layers.iter().zip(reference) {
+            let mut sq_sum = 0.0;
+            for (idx, res) in refs.iter().enumerate() {
+                let (row, col) = (idx / u, idx % u);
+                assert_eq!(layer.codes[row][col], res.codes, "weight {idx}");
+                let a = layer.achieved[(row, col)];
+                assert_eq!(a.re.to_bits(), res.achieved[0].re.to_bits());
+                assert_eq!(a.im.to_bits(), res.achieved[0].im.to_bits());
+                sq_sum += res.residual * res.residual;
+            }
+            let rms = (sq_sum / refs.len() as f64).sqrt();
+            assert_eq!(layer.rms_residual.to_bits(), rms.to_bits());
+        }
+    }
+
+    #[test]
+    fn lane_kernel_stack_chunks_match_per_weight_solves_bitwise() {
+        // 5 × 29 weights: one full chunk and a partial one. The Eqn-8
+        // offset pushes some compensated layer-1 targets past the clamp.
+        let geom = geometry(2, 48);
+        let solver = StackSolver::new(&geom, 1.0);
+        let (r, u) = (5, 29);
+        let factors = random_factors(2, r, u, 6);
+        let env = C64::new(60.0, -40.0);
+        let cold = solver.solve(&factors, env);
+        let (reference, clamped) = per_weight_reference(&solver, &factors, env, None);
+        assert!(clamped > 0, "no layer-1 target hit the clamp");
+        assert_matches_reference(&cold, &reference, u);
+
+        // Warm from the cold programme after a receiver move.
+        let moved = geom.relinked(
+            Point3::new(-0.5, 0.87, 1.1),
+            Point3::new(1.3, 2.7, 1.0),
+            geom.freq_hz,
+        );
+        let solver = StackSolver::new(&moved, 1.0);
+        let mut scratch = SolverScratch::new();
+        let warm = solver.resolve_warm(&factors, env, &cold.layers, &mut scratch);
+        let (reference, _) = per_weight_reference(&solver, &factors, env, Some(&cold));
+        assert_matches_reference(&warm, &reference, u);
     }
 }

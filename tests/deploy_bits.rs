@@ -152,12 +152,14 @@ fn joint_solve_matches_recorded_bits() {
         .map(|_| (0..96).map(|_| rng.unit_phasor()).collect())
         .collect();
     let solver = WeightSolver::joint(phasors, 2);
+    let table = solver.state_table();
+    let mut scratch = SolverScratch::new();
     let words: Vec<u64> = (0..8)
         .flat_map(|_| {
             let targets: Vec<C64> = (0..3)
                 .map(|_| C64::from_polar(25.0 * rng.uniform(), rng.phase()))
                 .collect();
-            let res = solver.solve(&targets);
+            let res = solver.solve_with(&targets, &table, &mut scratch);
             res.codes
                 .iter()
                 .map(|c| u64::from(c.index))

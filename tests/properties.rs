@@ -4,7 +4,7 @@ use metaai_math::fft::{fft, ifft};
 use metaai_math::rng::SimRng;
 use metaai_math::{CVec, C64};
 use metaai_mts::atom::PhaseCode;
-use metaai_mts::solver::WeightSolver;
+use metaai_mts::solver::{SolverScratch, WeightSolver};
 use metaai_phy::bits::{bits_to_bytes, bytes_to_bits};
 use metaai_phy::shaping;
 use metaai_phy::Modulation;
@@ -105,9 +105,11 @@ fn solver_residual_and_reconstruction() {
     let mut rng = SimRng::seed_from_u64(5);
     let phasors: Vec<C64> = (0..64).map(|_| rng.unit_phasor()).collect();
     let solver = WeightSolver::single(phasors.clone(), 2);
-    for k in 0..20 {
-        let target = C64::from_polar(k as f64 * 2.0, rng.phase());
-        let res = solver.solve_one(target);
+    let targets: Vec<C64> = (0..20)
+        .map(|k| C64::from_polar(k as f64 * 2.0, rng.phase()))
+        .collect();
+    let solved = solver.solve_batch(&targets, &solver.state_table(), &mut SolverScratch::new());
+    for (res, target) in solved.into_iter().zip(targets) {
         let rebuilt: C64 = phasors
             .iter()
             .zip(&res.codes)
