@@ -10,7 +10,7 @@ use metaai_adapt::{
     AdaptController, Decision, MobilityDrift, ProbeSet, StaticChannel, StepReport, TriggerPolicy,
 };
 use metaai_math::rng::SimRng;
-use metaai_mts::atom::PhaseCode;
+use metaai_mts::atom::PackedCodes;
 use metaai_nn::complex_lnn::ComplexLnn;
 use metaai_nn::train::toy_problem;
 use metaai_serve::{DeploymentRegistry, ModelEntry, ServeConfig};
@@ -143,8 +143,7 @@ fn adaptation_is_bitwise_deterministic_across_runs_and_worker_counts() {
     // Each run pins its worker count for every rayon-parallel stage it
     // starts (deploys, scoring), so the runs exercise genuinely different
     // worker counts — while the adaptation loop itself must not notice.
-    type ScheduleCodes = Vec<Vec<Vec<PhaseCode>>>;
-    let run = |threads: usize| -> (Vec<(u64, u64)>, ScheduleCodes, Vec<f64>) {
+    let run = |threads: usize| -> (Vec<(u64, u64)>, PackedCodes, Vec<f64>) {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
@@ -153,7 +152,7 @@ fn adaptation_is_bitwise_deterministic_across_runs_and_worker_counts() {
             assert_eq!(rayon::current_num_threads(), threads);
             let (mut ctl, _entry) = walking_controller(1.5);
             let reports: Vec<StepReport> = (0..14).map(|_| ctl.step()).collect();
-            let codes = ctl.current().schedule.codes.clone();
+            let codes = ctl.current().schedule.packed().clone();
             let accuracies = reports.iter().map(|r| r.reading.probe_accuracy).collect();
             (trigger_rounds(&reports), codes, accuracies)
         })

@@ -3,6 +3,8 @@
 use metaai::config::SystemConfig;
 use metaai::pipeline::MetaAiSystem;
 use metaai_datasets::{generate, DatasetId, Scale};
+use metaai_math::C64;
+use metaai_mts::solver::{BatchOutput, SolverScratch, WeightSolver};
 use metaai_nn::augment::Augmentation;
 use metaai_nn::data::ComplexDataset;
 use metaai_nn::train::TrainConfig;
@@ -102,6 +104,25 @@ pub fn csv_write(out_dir: &str, name: &str, header: &str, rows: &[String]) {
         }
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
+}
+
+/// Each target's residual from one cold lane-kernel batch of a
+/// single-target `solver`, in target order.
+pub fn batch_residuals(solver: &WeightSolver, targets: &[C64]) -> Vec<f64> {
+    let n = targets.len();
+    let mut residual = vec![0.0; n];
+    let out = BatchOutput {
+        codes: &mut vec![0; n * solver.num_atoms()],
+        achieved: &mut vec![C64::ZERO; n],
+        residual: &mut residual,
+    };
+    solver.solve_batch(
+        targets,
+        &solver.state_table(),
+        &mut SolverScratch::new(),
+        out,
+    );
+    residual
 }
 
 /// Formats an accuracy as a percentage with two decimals.

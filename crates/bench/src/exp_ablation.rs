@@ -19,7 +19,7 @@
 //!   against the deployed LNN, quantifying the accuracy the linear
 //!   constraint costs.
 
-use crate::common::{csv_write, pct, ExpContext};
+use crate::common::{batch_residuals, csv_write, pct, ExpContext};
 use metaai::config::SystemConfig;
 use metaai::mapper::WeightMapper;
 use metaai::ota::{realize_channels, signal_power};
@@ -28,7 +28,7 @@ use metaai_datasets::DatasetId;
 use metaai_math::rng::SimRng;
 use metaai_math::C64;
 use metaai_mts::array::{MtsArray, Prototype};
-use metaai_mts::solver::{SolverScratch, WeightSolver};
+use metaai_mts::solver::WeightSolver;
 use metaai_nn::deep_complex::{train_deep_complex, DeepComplexConfig};
 use metaai_nn::engine::TrainEngine;
 use metaai_phy::sync::SyncErrorModel;
@@ -70,10 +70,9 @@ pub fn bit_depth_sweep(ctx: &ExpContext) -> Vec<(u8, f64)> {
             let targets: Vec<C64> = (0..trials)
                 .map(|_| C64::from_polar(0.6 * reach * rng.uniform().sqrt(), rng.phase()))
                 .collect();
-            let mean: f64 = solver
-                .solve_batch(&targets, &solver.state_table(), &mut SolverScratch::new())
+            let mean: f64 = batch_residuals(&solver, &targets)
                 .iter()
-                .map(|res| res.residual / reach)
+                .map(|r| r / reach)
                 .sum::<f64>()
                 / trials as f64;
             (bits, mean)
@@ -94,12 +93,8 @@ pub fn solver_sweeps(ctx: &ExpContext, sweeps: &[usize]) -> Vec<(usize, f64)> {
         .map(|&s| {
             let mut solver = WeightSolver::single(phasors.clone(), 2);
             solver.max_sweeps = s;
-            let mean: f64 = solver
-                .solve_batch(&targets, &solver.state_table(), &mut SolverScratch::new())
-                .iter()
-                .map(|res| res.residual)
-                .sum::<f64>()
-                / targets.len() as f64;
+            let mean: f64 =
+                batch_residuals(&solver, &targets).iter().sum::<f64>() / targets.len() as f64;
             (s, mean)
         })
         .collect()

@@ -1,12 +1,12 @@
 //! Micro-benchmarks: Figs 6, 7, 12, 13, 16, 17, 29, 30.
 
-use crate::common::{csv_write, pct, ExpContext};
+use crate::common::{batch_residuals, csv_write, pct, ExpContext};
 use metaai::config::SystemConfig;
 use metaai::pipeline::MetaAiSystem;
 use metaai_datasets::DatasetId;
 use metaai_math::rng::SimRng;
 use metaai_math::C64;
-use metaai_mts::solver::{SolverScratch, WeightSolver};
+use metaai_mts::solver::WeightSolver;
 use metaai_mts::wdd::{wdd_sweep, WddConfig};
 use metaai_nn::engine::TrainEngine;
 use metaai_nn::pnn_stack::train_stacked;
@@ -33,10 +33,9 @@ pub fn fig6(ctx: &ExpContext, atom_counts: &[usize]) -> Vec<(usize, f64)> {
                     C64::from_polar(r, rng.phase())
                 })
                 .collect();
-            let mean_rel: f64 = solver
-                .solve_batch(&targets, &solver.state_table(), &mut SolverScratch::new())
+            let mean_rel: f64 = batch_residuals(&solver, &targets)
                 .iter()
-                .map(|res| res.residual / reach)
+                .map(|r| r / reach)
                 .sum::<f64>()
                 / trials as f64;
             (m, mean_rel)

@@ -244,7 +244,7 @@ pub fn deploy(args: &Args) -> i32 {
         1e3 * (r * u) as f64 / s.config.symbol_rate,
         1e3 * control.inference_energy_j(r * u, 2)
     );
-    let bits = control.pattern_bits(&system.schedule.codes[0][0]);
+    let bits = control.pattern_bits(system.schedule.codes(0, 0));
     println!(
         "  controller: {} groups × {} bits per pattern, {:.0} ns load at 100 MHz",
         bits.len(),

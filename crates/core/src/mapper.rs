@@ -116,7 +116,7 @@ mod tests {
         let sched = m.map(&w, C64::ZERO);
         assert_eq!(sched.num_outputs(), 3);
         assert_eq!(sched.num_symbols(), 6);
-        assert_eq!(sched.codes[2][5].len(), 256);
+        assert_eq!(sched.codes(2, 5).len(), 256);
     }
 
     #[test]
@@ -147,7 +147,7 @@ mod tests {
         let a = m.map(&w, C64::ZERO);
         let b = m.map(&w, C64::ZERO);
         assert_eq!(a.achieved, b.achieved);
-        assert_eq!(a.codes, b.codes);
+        assert_eq!(a.packed(), b.packed());
     }
 
     #[test]
@@ -175,8 +175,9 @@ mod tests {
         let mut scratch = SolverScratch::new();
         let warm = after.remap(&w, C64::ZERO, &base, &mut scratch);
 
-        assert_eq!(warm.codes.len(), 3);
-        assert_eq!(warm.codes[0].len(), 6);
+        assert_eq!(warm.num_outputs(), 3);
+        assert_eq!(warm.num_symbols(), 6);
+        assert_eq!(warm.packed().len(), 3 * 6);
         let warm_rel = warm.relative_error(&w);
         let cold_rel = cold.relative_error(&w);
         assert!(
@@ -187,7 +188,7 @@ mod tests {
         // And it is a pure function of its inputs: scratch reuse across
         // rounds changes nothing.
         let again = after.remap(&w, C64::ZERO, &base, &mut scratch);
-        assert_eq!(warm.codes, again.codes);
+        assert_eq!(warm.packed(), again.packed());
         assert_eq!(warm.achieved, again.achieved);
     }
 

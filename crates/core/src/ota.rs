@@ -28,18 +28,20 @@ use metaai_rf::noise::Awgn;
 /// far-field sum and common amplitude `α_p`.
 ///
 /// Each atom's term is read from a [`RealizationTable`] built once per
-/// call, so the entries cost a gather-sum each instead of one `sin`/`cos`
-/// pair per atom. Runs sequentially on the caller's thread.
+/// call, so an entry costs one gather-sum over its packed row of codes
+/// instead of one `sin`/`cos` pair per atom. Runs sequentially on the
+/// caller's thread.
 pub fn realize_channels(
     schedule: &crate::mapper::WeightSchedule,
     link: &MtsLink,
     array: &MtsArray,
 ) -> CMat {
-    let table = RealizationTable::new(link, array);
-    let (r, u) = (schedule.num_outputs(), schedule.num_symbols());
-    CMat::from_fn(r, u, |row, col| {
-        table.normalized_sum(&schedule.codes[row][col]) * link.alpha
-    })
+    let mut h = CMat::zeros(schedule.num_outputs(), schedule.num_symbols());
+    RealizationTable::new(link, array).normalized_sums(schedule.packed(), h.as_mut_slice());
+    for z in h.as_mut_slice() {
+        *z = *z * link.alpha;
+    }
+    h
 }
 
 /// Mean per-chip MTS-path signal power of a channel matrix (the anchor for

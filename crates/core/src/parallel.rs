@@ -29,9 +29,9 @@ use metaai_math::rng::SimRng;
 use metaai_math::stats::argmax;
 use metaai_math::{CMat, CVec, C64};
 use metaai_mts::array::MtsArray;
-use metaai_mts::atom::PhaseCode;
+use metaai_mts::atom::PackedCodes;
 use metaai_mts::channel::MtsLink;
-use metaai_mts::solver::{SolverScratch, WeightSolver};
+use metaai_mts::solver::{BatchOutput, SolverScratch, WeightSolver};
 use metaai_nn::complex_lnn::ComplexLnn;
 use metaai_phy::ofdm::OfdmConfig;
 use metaai_rf::geometry::{deg_to_rad, place_at, Point3};
@@ -86,8 +86,9 @@ pub fn antenna_positions(config: &SystemConfig, n: usize, spacing_deg: f64) -> V
 pub struct AntennaParallel {
     /// Per-antenna links.
     pub links: Vec<MtsLink>,
-    /// Shared configuration per input symbol (`U × M`).
-    pub codes: Vec<Vec<PhaseCode>>,
+    /// Shared configuration per input symbol: configuration `i` is
+    /// symbol `i`'s.
+    pub codes: PackedCodes,
     /// Realized physical channels: `channels[(l, i)]` at antenna `l`
     /// during symbol `i`.
     pub channels: CMat,
@@ -139,29 +140,28 @@ impl AntennaParallel {
 
         // Joint solve per input symbol, all against one state table.
         let table = solver.state_table();
-        let results: Vec<(Vec<PhaseCode>, Vec<C64>, f64)> = (0..u)
+        let results: Vec<_> = (0..u)
             .into_par_iter()
             .map(|i| {
                 let targets: Vec<C64> = (0..r).map(|l| net.weights[(l, i)] * sigmas[l]).collect();
-                let res = solver.solve_with(&targets, &table, &mut SolverScratch::new());
-                (res.codes, res.achieved, res.residual)
+                solver.solve_with(&targets, &table, &mut SolverScratch::new())
             })
             .collect();
 
-        let mut codes = Vec::with_capacity(u);
+        let mut indices = Vec::with_capacity(u * solver.num_atoms());
         let mut channels = CMat::zeros(r, u);
         let mut sq = 0.0;
-        for (i, (c, achieved, resid)) in results.into_iter().enumerate() {
-            for (l, &s) in achieved.iter().enumerate() {
+        for (i, res) in results.into_iter().enumerate() {
+            for (l, &s) in res.achieved.iter().enumerate() {
                 channels[(l, i)] = s * links[l].alpha;
             }
-            codes.push(c);
-            sq += resid * resid;
+            indices.extend(res.codes.iter().map(|c| c.index));
+            sq += res.residual * res.residual;
         }
 
         AntennaParallel {
             links,
-            codes,
+            codes: PackedCodes::from_indices(indices, solver.num_atoms(), solver.bits),
             channels,
             rx_gains,
             rms_residual: (sq / u as f64).sqrt(),
@@ -325,11 +325,15 @@ impl SubcarrierParallel {
                         target
                     })
                     .collect();
-                solver
-                    .solve_batch(&targets, &table, &mut SolverScratch::new())
-                    .iter()
-                    .map(|res| res.achieved[0] * link.alpha)
-                    .collect()
+                let n = targets.len();
+                let mut achieved = vec![C64::ZERO; n];
+                let out = BatchOutput {
+                    codes: &mut vec![0; n * solver.num_atoms()],
+                    achieved: &mut achieved,
+                    residual: &mut vec![0.0; n],
+                };
+                solver.solve_batch(&targets, &table, &mut SolverScratch::new(), out);
+                achieved.iter().map(|&s| s * link.alpha).collect()
             })
             .collect();
 
@@ -443,6 +447,26 @@ mod tests {
         let sys = AntennaParallel::deploy(&net, &cfg, &array, &rx);
         let acc = sys.accuracy(&inputs, &labels, 25.0, 1);
         assert!(acc > 0.6, "antenna-parallel accuracy {acc}");
+    }
+
+    #[test]
+    fn antenna_codes_program_the_solved_channels() {
+        // One packed configuration per symbol; programming it makes every
+        // antenna's link present the channel the joint solve reported.
+        let (net, _, _) = trained(3, 24);
+        let cfg = SystemConfig::paper_default();
+        let mut array = MtsArray::paper_prototype(Prototype::DualBand, cfg.mts_center);
+        let rx = antenna_positions(&cfg, 3, 10.0);
+        let sys = AntennaParallel::deploy(&net, &cfg, &array, &rx);
+        assert_eq!(sys.codes.len(), 24);
+        assert_eq!((sys.codes.num_atoms(), sys.codes.bits()), (256, 2));
+        for i in 0..24 {
+            array.configure(&sys.codes.phase_codes(i));
+            for (l, link) in sys.links.iter().enumerate() {
+                let drift = (link.channel(&array) - sys.channels[(l, i)]).abs();
+                assert!(drift < 1e-9 * link.alpha * 256.0, "antenna {l}, symbol {i}");
+            }
+        }
     }
 
     #[test]

@@ -643,7 +643,7 @@ mod tests {
         let stacked = MetaAiSystem::builder()
             .config(config)
             .deploy_stack(one.stack.weights.clone());
-        assert_eq!(stacked.schedule.codes, one.schedule.codes);
+        assert_eq!(stacked.schedule.packed(), one.schedule.packed());
         assert_eq!(stacked.channels, one.channels);
     }
 
@@ -773,7 +773,7 @@ mod tests {
 
         // And the warm path is deterministic across scratch reuse.
         let again = redeploy_warm(&sys, &moved, C64::ZERO, &mut scratch);
-        assert_eq!(warm.schedule.codes, again.schedule.codes);
+        assert_eq!(warm.schedule.packed(), again.schedule.packed());
         assert_eq!(warm.channels, again.channels);
     }
 }

@@ -22,6 +22,7 @@ use metaai::engine::OtaEngine;
 use metaai::mapper::WeightMapper;
 use metaai::ota::OtaConditions;
 use metaai::pipeline::MetaAiSystem;
+use metaai_datasets::{generate, DatasetId, Scale};
 use metaai_math::rng::SimRng;
 use metaai_math::{CMat, CVec, C64};
 use metaai_mts::array::{MtsArray, Prototype};
@@ -29,6 +30,7 @@ use metaai_mts::solver::SolverScratch;
 use metaai_nn::complex_lnn::ComplexLnn;
 use metaai_nn::engine::TrainEngine;
 use metaai_nn::train::{toy_problem, TrainConfig};
+use metaai_rf::geometry::Point3;
 use metaai_sim::{StackGeometry, StackSolver, StackSpec, StackWeights};
 use metaai_telemetry::{MetricValue, Registry};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -250,6 +252,11 @@ const WARM_SWEEPS: u64 = 195;
 /// (one single-target solve per layer per weight).
 const STACK_SWEEPS: u64 = 418;
 const STACK_SOLVES: u64 = 192;
+/// Recorded heap allocations, on the calling thread, of a cold paper-scale
+/// map in a one-worker pool and of a warm remap: per-layer result buffers,
+/// per-solve working vectors and scratch, none per weight or per chunk.
+const COLD_MAP_ALLOCATIONS: u64 = 31;
+const WARM_REMAP_ALLOCATIONS: u64 = 31;
 /// Recorded heap allocations of one steady-state `score_indexed` call:
 /// `default_conditions` builds an n-length `EnvChannel` and an all-ones
 /// `mts_factor`. A constant-or-per-symbol `OtaConditions` takes this to 0.
@@ -296,6 +303,104 @@ fn a_two_layer_stack_solve_takes_pinned_sweeps() {
     let weights = StackWeights::from_effective(&random_weights(MAP_ROWS, MAP_COLS, 41), 2);
     StackSolver::new(&geometry, config.kappa).solve(&weights.factors, C64::ZERO);
     assert_eq!(solver_work(registry), (STACK_SWEEPS, STACK_SOLVES));
+    drop(guard);
+}
+
+/// Paper MNIST's weight shape: 10 classes × 784 symbols.
+const PAPER_SHAPE: (usize, usize) = (10, 784);
+
+/// Heap allocations, on the calling thread, of a cold `map` inside a
+/// one-worker pool and of a warm `remap` (fresh scratch) to a moved
+/// receiver, for random weights of `shape`.
+fn solve_allocations(shape: (usize, usize)) -> (u64, u64) {
+    let config = SystemConfig::paper_default();
+    let array = MtsArray::paper_prototype(Prototype::DualBand, config.mts_center);
+    let weights = random_weights(shape.0, shape.1, 61);
+    let mapper = WeightMapper::new(&config, &array);
+    let moved = WeightMapper::new(&config.clone().with_rx_at(3.0, 43.0), &array);
+    let one_worker = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-worker pool");
+    let mut cold = None;
+    let cold_allocations =
+        one_worker.install(|| allocations_in(|| cold = Some(mapper.map(&weights, C64::ZERO))));
+    let cold = cold.expect("the cold map ran");
+    let mut scratch = SolverScratch::new();
+    let warm_allocations = allocations_in(|| {
+        moved.remap(&weights, C64::ZERO, &cold, &mut scratch);
+    });
+    (cold_allocations, warm_allocations)
+}
+
+#[test]
+fn solves_make_pinned_allocations_at_any_weight_count() {
+    let (guard, _registry) = lock_registry();
+    let paper = solve_allocations(PAPER_SHAPE);
+    assert_eq!(paper, (COLD_MAP_ALLOCATIONS, WARM_REMAP_ALLOCATIONS));
+    assert_eq!(
+        solve_allocations((2, 50)),
+        paper,
+        "a solve's allocations grow with its weight count"
+    );
+    drop(guard);
+}
+
+/// The receiver walk of perfbench's lifecycle workload: offsets, in
+/// metres along x and y, of the corners of a 0.3 m square with one corner
+/// at the default receiver position.
+const WALK: [(f64, f64); 4] = [(0.0, 0.0), (0.3, 0.0), (0.3, 0.3), (0.0, 0.3)];
+/// Recorded sweeps of the paper MNIST deployment's cold solve (the
+/// figure perfbench's traced runs report per deploy).
+const PAPER_DEPLOY_SWEEPS: u64 = 17_088;
+/// Recorded sweeps at each walk corner, walking 1, 2, 3 and back to 0
+/// from the default deployment: `(warm remap from the previous corner's
+/// schedule, cold map)`.
+const WALK_SWEEPS: [(u64, u64); 4] = [
+    (15_783, 16_795),
+    (17_595, 17_008),
+    (15_700, 17_010),
+    (16_206, 17_088),
+];
+
+/// Whether warm-starting pays along the walk: the paper MNIST network
+/// (perfbench's set-up: default-scale MNIST, 10 epochs), solved warm and
+/// cold at every corner. A count pin, not a policy: it records what each
+/// start costs in descent sweeps.
+#[test]
+fn warm_and_cold_solves_along_the_receiver_walk_take_pinned_sweeps() {
+    let (guard, registry) = lock_registry();
+    let config = SystemConfig::paper_default();
+    let (train, _) = generate(DatasetId::Mnist, Scale::Default, 7).modulate(config.modulation);
+    let net = TrainEngine::new(TrainConfig {
+        epochs: 10,
+        seed: 1,
+        ..TrainConfig::default()
+    })
+    .train(&train);
+    registry.reset();
+    let system = MetaAiSystem::builder().config(config.clone()).deploy(net);
+    assert_eq!(solver_work(registry).0, PAPER_DEPLOY_SWEEPS);
+
+    let weights = &system.stack.weights.factors[0];
+    let mut previous = (*system.schedule).clone();
+    let mut scratch = SolverScratch::new();
+    let mut sweeps = Vec::new();
+    for &(dx, dy) in WALK[1..].iter().chain(&WALK[..1]) {
+        let at = SystemConfig {
+            rx: Point3::new(config.rx.x + dx, config.rx.y + dy, config.rx.z),
+            ..config.clone()
+        };
+        let mapper = WeightMapper::new(&at, &system.array);
+        registry.reset();
+        let warm = mapper.remap(weights, C64::ZERO, &previous, &mut scratch);
+        let warm_sweeps = solver_work(registry).0;
+        registry.reset();
+        mapper.map(weights, C64::ZERO);
+        sweeps.push((warm_sweeps, solver_work(registry).0));
+        previous = warm;
+    }
+    assert_eq!(sweeps, WALK_SWEEPS);
     drop(guard);
 }
 

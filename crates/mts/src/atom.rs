@@ -59,6 +59,89 @@ impl PhaseCode {
     }
 }
 
+/// Many configurations of one `M`-atom surface at one bit depth, packed:
+/// one byte per atom holding its state index, configuration `k` at
+/// `indices[k·M .. (k+1)·M]`.
+///
+/// This is the one layout of every solved programme (a
+/// `metaai_sim::WeightSchedule` holds its `R × U` configurations row-major
+/// in one), so a configuration is one contiguous row — what the solver's
+/// lane kernel writes and realization reads — and the bit depth is stored
+/// once, not per atom.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PackedCodes {
+    indices: Vec<u8>,
+    num_atoms: usize,
+    bits: u8,
+}
+
+impl PackedCodes {
+    /// Packs `indices` as configurations of `num_atoms` atoms at depth
+    /// `bits`. Panics unless `indices` holds whole configurations and
+    /// every index is a state of that depth.
+    pub fn from_indices(indices: Vec<u8>, num_atoms: usize, bits: u8) -> Self {
+        assert!((1..=3).contains(&bits), "bit depth must be 1..=3");
+        assert!(num_atoms > 0, "a configuration covers at least one atom");
+        assert!(
+            indices.len().is_multiple_of(num_atoms),
+            "{} indices do not make whole {num_atoms}-atom configurations",
+            indices.len()
+        );
+        // Depths are powers of two: one OR over every index bounds them all.
+        let seen = indices.iter().fold(0u8, |acc, &i| acc | i);
+        assert!(
+            usize::from(seen) < 1 << bits,
+            "state index out of range for {bits}-bit atoms"
+        );
+        PackedCodes {
+            indices,
+            num_atoms,
+            bits,
+        }
+    }
+
+    /// Number of configurations.
+    pub fn len(&self) -> usize {
+        self.indices.len() / self.num_atoms
+    }
+
+    /// Whether there are no configurations.
+    pub fn is_empty(&self) -> bool {
+        self.indices.is_empty()
+    }
+
+    /// Atoms per configuration.
+    pub fn num_atoms(&self) -> usize {
+        self.num_atoms
+    }
+
+    /// Bit depth of every code.
+    pub fn bits(&self) -> u8 {
+        self.bits
+    }
+
+    /// Configuration `k`'s state indices, one per atom.
+    pub fn row(&self, k: usize) -> &[u8] {
+        &self.indices[k * self.num_atoms..(k + 1) * self.num_atoms]
+    }
+
+    /// Every configuration's state indices, configuration-major.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.indices
+    }
+
+    /// Configuration `k` as phase codes, for [`MtsArray::configure`](crate::array::MtsArray::configure).
+    pub fn phase_codes(&self, k: usize) -> Vec<PhaseCode> {
+        self.row(k)
+            .iter()
+            .map(|&index| PhaseCode {
+                index,
+                bits: self.bits,
+            })
+            .collect()
+    }
+}
+
 /// The index of the state nearest `target` radians among `n` states:
 /// exactly `(target.rem_euclid(TAU) / (TAU / n)).round() as usize % n`,
 /// without its two libm calls (the cold solve's initialization runs this
@@ -292,5 +375,30 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn rejects_invalid_state() {
         PhaseCode::new(4, 2);
+    }
+
+    #[test]
+    fn packed_rows_hold_each_configuration_in_order() {
+        let codes = PackedCodes::from_indices(vec![0, 1, 2, 3, 3, 2, 1, 0, 1, 1, 1, 1], 4, 2);
+        assert_eq!((codes.len(), codes.num_atoms(), codes.bits()), (3, 4, 2));
+        assert_eq!(codes.row(1), &[3, 2, 1, 0]);
+        assert_eq!(
+            codes.phase_codes(1),
+            [3, 2, 1, 0].map(PhaseCode::two_bit).to_vec()
+        );
+        assert_eq!(codes.as_slice().len(), 12);
+        assert!(PackedCodes::from_indices(Vec::new(), 4, 2).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range for 1-bit")]
+    fn packed_codes_reject_an_index_past_their_depth() {
+        PackedCodes::from_indices(vec![0, 1, 2, 1], 2, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "whole 4-atom configurations")]
+    fn packed_codes_reject_a_partial_configuration() {
+        PackedCodes::from_indices(vec![0; 6], 4, 2);
     }
 }

@@ -17,7 +17,7 @@
 //! the per-atom gain collapses, reproducing the FoV cliff of Fig 25.
 
 use crate::array::MtsArray;
-use crate::atom::PhaseCode;
+use crate::atom::{PackedCodes, PhaseCode};
 use metaai_math::C64;
 use metaai_rf::geometry::Point3;
 use metaai_rf::pathloss::{wavelength, wavenumber};
@@ -139,15 +139,18 @@ impl MtsLink {
 /// from exactly the operands the on-the-fly formula used
 /// ([`MetaAtom::response`](crate::atom::MetaAtom::response) times the
 /// path phasor, stuck-at faults included), and
-/// [`normalized_sum`](Self::normalized_sum) folds the looked-up terms left
-/// from zero in atom order, the order of `Sum` — so a table realization is
-/// bitwise identical to the direct one.
+/// [`normalized_sums`](Self::normalized_sums) folds the looked-up terms
+/// left from zero in atom order, the order of `Sum` — so a table
+/// realization is bitwise identical to the direct one.
 #[derive(Clone, Debug)]
 pub struct RealizationTable {
     /// Depth-major blocks: `terms[M·(2^bits − 2) + atom·2^bits + index]`.
     terms: Vec<C64>,
     num_atoms: usize,
 }
+
+/// Configurations [`RealizationTable::normalized_sums`] folds together.
+const SUM_WAYS: usize = 4;
 
 impl RealizationTable {
     /// Tabulates `array`'s atoms (fabrication errors and faults as they
@@ -168,16 +171,42 @@ impl RealizationTable {
     }
 
     /// The normalized channel sum `Σ_m e^{jφ_m^p} · a_m e^{j(φ_eff + ε_m)}`
-    /// (no `α_p`) of the configuration `codes`, one code per atom.
-    pub fn normalized_sum(&self, codes: &[PhaseCode]) -> C64 {
-        assert_eq!(codes.len(), self.num_atoms, "one code per atom");
-        codes
-            .iter()
-            .enumerate()
-            .fold(C64::ZERO, |acc, (atom, code)| {
-                let depth_base = self.num_atoms * ((1usize << code.bits) - 2);
-                acc + self.terms[depth_base + (atom << code.bits) + code.index as usize]
-            })
+    /// (no `α_p`) of every configuration of `codes`, into `out` (one sum
+    /// per configuration, in order).
+    ///
+    /// Each sum gathers its atoms' terms from the depth's block (a row of
+    /// `2^bits` terms per atom, indexed by the packed row's bytes) and
+    /// folds them left from zero in atom order. Four
+    /// configurations advance through the atoms together, each in its own
+    /// accumulator, so their dependent add chains overlap; every sum's
+    /// own operations and their order are a lone fold's.
+    pub fn normalized_sums(&self, codes: &PackedCodes, out: &mut [C64]) {
+        let m = self.num_atoms;
+        assert_eq!(codes.num_atoms(), m, "one code per atom");
+        assert_eq!(out.len(), codes.len(), "one sum per configuration");
+        let states = 1usize << codes.bits();
+        let block = &self.terms[m * (states - 2)..][..m * states];
+        // Packed indices are below `states`, so the mask changes none of
+        // them; it only lets the compiler drop the bounds checks.
+        let term = |terms: &[C64], index: u8| terms[usize::from(index) & (states - 1)];
+        let mut groups = codes.as_slice().chunks_exact(SUM_WAYS * m);
+        let mut sums = out.chunks_exact_mut(SUM_WAYS);
+        for (group, sums) in (&mut groups).zip(&mut sums) {
+            let mut acc = [C64::ZERO; SUM_WAYS];
+            for (atom, terms) in block.chunks_exact(states).enumerate() {
+                for (way, acc) in acc.iter_mut().enumerate() {
+                    *acc += term(terms, group[way * m + atom]);
+                }
+            }
+            sums.copy_from_slice(&acc);
+        }
+        let rest = groups.remainder().chunks_exact(m);
+        for (row, sum) in rest.zip(sums.into_remainder()) {
+            *sum = block
+                .chunks_exact(states)
+                .zip(row)
+                .fold(C64::ZERO, |acc, (terms, &index)| acc + term(terms, index));
+        }
     }
 }
 
@@ -280,6 +309,14 @@ mod tests {
         assert!(n.abs() <= link.max_normalized() + 1e-9);
     }
 
+    /// One configuration's sum through [`RealizationTable::normalized_sums`].
+    fn one_sum(table: &RealizationTable, indices: &[u8], bits: u8) -> C64 {
+        let mut sum = [C64::ZERO];
+        let codes = PackedCodes::from_indices(indices.to_vec(), indices.len(), bits);
+        table.normalized_sums(&codes, &mut sum);
+        sum[0]
+    }
+
     #[test]
     fn table_sum_matches_the_configured_channel_bitwise() {
         // Every depth, with phase noise and stuck atoms: the tabulated sum
@@ -290,16 +327,53 @@ mod tests {
         array.inject_stuck_faults(0.2, &mut rng);
         let table = RealizationTable::new(&link, &array);
         for bits in 1u8..=3 {
-            let codes: Vec<PhaseCode> = (0..array.num_atoms())
-                .map(|_| PhaseCode::new(rng.below(1 << bits) as u8, bits))
+            let indices: Vec<u8> = (0..array.num_atoms())
+                .map(|_| rng.below(1 << bits) as u8)
                 .collect();
+            let codes: Vec<PhaseCode> = indices.iter().map(|&i| PhaseCode::new(i, bits)).collect();
             array.configure(&codes);
             let direct = link.channel(&array);
             assert_eq!(
-                table.normalized_sum(&codes) * link.alpha,
+                one_sum(&table, &indices, bits) * link.alpha,
                 direct,
                 "{bits}-bit"
             );
+        }
+    }
+
+    /// The per-`PhaseCode` fold the byte-row gather replaced: each code
+    /// carries its own depth and picks its term from that depth's block.
+    fn phase_code_fold(table: &RealizationTable, codes: &[PhaseCode]) -> C64 {
+        codes
+            .iter()
+            .enumerate()
+            .fold(C64::ZERO, |acc, (atom, code)| {
+                let depth_base = table.num_atoms * ((1usize << code.bits) - 2);
+                acc + table.terms[depth_base + (atom << code.bits) + code.index as usize]
+            })
+    }
+
+    #[test]
+    fn byte_row_gather_matches_the_phase_code_fold_bitwise() {
+        let (mut array, link) = paper_link();
+        let mut rng = metaai_math::rng::SimRng::seed_from_u64(9);
+        array.inject_phase_noise(0.1, &mut rng);
+        array.inject_stuck_faults(0.1, &mut rng);
+        let table = RealizationTable::new(&link, &array);
+        let m = array.num_atoms();
+        for bits in 1u8..=3 {
+            // Five full groups of configurations and a short one.
+            for count in [0, 1, 3, 4, 23] {
+                let indices: Vec<u8> = (0..count * m).map(|_| rng.below(1 << bits) as u8).collect();
+                let codes = PackedCodes::from_indices(indices, m, bits);
+                let mut sums = vec![C64::ZERO; count];
+                table.normalized_sums(&codes, &mut sums);
+                for (k, sum) in sums.iter().enumerate() {
+                    let folded = phase_code_fold(&table, &codes.phase_codes(k));
+                    assert_eq!(sum.re.to_bits(), folded.re.to_bits(), "{bits}-bit, {k}");
+                    assert_eq!(sum.im.to_bits(), folded.im.to_bits(), "{bits}-bit, {k}");
+                }
+            }
         }
     }
 

@@ -71,27 +71,28 @@ impl ControlModel {
         scan_steps as f64 * self.pattern_period_s() + solve_time_s
     }
 
-    /// Serializes one configuration into the per-group shift-register bit
-    /// streams the STM32 clocks out: group `g` drives atoms
-    /// `g·(M/groups) .. (g+1)·(M/groups)`, each atom contributing
+    /// Serializes one configuration — one state index per atom, a
+    /// [`PackedCodes`](crate::atom::PackedCodes) row — into the per-group
+    /// shift-register bit streams the STM32 clocks out: group `g` drives
+    /// atoms `g·(M/groups) .. (g+1)·(M/groups)`, each atom contributing
     /// `bits_per_atom` bits MSB-first, packed in atom order.
     ///
     /// The prototype's wiring (16 groups × 4 × 8-bit SN74LV595 per group,
     /// 2 bits per atom) means each group's stream is exactly 32 bits.
-    pub fn pattern_bits(&self, codes: &[crate::atom::PhaseCode]) -> Vec<Vec<bool>> {
+    pub fn pattern_bits(&self, indices: &[u8]) -> Vec<Vec<bool>> {
         assert!(
-            codes.len().is_multiple_of(self.groups),
+            indices.len().is_multiple_of(self.groups),
             "atom count {} must divide into {} groups",
-            codes.len(),
+            indices.len(),
             self.groups
         );
-        let per_group = codes.len() / self.groups;
+        let per_group = indices.len() / self.groups;
         (0..self.groups)
             .map(|g| {
                 let mut bits = Vec::with_capacity(per_group * self.bits_per_atom);
-                for code in &codes[g * per_group..(g + 1) * per_group] {
+                for &index in &indices[g * per_group..(g + 1) * per_group] {
                     for k in (0..self.bits_per_atom).rev() {
-                        bits.push((code.index >> k) & 1 == 1);
+                        bits.push((index >> k) & 1 == 1);
                     }
                 }
                 bits
@@ -99,11 +100,11 @@ impl ControlModel {
             .collect()
     }
 
-    /// Decodes per-group bit streams back into phase codes (the inverse of
-    /// [`ControlModel::pattern_bits`]) — what the shift-register outputs
+    /// Decodes per-group bit streams back into state indices (the inverse
+    /// of [`ControlModel::pattern_bits`]) — what the shift-register outputs
     /// present to the PIN-diode drivers.
-    pub fn decode_pattern(&self, groups: &[Vec<bool>]) -> Vec<crate::atom::PhaseCode> {
-        let mut codes = Vec::new();
+    pub fn decode_pattern(&self, groups: &[Vec<bool>]) -> Vec<u8> {
+        let mut indices = Vec::new();
         for bits in groups {
             assert!(
                 bits.len() % self.bits_per_atom == 0,
@@ -114,10 +115,10 @@ impl ControlModel {
                 for &b in atom_bits {
                     idx = (idx << 1) | b as u8;
                 }
-                codes.push(crate::atom::PhaseCode::new(idx, self.bits_per_atom as u8));
+                indices.push(idx);
             }
         }
-        codes
+        indices
     }
 
     /// Time to clock one pattern into the registers at `spi_clock_hz`,
@@ -183,25 +184,21 @@ mod tests {
 
     #[test]
     fn pattern_bits_round_trip() {
-        use crate::atom::PhaseCode;
         let c = ControlModel::default();
-        let codes: Vec<PhaseCode> = (0..256)
-            .map(|i| PhaseCode::two_bit((i % 4) as u8))
-            .collect();
-        let groups = c.pattern_bits(&codes);
+        let indices: Vec<u8> = (0..256).map(|i| (i % 4) as u8).collect();
+        let groups = c.pattern_bits(&indices);
         assert_eq!(groups.len(), 16);
         assert!(groups.iter().all(|g| g.len() == 32), "32 bits per group");
-        assert_eq!(c.decode_pattern(&groups), codes);
+        assert_eq!(c.decode_pattern(&groups), indices);
     }
 
     #[test]
     fn pattern_bits_are_msb_first() {
-        use crate::atom::PhaseCode;
         let c = ControlModel {
             groups: 1,
             ..ControlModel::default()
         };
-        let groups = c.pattern_bits(&[PhaseCode::two_bit(2)]); // binary 10
+        let groups = c.pattern_bits(&[2]); // binary 10
         assert_eq!(groups[0], vec![true, false]);
     }
 

@@ -30,6 +30,6 @@ pub mod solver;
 pub mod wdd;
 
 pub use array::{MtsArray, Prototype};
-pub use atom::{MetaAtom, PhaseCode};
+pub use atom::{MetaAtom, PackedCodes, PhaseCode};
 pub use channel::MtsLink;
 pub use solver::WeightSolver;

@@ -23,11 +23,15 @@
 //! one weight the descent is a serial chain (atom `m`'s choice updates the
 //! sum atom `m + 1` reads); across weights it is independent, so the lanes
 //! hide the chain's latency and fill SIMD registers. A lane that finishes
-//! is refilled with the batch's next weight at the sweep boundary. Every
-//! lane runs the scalar descent's operations in the scalar order, so
-//! codes, sums, residuals and sweep counts are bitwise those of a
-//! one-weight-at-a-time solve; [`WeightSolver::solve_with`] and
-//! [`WeightSolver::solve_warm`] are one-weight batches.
+//! is refilled with the batch's next weight at the sweep boundary, and the
+//! one it retires is written straight into the caller's [`BatchOutput`]:
+//! its state indices into a packed row (the
+//! [`PackedCodes`](crate::atom::PackedCodes) layout), its sum and
+//! residual into flat slices. Every lane runs the scalar descent's
+//! operations in the scalar order, so codes, sums, residuals and sweep
+//! counts are bitwise those of a one-weight-at-a-time solve;
+//! [`WeightSolver::solve_with`] and [`WeightSolver::solve_warm`] are
+//! one-weight batches.
 //!
 //! The same machinery extends to the **joint multi-target** problem of the
 //! parallelism schemes (Eqns 9–10): one shared configuration must
@@ -79,15 +83,15 @@ pub fn register_metrics() {
     let _ = metrics();
 }
 
-/// Records finished solves: one solve, its sweeps and one residual
-/// observation per result.
-fn record(results: &[SolveResult]) {
+/// Records finished solves: one solve and one residual observation per
+/// entry of `residuals`, and their `sweeps` in total.
+fn record(sweeps: usize, residuals: &[f64]) {
     if metaai_telemetry::enabled() {
         let m = metrics();
-        m.solves.add(results.len() as u64);
-        m.sweeps.add(results.iter().map(|r| r.sweeps as u64).sum());
-        for r in results {
-            m.residual.observe(r.residual);
+        m.solves.add(residuals.len() as u64);
+        m.sweeps.add(sweeps as u64);
+        for &r in residuals {
+            m.residual.observe(r);
         }
     }
 }
@@ -161,6 +165,21 @@ impl SolverScratch {
     pub fn new() -> Self {
         SolverScratch::default()
     }
+}
+
+/// Where a lane-kernel batch of `n` weights on `M` atoms writes its
+/// results, each in weight order: weight `j`'s state indices at
+/// `codes[j·M .. (j+1)·M]` (a [`PackedCodes`](crate::atom::PackedCodes)
+/// layout), its achieved normalized sum at `achieved[j]` and its residual
+/// `|achieved − target|` at `residual[j]`.
+#[derive(Debug)]
+pub struct BatchOutput<'a> {
+    /// `n · M` state indices.
+    pub codes: &'a mut [u8],
+    /// `n` achieved normalized sums.
+    pub achieved: &'a mut [C64],
+    /// `n` residuals.
+    pub residual: &'a mut [f64],
 }
 
 /// Result of solving for one configuration.
@@ -301,7 +320,7 @@ impl WeightSolver {
     ) -> SolveResult {
         self.check_inputs(targets, table);
         if self.num_targets() == 1 {
-            return one(self.solve_batch(targets, table, scratch));
+            return self.one_weight(targets, Start::PhaseAligned, table, scratch);
         }
         let target_arg = targets[0].arg();
         scratch.codes.clear();
@@ -331,43 +350,87 @@ impl WeightSolver {
         scratch: &mut SolverScratch,
     ) -> SolveResult {
         self.check_inputs(targets, table);
-        if self.num_targets() == 1 {
-            return one(self.solve_batch_warm(targets, &[initial], table, scratch));
-        }
         self.check_warm(initial);
+        if self.num_targets() == 1 {
+            let indices: Vec<u8> = initial.iter().map(|c| c.index).collect();
+            return self.one_weight(targets, Start::Warm(&indices), table, scratch);
+        }
         scratch.codes.clear();
         scratch.codes.extend_from_slice(initial);
         self.descend_joint(targets, table, scratch)
     }
 
     /// Solves every target of a single-target solver independently, each
-    /// from its phase-aligned initialization: result `j` is exactly what
-    /// a one-target [`solve_with`](Self::solve_with) of `targets[j]`
-    /// returns, and the solver telemetry counts one solve per target.
+    /// from its phase-aligned initialization, into `out`: weight `j`'s
+    /// codes, achieved sum and residual are exactly what a one-target
+    /// [`solve_with`](Self::solve_with) of `targets[j]` returns, and the
+    /// solver telemetry counts one solve per target. Returns the descent
+    /// sweeps of the whole batch.
     pub fn solve_batch(
         &self,
         targets: &[C64],
         table: &StateTable,
         scratch: &mut SolverScratch,
-    ) -> Vec<SolveResult> {
-        self.descend_lanes(targets, Start::PhaseAligned, table, scratch)
+        out: BatchOutput<'_>,
+    ) -> usize {
+        self.descend_lanes(targets, Start::PhaseAligned, table, scratch, out)
     }
 
     /// [`solve_batch`](Self::solve_batch), with target `j` warm-started
-    /// from `initial[j]`: result `j` is exactly a one-target
-    /// [`solve_warm`](Self::solve_warm) of `targets[j]` from `initial[j]`.
+    /// from the state indices `initial[j·M .. (j+1)·M]` (the layout `out`
+    /// is written in): weight `j` is exactly a one-target
+    /// [`solve_warm`](Self::solve_warm) of `targets[j]` from those codes.
     pub fn solve_batch_warm(
         &self,
         targets: &[C64],
-        initial: &[&[PhaseCode]],
+        initial: &[u8],
         table: &StateTable,
         scratch: &mut SolverScratch,
-    ) -> Vec<SolveResult> {
-        assert_eq!(initial.len(), targets.len(), "one warm start per target");
-        for codes in initial {
-            self.check_warm(codes);
+        out: BatchOutput<'_>,
+    ) -> usize {
+        assert_eq!(
+            initial.len(),
+            targets.len() * self.num_atoms(),
+            "one warm start per target, covering every atom"
+        );
+        // State counts are powers of two: one OR bounds every index.
+        let seen = initial.iter().fold(0u8, |acc, &i| acc | i);
+        assert!(
+            usize::from(seen) < table.n_states,
+            "warm-start codes use a different bit depth"
+        );
+        self.descend_lanes(targets, Start::Warm(initial), table, scratch, out)
+    }
+
+    /// A single-target solve as a one-weight batch.
+    fn one_weight(
+        &self,
+        targets: &[C64],
+        start: Start<'_>,
+        table: &StateTable,
+        scratch: &mut SolverScratch,
+    ) -> SolveResult {
+        let mut codes = vec![0; self.num_atoms()];
+        let mut achieved = vec![C64::ZERO];
+        let mut residual = [0.0];
+        let out = BatchOutput {
+            codes: &mut codes,
+            achieved: &mut achieved,
+            residual: &mut residual,
+        };
+        let sweeps = self.descend_lanes(targets, start, table, scratch, out);
+        SolveResult {
+            codes: codes
+                .into_iter()
+                .map(|index| PhaseCode {
+                    index,
+                    bits: self.bits,
+                })
+                .collect(),
+            achieved,
+            residual: residual[0],
+            sweeps,
         }
-        self.descend_lanes(targets, Start::Warm(initial), table, scratch)
     }
 
     fn check_inputs(&self, targets: &[C64], table: &StateTable) {
@@ -416,16 +479,24 @@ impl WeightSolver {
         start: Start<'_>,
         table: &StateTable,
         scratch: &mut SolverScratch,
-    ) -> Vec<SolveResult> {
+        mut out: BatchOutput<'_>,
+    ) -> usize {
         self.check_batch(table);
-        let results = match table.n_states {
-            2 => run_lanes::<2>(self, targets, start, table, scratch),
-            4 => run_lanes::<4>(self, targets, start, table, scratch),
-            8 => run_lanes::<8>(self, targets, start, table, scratch),
+        let n = targets.len();
+        assert!(
+            out.codes.len() == n * self.num_atoms()
+                && out.achieved.len() == n
+                && out.residual.len() == n,
+            "batch output must hold every weight's codes, sum and residual"
+        );
+        let sweeps = match table.n_states {
+            2 => run_lanes::<2>(self, targets, start, table, scratch, &mut out),
+            4 => run_lanes::<4>(self, targets, start, table, scratch, &mut out),
+            8 => run_lanes::<8>(self, targets, start, table, scratch, &mut out),
             n => unreachable!("{n} states: bit depth must be 1..=3"),
         };
-        record(&results);
-        results
+        record(sweeps, out.residual);
+        sweeps
     }
 
     /// The joint (`K ≥ 2`) coordinate descent: `scratch.codes` must already
@@ -497,20 +568,14 @@ impl WeightSolver {
             .map(|(&s, &t)| (s - t).norm_sq())
             .sum::<f64>()
             .sqrt();
-        let result = SolveResult {
+        record(sweeps, &[residual]);
+        SolveResult {
             codes: codes.clone(),
             achieved: sums.clone(),
             residual,
             sweeps,
-        };
-        record(std::slice::from_ref(&result));
-        result
+        }
     }
-}
-
-/// The only result of a one-weight batch.
-fn one(mut results: Vec<SolveResult>) -> SolveResult {
-    results.pop().expect("one target, one result")
 }
 
 /// How a batch's descents start.
@@ -518,8 +583,8 @@ fn one(mut results: Vec<SolveResult>) -> SolveResult {
 enum Start<'a> {
     /// The phase-aligned initialization against each target.
     PhaseAligned,
-    /// One set of codes per target.
-    Warm(&'a [&'a [PhaseCode]]),
+    /// One configuration's state indices per target, target-major.
+    Warm(&'a [u8]),
 }
 
 /// Descent state of the weights in flight, one lane each: the running
@@ -546,13 +611,14 @@ fn run_lanes<const S: usize>(
     start: Start<'_>,
     table: &StateTable,
     scratch: &mut SolverScratch,
-) -> Vec<SolveResult> {
+    out: &mut BatchOutput<'_>,
+) -> usize {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: guarded by the runtime feature check above.
-        return unsafe { run_lanes_avx2::<S>(solver, targets, start, table, scratch) };
+        return unsafe { run_lanes_avx2::<S>(solver, targets, start, table, scratch, out) };
     }
-    lanes::<S>(solver, targets, start, table, scratch)
+    lanes::<S>(solver, targets, start, table, scratch, out)
 }
 
 /// [`lanes`] compiled with AVX2 enabled.
@@ -568,18 +634,20 @@ unsafe fn run_lanes_avx2<const S: usize>(
     start: Start<'_>,
     table: &StateTable,
     scratch: &mut SolverScratch,
-) -> Vec<SolveResult> {
-    lanes::<S>(solver, targets, start, table, scratch)
+    out: &mut BatchOutput<'_>,
+) -> usize {
+    lanes::<S>(solver, targets, start, table, scratch, out)
 }
 
 /// Descends every weight of the batch, [`LANES`] at a time, with `S`
-/// states per atom.
+/// states per atom, into `out`; returns the sweeps of the whole batch.
 ///
 /// Lanes enter and leave only at sweep boundaries, where every lane sits
 /// at atom 0: a lane whose sweep changed nothing, or that reached
-/// `max_sweeps`, retires and loads the batch's next weight. A retired
-/// weight is never swept again — `(s − c) + c` need not be `s` bitwise,
-/// and the achieved sum is the running sum.
+/// `max_sweeps`, retires — its codes, sum and residual written straight
+/// into `out` — and loads the batch's next weight. A retired weight is
+/// never swept again — `(s − c) + c` need not be `s` bitwise, and the
+/// achieved sum is the running sum.
 #[inline(always)]
 fn lanes<const S: usize>(
     solver: &WeightSolver,
@@ -587,7 +655,8 @@ fn lanes<const S: usize>(
     start: Start<'_>,
     table: &StateTable,
     scratch: &mut SolverScratch,
-) -> Vec<SolveResult> {
+    out: &mut BatchOutput<'_>,
+) -> usize {
     let m = table.init_args.len();
     let plane = &table.planes[0];
     let SolverScratch {
@@ -614,11 +683,11 @@ fn lanes<const S: usize>(
             }
         }
         Start::Warm(initial) => {
-            for (j, codes) in initial.iter().enumerate() {
+            for (j, codes) in initial.chunks_exact(m).enumerate() {
                 let (g, lane) = (j / LANES, j % LANES);
                 let group = &mut init[g * group_len..(g + 1) * group_len];
-                for (slot, c) in group.chunks_exact_mut(LANES).zip(*codes) {
-                    slot[lane] = u64::from(c.index);
+                for (slot, &c) in group.chunks_exact_mut(LANES).zip(codes) {
+                    slot[lane] = u64::from(c);
                 }
             }
         }
@@ -643,17 +712,16 @@ fn lanes<const S: usize>(
         init_sums.extend((0..n).map(|lane| C64::new(sum_re[lane], sum_im[lane])));
     }
 
-    let mut results = vec![SolveResult::default(); targets.len()];
-    let retire = |j: usize, codes: Vec<PhaseCode>, achieved: C64, sweeps| SolveResult {
-        codes,
-        achieved: vec![achieved],
-        residual: (achieved - targets[j]).norm_sq().sqrt(),
-        sweeps,
+    // Weight `j`'s codes, from one lane column of atom-major words, with
+    // its achieved sum and residual.
+    let mut retire = |j: usize, words: std::slice::ChunksExact<'_, u64>, lane, achieved: C64| {
+        for (code, word) in out.codes[j * m..(j + 1) * m].iter_mut().zip(words) {
+            *code = word[lane] as u8;
+        }
+        out.achieved[j] = achieved;
+        out.residual[j] = (achieved - targets[j]).norm_sq().sqrt();
     };
-    let code = |index: u64| PhaseCode {
-        index: index as u8,
-        bits: solver.bits,
-    };
+    let mut sweeps = 0;
     lanes.clear();
     lanes.resize(m * LANES, 0);
     let mut st = Lanes::default();
@@ -672,9 +740,9 @@ fn lanes<const S: usize>(
                     st.changed[lane] = 0;
                     continue;
                 }
-                let codes = lanes.chunks_exact(LANES).map(|c| code(c[lane])).collect();
                 let achieved = C64::new(st.sum_re[lane], st.sum_im[lane]);
-                results[j] = retire(j, codes, achieved, swept[lane]);
+                retire(j, lanes.chunks_exact(LANES), lane, achieved);
+                sweeps += swept[lane];
                 in_flight[lane] = IDLE;
             }
             while next < targets.len() {
@@ -683,8 +751,7 @@ fn lanes<const S: usize>(
                 let (g, column) = (j / LANES, j % LANES);
                 let group = init[g * group_len..(g + 1) * group_len].chunks_exact(LANES);
                 if solver.max_sweeps == 0 {
-                    let codes = group.map(|c| code(c[column])).collect();
-                    results[j] = retire(j, codes, init_sums[j], 0);
+                    retire(j, group, column, init_sums[j]);
                     continue;
                 }
                 for (slot, c) in lanes.chunks_exact_mut(LANES).zip(group) {
@@ -701,7 +768,7 @@ fn lanes<const S: usize>(
             }
         }
         if in_flight.iter().all(|&j| j == IDLE) {
-            return results;
+            return sweeps;
         }
         sweep_lanes::<S>(plane, lanes, &mut st);
     }
@@ -1174,15 +1241,52 @@ mod tests {
         assert!((recomputed - res.achieved[0]).abs() < 1e-9);
     }
 
+    /// Codes, achieved sums and residuals bitwise; sweeps are compared
+    /// per batch, where the kernel reports them.
     fn assert_same(fast: &SolveResult, refr: &SolveResult) {
         assert_eq!(fast.codes, refr.codes);
-        assert_eq!(fast.sweeps, refr.sweeps);
         assert_eq!(fast.residual.to_bits(), refr.residual.to_bits());
         assert_eq!(fast.achieved.len(), refr.achieved.len());
         for (a, b) in fast.achieved.iter().zip(&refr.achieved) {
             assert_eq!(a.re.to_bits(), b.re.to_bits());
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
+    }
+
+    /// Runs `kernel` on an `n`-weight batch into fresh output buffers and
+    /// unpacks them into one result per weight (its `sweeps` left 0);
+    /// returns those and the batch's sweeps.
+    fn run_batch(
+        solver: &WeightSolver,
+        n: usize,
+        kernel: impl FnOnce(BatchOutput<'_>) -> usize,
+    ) -> (Vec<SolveResult>, usize) {
+        let m = solver.num_atoms();
+        let mut codes = vec![0; n * m];
+        let mut achieved = vec![C64::ZERO; n];
+        let mut residual = vec![0.0; n];
+        let sweeps = kernel(BatchOutput {
+            codes: &mut codes,
+            achieved: &mut achieved,
+            residual: &mut residual,
+        });
+        let results = (0..n)
+            .map(|j| SolveResult {
+                codes: codes[j * m..(j + 1) * m]
+                    .iter()
+                    .map(|&index| PhaseCode::new(index, solver.bits))
+                    .collect(),
+                achieved: vec![achieved[j]],
+                residual: residual[j],
+                sweeps: 0,
+            })
+            .collect();
+        (results, sweeps)
+    }
+
+    /// Every weight's codes, target-major, as a warm start.
+    fn packed(starts: &[Vec<PhaseCode>]) -> Vec<u8> {
+        starts.iter().flatten().map(|c| c.index).collect()
     }
 
     /// Batch sizes around the lane count: none, one lane, a partial
@@ -1212,11 +1316,16 @@ mod tests {
                 solver.max_sweeps = max_sweeps;
                 for n in BATCH_SIZES {
                     let targets = batch_targets(n, 40, &mut rng);
-                    let batch = solver.solve_batch(&targets, &table, &mut scratch);
-                    assert_eq!(batch.len(), n);
+                    let (batch, sweeps) = run_batch(&solver, n, |out| {
+                        solver.solve_batch(&targets, &table, &mut scratch, out)
+                    });
+                    let mut expected_sweeps = 0;
                     for (res, &t) in batch.iter().zip(&targets) {
-                        assert_same(res, &reference_solve(&solver, &[t]));
+                        let refr = reference_solve(&solver, &[t]);
+                        assert_same(res, &refr);
+                        expected_sweeps += refr.sweeps;
                     }
+                    assert_eq!(sweeps, expected_sweeps);
                 }
             }
         }
@@ -1233,7 +1342,9 @@ mod tests {
                 solver.max_sweeps = 6;
                 let n = 33;
                 let before = batch_targets(n, 40, &mut rng);
-                let solved = solver.solve_batch(&before, &table, &mut scratch);
+                let (solved, _) = run_batch(&solver, n, |out| {
+                    solver.solve_batch(&before, &table, &mut scratch, out)
+                });
                 // Odd weights restart from their converged codes at their
                 // old target; even ones from perturbed codes at a nudged
                 // target.
@@ -1255,16 +1366,38 @@ mod tests {
                 }
                 solver.max_sweeps = max_sweeps;
                 for n in BATCH_SIZES {
-                    let initial: Vec<&[PhaseCode]> =
-                        starts[..n].iter().map(Vec::as_slice).collect();
-                    let batch =
-                        solver.solve_batch_warm(&targets[..n], &initial, &table, &mut scratch);
+                    let initial = packed(&starts[..n]);
+                    let (batch, sweeps) = run_batch(&solver, n, |out| {
+                        solver.solve_batch_warm(&targets[..n], &initial, &table, &mut scratch, out)
+                    });
+                    let mut expected_sweeps = 0;
                     for ((res, &t), start) in batch.iter().zip(&targets).zip(&starts) {
-                        assert_same(res, &reference_descend(&solver, &[t], start.clone()));
+                        let refr = reference_descend(&solver, &[t], start.clone());
+                        assert_same(res, &refr);
+                        expected_sweeps += refr.sweeps;
                     }
+                    assert_eq!(sweeps, expected_sweeps);
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "different bit depth")]
+    fn a_warm_batch_rejects_indices_past_the_depth() {
+        let solver = WeightSolver::single(random_phasors(8, 3), 1);
+        let table = solver.state_table();
+        let mut initial = vec![0u8; 8];
+        initial[3] = 2;
+        run_batch(&solver, 1, |out| {
+            solver.solve_batch_warm(
+                &[C64::ONE],
+                &initial,
+                &table,
+                &mut SolverScratch::new(),
+                out,
+            )
+        });
     }
 
     /// CI's x86 hosts only run the AVX2 instantiation, so drive the
@@ -1283,15 +1416,21 @@ mod tests {
                 let table = solver.state_table();
                 let mut scratch = SolverScratch::new();
                 let targets = batch_targets(33, 64, rng);
+                let n = targets.len();
                 let cold = Start::PhaseAligned;
-                let portable = lanes::<S>(&solver, &targets, cold, &table, &mut scratch);
+                let portable = run_batch(&solver, n, |mut out| {
+                    lanes::<S>(&solver, &targets, cold, &table, &mut scratch, &mut out)
+                });
                 // SAFETY: AVX2 presence checked above.
-                let avx2 =
-                    unsafe { run_lanes_avx2::<S>(&solver, &targets, cold, &table, &mut scratch) };
-                for (a, b) in portable.iter().zip(&avx2) {
+                let avx2 = run_batch(&solver, n, |mut out| unsafe {
+                    run_lanes_avx2::<S>(&solver, &targets, cold, &table, &mut scratch, &mut out)
+                });
+                assert_eq!(portable.1, avx2.1);
+                for (a, b) in portable.0.iter().zip(&avx2.0) {
                     assert_same(a, b);
                 }
                 let starts: Vec<Vec<PhaseCode>> = portable
+                    .0
                     .iter()
                     .map(|r| {
                         let mut codes = r.codes.clone();
@@ -1301,14 +1440,18 @@ mod tests {
                         codes
                     })
                     .collect();
-                let initial: Vec<&[PhaseCode]> = starts.iter().map(Vec::as_slice).collect();
+                let initial = packed(&starts);
                 let nudged: Vec<C64> = targets.iter().map(|&t| t + C64::new(1.0, -0.5)).collect();
                 let warm = Start::Warm(&initial);
-                let portable = lanes::<S>(&solver, &nudged, warm, &table, &mut scratch);
+                let portable = run_batch(&solver, n, |mut out| {
+                    lanes::<S>(&solver, &nudged, warm, &table, &mut scratch, &mut out)
+                });
                 // SAFETY: as above.
-                let avx2 =
-                    unsafe { run_lanes_avx2::<S>(&solver, &nudged, warm, &table, &mut scratch) };
-                for (a, b) in portable.iter().zip(&avx2) {
+                let avx2 = run_batch(&solver, n, |mut out| unsafe {
+                    run_lanes_avx2::<S>(&solver, &nudged, warm, &table, &mut scratch, &mut out)
+                });
+                assert_eq!(portable.1, avx2.1);
+                for (a, b) in portable.0.iter().zip(&avx2.0) {
                     assert_same(a, b);
                 }
             }

@@ -9,7 +9,7 @@
 //! `M` and saturates near 256 atoms (Fig 30), which is how the paper picks
 //! its array size.
 
-use crate::solver::{SolverScratch, WeightSolver};
+use crate::solver::{BatchOutput, SolverScratch, WeightSolver};
 use metaai_math::rng::SimRng;
 use metaai_math::C64;
 
@@ -60,8 +60,20 @@ pub fn estimate_wdd(m: usize, cfg: &WddConfig, rng: &mut SimRng) -> f64 {
             C64::from_polar(r, rng.phase()) * scale
         })
         .collect();
-    let solved = solver.solve_batch(&targets, &solver.state_table(), &mut SolverScratch::new());
-    let hits = solved.iter().filter(|r| r.residual <= eps_abs).count();
+    let n = targets.len();
+    let mut residual = vec![0.0; n];
+    let out = BatchOutput {
+        codes: &mut vec![0; n * m],
+        achieved: &mut vec![C64::ZERO; n],
+        residual: &mut residual,
+    };
+    solver.solve_batch(
+        &targets,
+        &solver.state_table(),
+        &mut SolverScratch::new(),
+        out,
+    );
+    let hits = residual.iter().filter(|&&r| r <= eps_abs).count();
     hits as f64 / cfg.samples as f64
 }
 

@@ -29,7 +29,10 @@
 //!   `l ≥ 1` retargets against the error the layers before it actually
 //!   accumulated, so the cascade's multiplicative quantization error is
 //!   actively cancelled rather than compounded ([`solve::StackSolver`]).
-//!   Each layer's programme is a [`WeightSchedule`].
+//!   Each layer's programme is a [`WeightSchedule`], its `R × U`
+//!   configurations packed one byte per atom
+//!   ([`PackedCodes`](metaai_mts::atom::PackedCodes)), which the kernel
+//!   writes in place and [`realize_stack`] reads row by row.
 //!
 //! The paper's single surface is the L = 1 case, not a separate model:
 //! `metaai::mapper::WeightMapper` is a one-layer [`StackSolver`], and

@@ -34,9 +34,9 @@
 
 use crate::stack::StackGeometry;
 use metaai_math::{CMat, C64};
-use metaai_mts::atom::PhaseCode;
+use metaai_mts::atom::PackedCodes;
 use metaai_mts::channel::{MtsLink, RealizationTable};
-use metaai_mts::solver::{SolveResult, SolverScratch, StateTable, WeightSolver};
+use metaai_mts::solver::{BatchOutput, SolverScratch, StateTable, WeightSolver};
 use metaai_telemetry::{Counter, Histogram};
 use rayon::prelude::*;
 use std::borrow::Borrow;
@@ -69,21 +69,18 @@ pub fn register_metrics() {
 
 /// Weights per chunk: one parallel work item of [`StackSolver::solve`],
 /// one lane-kernel batch per layer, and one step of
-/// [`StackSolver::resolve_warm`]'s sequential loop. Each chunk owns one
-/// [`SolverScratch`] in `solve`. A chunk's descents finish at different
-/// sweeps, so a longer batch keeps the kernel's lanes filled for a larger
-/// share of the chunk.
+/// [`StackSolver::resolve_warm`]'s sequential loop. A chunk's descents
+/// finish at different sweeps, so a longer batch keeps the kernel's lanes
+/// filled for a larger share of the chunk.
 const SOLVE_CHUNK: usize = 128;
-
-/// One chunk's per-layer results, in path order, each in weight order.
-type ChunkSolve = Vec<Vec<SolveResult>>;
 
 /// One surface's solved programme for one trained network: one
 /// configuration per (output class, input symbol).
 #[derive(Clone, Debug)]
 pub struct WeightSchedule {
-    /// `codes[r][i]` is the atom configuration realizing weight `(r, i)`.
-    pub codes: Vec<Vec<Vec<PhaseCode>>>,
+    /// The `R × U` configurations, row-major: weight `(r, i)` is
+    /// configuration `r·U + i`.
+    codes: PackedCodes,
     /// Achieved normalized channel sums (`Σ e^{j(φ^p+φ)}`), `R × U`.
     pub achieved: CMat,
     /// The scale σ applied to this layer's weights before solving.
@@ -94,14 +91,42 @@ pub struct WeightSchedule {
 }
 
 impl WeightSchedule {
+    /// A schedule from its packed configurations, `achieved`'s `R × U`
+    /// of them in row-major order.
+    pub fn new(codes: PackedCodes, achieved: CMat, scale: f64, rms_residual: f64) -> Self {
+        assert_eq!(
+            codes.len(),
+            achieved.rows() * achieved.cols(),
+            "one configuration per weight"
+        );
+        WeightSchedule {
+            codes,
+            achieved,
+            scale,
+            rms_residual,
+        }
+    }
+
     /// Number of output classes.
     pub fn num_outputs(&self) -> usize {
-        self.codes.len()
+        self.achieved.rows()
     }
 
     /// Number of input symbols.
     pub fn num_symbols(&self) -> usize {
-        self.codes.first().map_or(0, |c| c.len())
+        self.achieved.cols()
+    }
+
+    /// The configuration realizing weight `(row, col)`: one state index
+    /// per atom, at the schedule's depth (`packed().bits()`).
+    pub fn codes(&self, row: usize, col: usize) -> &[u8] {
+        assert!(col < self.num_symbols(), "symbol {col} out of range");
+        self.codes.row(row * self.num_symbols() + col)
+    }
+
+    /// Every configuration, packed.
+    pub fn packed(&self) -> &PackedCodes {
+        &self.codes
     }
 
     /// Relative weight-realization error against the `weights` this
@@ -173,6 +198,36 @@ struct LayerSolver {
     limit: f64,
 }
 
+/// What every chunk of one solve reads.
+struct Job<'a> {
+    factors: &'a [CMat],
+    scales: Vec<f64>,
+    env_offset_norm: C64,
+    /// One schedule per layer to warm-start from, or none for a cold solve.
+    warm: Option<Vec<&'a WeightSchedule>>,
+}
+
+/// One layer's results for all `R·U` weights, in weight order: the
+/// packed codes, achieved sums and residuals the lane kernel writes.
+struct LayerResults {
+    codes: Vec<u8>,
+    achieved: CMat,
+    residual: Vec<f64>,
+}
+
+/// One chunk of a solve: its weights, and per layer the slices of the
+/// [`LayerResults`] its batches write.
+type Chunk<'v, 'b> = (Range<usize>, &'v mut [BatchOutput<'b>]);
+
+/// A chunk's per-layer working vectors, reused from chunk to chunk.
+#[derive(Default)]
+struct ChunkScratch {
+    ideal_prod: Vec<C64>,
+    achieved_prod: Vec<C64>,
+    ideals: Vec<C64>,
+    targets: Vec<C64>,
+}
+
 /// Quantizes stack factors onto the cascade's surfaces, one 2-bit solve
 /// per (layer, output, symbol).
 pub struct StackSolver {
@@ -227,38 +282,41 @@ impl StackSolver {
             .collect()
     }
 
-    /// Solves weights `range` (row-major indices into the `r × u`
-    /// factors) through every layer in path order, compensating each
-    /// layer's target for the residual the previous layers actually
-    /// accumulated. Layer `l`'s targets for the whole range are formed from
-    /// layer `l − 1`'s achieved sums, each weight with the operations of a
-    /// one-weight-at-a-time cascade, and solved as one lane-kernel batch.
-    /// Returns the per-layer results, in range order.
+    /// Solves the chunk's weights `range` (row-major indices into the
+    /// `r × u` factors) through every layer in path order, into `outs`
+    /// (one per layer), compensating each layer's target for the residual
+    /// the previous layers actually accumulated. Layer `l`'s targets for
+    /// the whole range are formed from layer `l − 1`'s achieved sums, each
+    /// weight with the operations of a one-weight-at-a-time cascade, and
+    /// solved as one lane-kernel batch.
     fn solve_chunk(
         &self,
-        range: Range<usize>,
-        factors: &[CMat],
-        scales: &[f64],
-        env_offset_norm: C64,
-        warm: Option<&[&WeightSchedule]>,
+        job: &Job<'_>,
+        (range, outs): Chunk<'_, '_>,
         scratch: &mut SolverScratch,
-    ) -> ChunkSolve {
+        chunk: &mut ChunkScratch,
+    ) {
         let last = self.layers.len() - 1;
-        let u = factors[0].cols();
+        let u = job.factors[0].cols();
         let n = range.len();
-        let mut ideal_prod = vec![C64::ONE; n];
-        let mut achieved_prod = vec![C64::ONE; n];
-        let mut ideals = Vec::with_capacity(n);
-        let mut targets = Vec::with_capacity(n);
-        let mut out = Vec::with_capacity(self.layers.len());
-        for (l, layer) in self.layers.iter().enumerate() {
+        let ChunkScratch {
+            ideal_prod,
+            achieved_prod,
+            ideals,
+            targets,
+        } = chunk;
+        ideal_prod.clear();
+        ideal_prod.resize(n, C64::ONE);
+        achieved_prod.clear();
+        achieved_prod.resize(n, C64::ONE);
+        for ((l, layer), out) in self.layers.iter().enumerate().zip(outs) {
             ideals.clear();
             targets.clear();
             for (j, idx) in range.clone().enumerate() {
-                let ideal = factors[l][(idx / u, idx % u)] * scales[l];
+                let ideal = job.factors[l][(idx / u, idx % u)] * job.scales[l];
                 let mut target = if l == 0 { ideal } else { ideal_prod[j] * ideal };
                 if l == last {
-                    target -= env_offset_norm;
+                    target -= job.env_offset_norm;
                 }
                 if l > 0 {
                     // Steer the running product back onto the ideal
@@ -275,53 +333,138 @@ impl StackSolver {
                 ideals.push(ideal);
                 targets.push(target);
             }
-            let solved = match warm {
+            let batch = BatchOutput {
+                codes: &mut *out.codes,
+                achieved: &mut *out.achieved,
+                residual: &mut *out.residual,
+            };
+            match &job.warm {
                 Some(w) => {
-                    let initial: Vec<&[PhaseCode]> = range
-                        .clone()
-                        .map(|idx| w[l].codes[idx / u][idx % u].as_slice())
-                        .collect();
+                    let m = layer.solver.num_atoms();
+                    let initial = &w[l].packed().as_slice()[range.start * m..range.end * m];
                     layer
                         .solver
-                        .solve_batch_warm(&targets, &initial, &layer.table, scratch)
+                        .solve_batch_warm(targets, initial, &layer.table, scratch, batch)
                 }
-                None => layer.solver.solve_batch(&targets, &layer.table, scratch),
+                None => layer
+                    .solver
+                    .solve_batch(targets, &layer.table, scratch, batch),
             };
-            for (j, res) in solved.iter().enumerate() {
+            for j in 0..n {
                 ideal_prod[j] *= ideals[j];
-                achieved_prod[j] *= res.achieved[0];
+                achieved_prod[j] *= out.achieved[j];
             }
-            out.push(solved);
         }
-        out
+    }
+
+    /// Runs `job` over every chunk of the `r × u` weights with `run`,
+    /// which must hand each [`Chunk`] to [`solve_chunk`](Self::solve_chunk)
+    /// once, and assembles the per-layer schedules: each layer's results
+    /// are written in place, and its squared residuals summed in weight
+    /// order.
+    fn solve_chunks(
+        &self,
+        job: &Job<'_>,
+        run: impl for<'v, 'b> FnOnce(Vec<Chunk<'v, 'b>>),
+    ) -> StackSchedule {
+        let (r, u) = (job.factors[0].rows(), job.factors[0].cols());
+        let total = r * u;
+        let mut results: Vec<LayerResults> = self
+            .layers
+            .iter()
+            .map(|layer| LayerResults {
+                codes: vec![0; total * layer.solver.num_atoms()],
+                achieved: CMat::zeros(r, u),
+                residual: vec![0.0; total],
+            })
+            .collect();
+        // Every chunk's per-layer output slices, chunk-major.
+        let mut layer_chunks: Vec<_> = results
+            .iter_mut()
+            .zip(&self.layers)
+            .map(|(res, layer)| {
+                let m = layer.solver.num_atoms();
+                res.codes
+                    .chunks_mut(SOLVE_CHUNK * m)
+                    .zip(res.achieved.as_mut_slice().chunks_mut(SOLVE_CHUNK))
+                    .zip(res.residual.chunks_mut(SOLVE_CHUNK))
+            })
+            .collect();
+        let n_chunks = total.div_ceil(SOLVE_CHUNK);
+        let mut outs = Vec::with_capacity(n_chunks * self.layers.len());
+        for _ in 0..n_chunks {
+            for slices in &mut layer_chunks {
+                let ((codes, achieved), residual) = slices.next().expect("one slice per chunk");
+                outs.push(BatchOutput {
+                    codes,
+                    achieved,
+                    residual,
+                });
+            }
+        }
+        drop(layer_chunks);
+        let chunks: Vec<Chunk<'_, '_>> = outs
+            .chunks_mut(self.layers.len())
+            .enumerate()
+            .map(|(c, outs)| {
+                let lo = c * SOLVE_CHUNK;
+                (lo..(lo + SOLVE_CHUNK).min(total), outs)
+            })
+            .collect();
+        run(chunks);
+        drop(outs);
+
+        let layers = results
+            .into_iter()
+            .zip(&self.layers)
+            .zip(&job.scales)
+            .map(|((res, layer), &scale)| {
+                let mut sq_sum = 0.0;
+                for r in &res.residual {
+                    sq_sum += r * r;
+                }
+                let codes = PackedCodes::from_indices(
+                    res.codes,
+                    layer.solver.num_atoms(),
+                    layer.solver.bits,
+                );
+                Arc::new(WeightSchedule::new(
+                    codes,
+                    res.achieved,
+                    scale,
+                    (sq_sum / total as f64).sqrt(),
+                ))
+            })
+            .collect();
+        StackSchedule { layers }
     }
 
     /// Solves the full cascade programme for `factors` (cold start,
-    /// rayon-parallel over chunks of weights; chunking cannot influence
-    /// results because every weight's L solves are independent of its
-    /// neighbours). `env_offset_norm` is the Eqn-8 compensation in the
-    /// cascade's normalized units (`H_e / Π_l α_l`), or zero.
+    /// rayon-parallel over chunks of weights, one [`SolverScratch`] per
+    /// worker; chunking cannot influence results because every weight's L
+    /// solves are independent of its neighbours). `env_offset_norm` is the
+    /// Eqn-8 compensation in the cascade's normalized units
+    /// (`H_e / Π_l α_l`), or zero.
     pub fn solve(&self, factors: &[CMat], env_offset_norm: C64) -> StackSchedule {
         let tele = metaai_telemetry::enabled().then(metrics);
         let _span = tele.map(|m| m.solve_seconds.span());
-        let scales = self.scales(factors);
-        let (r, u) = (factors[0].rows(), factors[0].cols());
+        let job = Job {
+            factors,
+            scales: self.scales(factors),
+            env_offset_norm,
+            warm: None,
+        };
         if let Some(m) = tele {
             m.solves.inc();
-            m.weights_solved.add((self.layers.len() * r * u) as u64);
+            m.weights_solved
+                .add((self.layers.len() * factors[0].rows() * factors[0].cols()) as u64);
         }
-
-        let total = r * u;
-        let chunks: Vec<ChunkSolve> = (0..total.div_ceil(SOLVE_CHUNK))
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * SOLVE_CHUNK;
-                let range = lo..(lo + SOLVE_CHUNK).min(total);
-                let mut scratch = SolverScratch::new();
-                self.solve_chunk(range, factors, &scales, env_offset_norm, None, &mut scratch)
-            })
-            .collect();
-        self.collect_schedule(r, u, &scales, chunks)
+        self.solve_chunks(&job, |chunks| {
+            chunks.into_par_iter().for_each_init(
+                || (SolverScratch::new(), ChunkScratch::default()),
+                |(scratch, buffers), chunk| self.solve_chunk(&job, chunk, scratch, buffers),
+            )
+        })
     }
 
     /// [`solve`](Self::solve), warm-started from a previous programme's
@@ -329,7 +472,8 @@ impl StackSolver {
     /// channel drift the old configuration is already near the new
     /// optimum, so each solve is seeded with the previous codes instead
     /// of the phase-aligned initialization and typically converges in a
-    /// sweep or two.
+    /// sweep or two. Each chunk's warm start is one contiguous run of the
+    /// previous schedule's packed codes.
     ///
     /// Deliberately **sequential** on the caller's thread with one
     /// reusable `scratch` (reuse it across rounds too): no rayon fan-out
@@ -344,83 +488,37 @@ impl StackSolver {
     ) -> StackSchedule {
         let tele = metaai_telemetry::enabled().then(metrics);
         let _span = tele.map(|m| m.solve_seconds.span());
-        let scales = self.scales(factors);
         let (r, u) = (factors[0].rows(), factors[0].cols());
         let warm: Vec<&WeightSchedule> = warm.iter().map(Borrow::borrow).collect();
         assert_eq!(warm.len(), self.layers.len(), "one warm schedule per layer");
-        for w in &warm {
+        for (w, layer) in warm.iter().zip(&self.layers) {
             assert_eq!(
                 (w.num_outputs(), w.num_symbols()),
                 (r, u),
                 "warm schedule shape must match the weight factors"
             );
+            assert_eq!(
+                (w.packed().num_atoms(), w.packed().bits()),
+                (layer.solver.num_atoms(), layer.solver.bits),
+                "warm schedule must program this layer's atoms at its depth"
+            );
         }
+        let job = Job {
+            factors,
+            scales: self.scales(factors),
+            env_offset_norm,
+            warm: Some(warm),
+        };
         if let Some(m) = tele {
             m.solves.inc();
             m.weights_solved.add((self.layers.len() * r * u) as u64);
         }
-
-        let total = r * u;
-        let chunks: Vec<ChunkSolve> = (0..total)
-            .step_by(SOLVE_CHUNK)
-            .map(|lo| {
-                self.solve_chunk(
-                    lo..(lo + SOLVE_CHUNK).min(total),
-                    factors,
-                    &scales,
-                    env_offset_norm,
-                    Some(&warm),
-                    scratch,
-                )
-            })
-            .collect();
-        self.collect_schedule(r, u, &scales, chunks)
-    }
-
-    /// Assembles per-chunk results (chunks in weight order) into the
-    /// per-layer schedules; each layer's squared residuals are summed in
-    /// weight order.
-    fn collect_schedule(
-        &self,
-        r: usize,
-        u: usize,
-        scales: &[f64],
-        chunks: Vec<ChunkSolve>,
-    ) -> StackSchedule {
-        let n_layers = self.layers.len();
-        let mut codes: Vec<Vec<Vec<Vec<PhaseCode>>>> = (0..n_layers)
-            .map(|_| vec![vec![Vec::new(); u]; r])
-            .collect();
-        let mut achieved: Vec<CMat> = (0..n_layers).map(|_| CMat::zeros(r, u)).collect();
-        let mut sq_sums = vec![0.0; n_layers];
-        let mut first = 0;
-        for chunk in chunks {
-            let len = chunk[0].len();
-            for (l, solved) in chunk.into_iter().enumerate() {
-                for (idx, res) in (first..).zip(solved) {
-                    let (row, col) = (idx / u, idx % u);
-                    codes[l][row][col] = res.codes;
-                    achieved[l][(row, col)] = res.achieved[0];
-                    sq_sums[l] += res.residual * res.residual;
-                }
+        let mut buffers = ChunkScratch::default();
+        self.solve_chunks(&job, |chunks| {
+            for chunk in chunks {
+                self.solve_chunk(&job, chunk, scratch, &mut buffers);
             }
-            first += len;
-        }
-        let layers = codes
-            .into_iter()
-            .zip(achieved)
-            .zip(sq_sums)
-            .zip(scales)
-            .map(|(((codes, achieved), sq_sum), &scale)| {
-                Arc::new(WeightSchedule {
-                    codes,
-                    achieved,
-                    scale,
-                    rms_residual: (sq_sum / (r * u) as f64).sqrt(),
-                })
-            })
-            .collect();
-        StackSchedule { layers }
+        })
     }
 }
 
@@ -428,28 +526,32 @@ impl StackSolver {
 /// Π_l α_l · A_l[r, i]` on (possibly imperfect) surfaces: per-atom
 /// fabrication phase errors and stuck-at faults apply on top of each
 /// layer's programmed codes — the stacked analogue of the single-surface
-/// `realize_channels`, reading each layer's atom terms from its own
-/// [`RealizationTable`].
+/// `realize_channels`, gathering each layer's packed rows from its own
+/// [`RealizationTable`]. Runs sequentially on the caller's thread.
 pub fn realize_stack(geom: &StackGeometry, schedule: &StackSchedule) -> CMat {
     assert_eq!(
         geom.num_layers(),
         schedule.layers.len(),
         "geometry/schedule layer mismatch"
     );
-    let tables: Vec<RealizationTable> = geom
+    let (r, u) = (schedule.num_outputs(), schedule.num_symbols());
+    let sums: Vec<Vec<C64>> = geom
         .links
         .iter()
         .zip(&geom.surfaces)
-        .map(|(link, surface)| RealizationTable::new(link, surface))
+        .zip(&schedule.layers)
+        .map(|((link, surface), layer)| {
+            let mut sums = vec![C64::ZERO; r * u];
+            RealizationTable::new(link, surface).normalized_sums(layer.packed(), &mut sums);
+            sums
+        })
         .collect();
-    let (r, u) = (schedule.num_outputs(), schedule.num_symbols());
     CMat::from_fn(r, u, |row, col| {
-        tables.iter().zip(&geom.links).zip(&schedule.layers).fold(
-            C64::ONE,
-            |acc, ((table, link), layer)| {
-                acc * table.normalized_sum(&layer.codes[row][col]) * link.alpha
-            },
-        )
+        sums.iter()
+            .zip(&geom.links)
+            .fold(C64::ONE, |acc, (sums, link)| {
+                acc * sums[row * u + col] * link.alpha
+            })
     })
 }
 
@@ -459,6 +561,7 @@ mod tests {
     use crate::stack::StackSpec;
     use metaai_math::rng::SimRng;
     use metaai_mts::array::Prototype;
+    use metaai_mts::solver::SolveResult;
     use metaai_nn::StackWeights;
     use metaai_rf::geometry::Point3;
 
@@ -487,7 +590,7 @@ mod tests {
         let factors = random_factors(2, 3, 6, 1);
         let sched = solver.solve(&factors, C64::ZERO);
         assert_eq!(sched.layers.len(), 2);
-        assert_eq!(sched.layers[0].codes[2][5].len(), 32);
+        assert_eq!(sched.layers[0].codes(2, 5).len(), 32);
         let rel = sched.relative_error(&factors);
         assert!(rel < 0.1, "cascade realization error {rel}");
     }
@@ -500,7 +603,7 @@ mod tests {
         let a = solver.solve(&factors, C64::ZERO);
         let b = solver.solve(&factors, C64::ZERO);
         for (x, y) in a.layers.iter().zip(&b.layers) {
-            assert_eq!(x.codes, y.codes);
+            assert_eq!(x.packed(), y.packed());
             assert_eq!(x.achieved, y.achieved);
         }
     }
@@ -569,7 +672,7 @@ mod tests {
         // Pure function of its inputs: scratch reuse changes nothing.
         let again = solver.resolve_warm(&factors, C64::ZERO, &base.layers, &mut scratch);
         for (x, y) in warm.layers.iter().zip(&again.layers) {
-            assert_eq!(x.codes, y.codes);
+            assert_eq!(x.packed(), y.packed());
         }
     }
 
@@ -588,6 +691,34 @@ mod tests {
             * sched.layers[1].achieved[(1, 3)];
         assert!((h[(1, 3)] - expect).abs() < 1e-12 * expect.abs().max(1.0));
     }
+    #[test]
+    fn packed_rows_round_trip_through_configure() {
+        // Each weight's packed row, programmed onto the degraded surface,
+        // reads back as the same codes, and the configured surface's own
+        // channel is the realized entry bit for bit.
+        let mut geom = geometry(1, 48);
+        let mut rng = SimRng::seed_from_u64(8);
+        geom.surfaces[0].inject_phase_noise(0.1, &mut rng);
+        geom.surfaces[0].inject_stuck_faults(0.1, &mut rng);
+        let solver = StackSolver::new(&geom, 0.9);
+        let factors = random_factors(1, 3, 7, 9);
+        let sched = solver.solve(&factors, C64::ZERO);
+        let layer = &sched.layers[0];
+        assert_eq!(layer.packed().len(), 3 * 7);
+        assert_eq!(layer.packed().bits(), 2);
+        let h = realize_stack(&geom, &sched);
+        let (link, mut array) = (&geom.links[0], geom.surfaces[0].clone());
+        for row in 0..3 {
+            for col in 0..7 {
+                array.configure(&layer.packed().phase_codes(row * 7 + col));
+                let read: Vec<u8> = array.codes().iter().map(|c| c.index).collect();
+                assert_eq!(read, layer.codes(row, col));
+                assert!(array.codes().iter().all(|c| c.bits == 2));
+                assert_eq!(link.channel(&array), h[(row, col)], "weight ({row}, {col})");
+            }
+        }
+    }
+
     /// The per-weight cascade the chunked batches replaced, kept as the
     /// reference: each weight through every layer in path order, one
     /// one-target solve at a time. Also returns how many compensated
@@ -628,7 +759,7 @@ mod tests {
                 let res = match warm {
                     Some(w) => layer.solver.solve_warm(
                         &[target],
-                        &w.layers[l].codes[row][col],
+                        &w.layers[l].packed().phase_codes(idx),
                         &layer.table,
                         &mut scratch,
                     ),
@@ -649,7 +780,8 @@ mod tests {
             let mut sq_sum = 0.0;
             for (idx, res) in refs.iter().enumerate() {
                 let (row, col) = (idx / u, idx % u);
-                assert_eq!(layer.codes[row][col], res.codes, "weight {idx}");
+                assert_eq!(layer.packed().phase_codes(idx), res.codes, "weight {idx}");
+                assert_eq!(layer.codes(row, col), layer.packed().row(idx));
                 let a = layer.achieved[(row, col)];
                 assert_eq!(a.re.to_bits(), res.achieved[0].re.to_bits());
                 assert_eq!(a.im.to_bits(), res.achieved[0].im.to_bits());

@@ -14,7 +14,7 @@ use metaai::pipeline::{redeploy_warm, MetaAiSystem};
 use metaai_math::rng::SimRng;
 use metaai_math::{CMat, C64};
 use metaai_mts::array::{MtsArray, Prototype};
-use metaai_mts::atom::PhaseCode;
+use metaai_mts::atom::{PackedCodes, PhaseCode};
 use metaai_mts::channel::MtsLink;
 use metaai_mts::solver::{SolverScratch, WeightSolver};
 use metaai_nn::complex_lnn::ComplexLnn;
@@ -42,12 +42,14 @@ fn cmat_digest(h: &CMat) -> u64 {
     fnv(h.as_slice().iter().flat_map(c64_words))
 }
 
-fn codes_words(codes: &[Vec<Vec<PhaseCode>>]) -> impl Iterator<Item = u64> + '_ {
+/// Each code as `bits << 8 | index`, weight-major then atom order — the
+/// words the digests were recorded over.
+fn codes_words(codes: &PackedCodes) -> impl Iterator<Item = u64> + '_ {
+    let bits = u64::from(codes.bits());
     codes
+        .as_slice()
         .iter()
-        .flatten()
-        .flatten()
-        .map(|c| (u64::from(c.bits) << 8) | u64::from(c.index))
+        .map(move |&index| (bits << 8) | u64::from(index))
 }
 
 fn random_weights(r: usize, u: usize, seed: u64) -> CMat {
@@ -73,26 +75,14 @@ fn degraded_paper_array() -> (SystemConfig, MtsArray, MtsLink) {
 }
 
 /// A schedule of seeded random codes at one bit depth (realization reads
-/// only the codes).
+/// only the codes), drawn weight by weight in row-major order.
 fn random_schedule(r: usize, u: usize, atoms: usize, bits: u8, seed: u64) -> WeightSchedule {
     let mut rng = SimRng::seed_from_u64(seed);
-    let codes = (0..r)
-        .map(|_| {
-            (0..u)
-                .map(|_| {
-                    (0..atoms)
-                        .map(|_| PhaseCode::new(rng.below(1 << bits) as u8, bits))
-                        .collect()
-                })
-                .collect()
-        })
+    let indices = (0..r * u * atoms)
+        .map(|_| rng.below(1 << bits) as u8)
         .collect();
-    WeightSchedule {
-        codes,
-        achieved: CMat::zeros(r, u),
-        scale: 1.0,
-        rms_residual: 0.0,
-    }
+    let codes = PackedCodes::from_indices(indices, atoms, bits);
+    WeightSchedule::new(codes, CMat::zeros(r, u), 1.0, 0.0)
 }
 
 #[test]
@@ -138,7 +128,7 @@ fn cold_map_matches_recorded_bits() {
     let (config, array, _) = degraded_paper_array();
     let mapper = WeightMapper::new(&config, &array);
     let sched = mapper.map(&random_weights(10, 48, 21), C64::new(0.5, -0.25));
-    let digest = fnv(codes_words(&sched.codes)
+    let digest = fnv(codes_words(sched.packed())
         .chain(sched.achieved.as_slice().iter().flat_map(c64_words))
         .chain([sched.scale.to_bits(), sched.rms_residual.to_bits()]));
     const RECORDED: u64 = 0x0c1d_44e2_ebc2_462e;
@@ -174,7 +164,7 @@ fn joint_solve_matches_recorded_bits() {
 
 fn stack_digest(schedule: &StackSchedule) -> u64 {
     fnv(schedule.layers.iter().flat_map(|l| {
-        codes_words(&l.codes)
+        codes_words(l.packed())
             .chain(l.achieved.as_slice().iter().flat_map(c64_words))
             .collect::<Vec<_>>()
     }))
@@ -215,7 +205,7 @@ fn system_digest(sys: &MetaAiSystem) -> u64 {
         .as_slice()
         .iter()
         .flat_map(c64_words)
-        .chain(layers.iter().flat_map(|l| codes_words(&l.codes)))
+        .chain(layers.iter().flat_map(|l| codes_words(l.packed())))
         .chain([sys.noise_floor.to_bits(), sys.realization_error().to_bits()]))
 }
 

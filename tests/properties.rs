@@ -4,7 +4,7 @@ use metaai_math::fft::{fft, ifft};
 use metaai_math::rng::SimRng;
 use metaai_math::{CVec, C64};
 use metaai_mts::atom::PhaseCode;
-use metaai_mts::solver::{SolverScratch, WeightSolver};
+use metaai_mts::solver::{BatchOutput, SolverScratch, WeightSolver};
 use metaai_phy::bits::{bits_to_bytes, bytes_to_bits};
 use metaai_phy::shaping;
 use metaai_phy::Modulation;
@@ -108,18 +108,32 @@ fn solver_residual_and_reconstruction() {
     let targets: Vec<C64> = (0..20)
         .map(|k| C64::from_polar(k as f64 * 2.0, rng.phase()))
         .collect();
-    let solved = solver.solve_batch(&targets, &solver.state_table(), &mut SolverScratch::new());
-    for (res, target) in solved.into_iter().zip(targets) {
+    let n = targets.len();
+    let mut codes = vec![0; n * phasors.len()];
+    let mut achieved = vec![C64::ZERO; n];
+    let mut residual = vec![0.0; n];
+    let out = BatchOutput {
+        codes: &mut codes,
+        achieved: &mut achieved,
+        residual: &mut residual,
+    };
+    solver.solve_batch(
+        &targets,
+        &solver.state_table(),
+        &mut SolverScratch::new(),
+        out,
+    );
+    for (j, target) in targets.into_iter().enumerate() {
         let rebuilt: C64 = phasors
             .iter()
-            .zip(&res.codes)
-            .map(|(&u, c)| u * C64::cis(c.phase()))
+            .zip(&codes[j * phasors.len()..])
+            .map(|(&u, &index)| u * C64::cis(PhaseCode::two_bit(index).phase()))
             .sum();
-        assert!((rebuilt - res.achieved[0]).abs() < 1e-9);
+        assert!((rebuilt - achieved[j]).abs() < 1e-9);
         assert!(
-            res.residual <= target.abs().max(2.0),
+            residual[j] <= target.abs().max(2.0),
             "residual {} for |t| = {}",
-            res.residual,
+            residual[j],
             target.abs()
         );
     }
@@ -179,11 +193,9 @@ proptest! {
     fn control_pattern_round_trip(
         states in proptest::collection::vec(0u8..4, 256..=256),
     ) {
-        use metaai_mts::atom::PhaseCode;
         use metaai_mts::control::ControlModel;
-        let codes: Vec<PhaseCode> = states.iter().map(|&s| PhaseCode::two_bit(s)).collect();
         let c = ControlModel::default();
-        prop_assert_eq!(c.decode_pattern(&c.pattern_bits(&codes)), codes);
+        prop_assert_eq!(c.decode_pattern(&c.pattern_bits(&states)), states);
     }
 
     /// The energy model is monotone in payload size for every platform.

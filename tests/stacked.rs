@@ -105,7 +105,10 @@ fn stack_solving_is_worker_count_independent() {
     let solver = StackSolver::new(&geom, 0.9);
     let run = || {
         let s = solver.solve(&factors, C64::ZERO);
-        s.layers.iter().map(|l| l.codes.clone()).collect::<Vec<_>>()
+        s.layers
+            .iter()
+            .map(|l| l.packed().clone())
+            .collect::<Vec<_>>()
     };
     let default_threads = run();
     let single = with_workers(1, run);
@@ -140,7 +143,7 @@ fn a_one_layer_stack_solve_matches_the_single_surface_mapper() {
     let schedule = mapper.map(&w, C64::ZERO);
 
     assert_eq!(stacked.layers[0].scale, schedule.scale);
-    assert_eq!(stacked.layers[0].codes, schedule.codes);
+    assert_eq!(stacked.layers[0].packed(), schedule.packed());
     assert_eq!(
         stacked.layers[0].achieved.as_slice(),
         schedule.achieved.as_slice()
@@ -173,7 +176,7 @@ fn a_one_layer_stack_deployment_realizes_single_surface_channels() {
         });
     assert_eq!(stack.num_layers(), 1);
     assert_eq!(stack.channels, plain.channels);
-    assert_eq!(stack.schedule.codes, plain.schedule.codes);
+    assert_eq!(stack.schedule.packed(), plain.schedule.packed());
     assert_eq!(stack.noise_floor.to_bits(), plain.noise_floor.to_bits());
     assert_eq!(
         stack.realization_error().to_bits(),
