@@ -1,6 +1,6 @@
 //! Pinned operation counts: the engine's chip/sample/draw totals, the
 //! solver's sweeps and solves per deployment path, and the heap
-//! allocations of one served request.
+//! allocations of one served request, of a solve and of a training run.
 //!
 //! The chip/sample/draw counters are derived from the engine's documented
 //! accounting (`chips = rows × draws-per-row`, one aggregated AWGN draw
@@ -435,6 +435,37 @@ fn training_counts_epochs_and_samples_at_every_layer_count() {
             "L = {layers}"
         );
     }
+    drop(guard);
+}
+
+/// Recorded heap allocations, on the calling thread, of a one-worker,
+/// two-epoch `TrainEngine::train` on 15 samples in batches of 4: four per
+/// sample (the forward pass's output, and the loss's magnitudes,
+/// probabilities and cogradient), one per batch (the fold's job list),
+/// and the rest per epoch (the shuffle) and per run (weights, velocity,
+/// gradient scratch, statistics). Reused scratch keeps every other
+/// per-sample buffer off the heap.
+const TRAIN_ALLOCATIONS: u64 = 143;
+
+#[test]
+fn one_worker_training_makes_pinned_allocations() {
+    let (guard, _registry) = lock_registry();
+    let data = toy_problem(3, 8, 5, 0.3, 3, 4); // 15 samples
+    let engine = TrainEngine::new(TrainConfig {
+        epochs: 2,
+        batch: 4,
+        ..TrainConfig::default()
+    });
+    let one_worker = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-worker pool");
+    let n = one_worker.install(|| {
+        allocations_in(|| {
+            engine.train(&data);
+        })
+    });
+    assert_eq!(n, TRAIN_ALLOCATIONS);
     drop(guard);
 }
 

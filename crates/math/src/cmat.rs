@@ -7,8 +7,11 @@ use crate::cvec::CVec;
 ///
 /// Sized for the workloads in this workspace: LNN weight matrices
 /// (`classes × input_len`, e.g. 10 × 784) and stacked-metasurface
-/// propagation kernels (≤ 1024 × 1024). All operations are straightforward
-/// triple loops; clarity beats blocking at these sizes.
+/// propagation kernels (≤ 1024 × 1024). Every operation but
+/// [`matvec`](Self::matvec) is a straightforward loop nest. `matvec` is
+/// the training forward pass, run once per sample per epoch, so it sweeps
+/// rows in register blocks with the same bits as the plain per-row
+/// fold.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CMat {
     rows: usize,
@@ -90,15 +93,14 @@ impl CMat {
     }
 
     /// Matrix–vector product `A·x`.
+    ///
+    /// Row `r` is the left fold `acc.mul_add(a, x_c)` from zero in column
+    /// order, bit for bit, whichever row block and ISA path computes it.
     pub fn matvec(&self, x: &CVec) -> CVec {
         assert_eq!(self.cols, x.len(), "matvec: dimension mismatch");
-        let xs = x.as_slice();
-        CVec::from_fn(self.rows, |r| {
-            self.row(r)
-                .iter()
-                .zip(xs)
-                .fold(C64::ZERO, |acc, (&a, &b)| acc.mul_add(a, b))
-        })
+        let mut out = vec![C64::ZERO; self.rows];
+        matvec_isa::run(&self.data, self.cols, x.as_slice(), &mut out);
+        CVec::from_vec(out)
     }
 
     /// Matrix–matrix product `A·B`.
@@ -215,6 +217,83 @@ impl CMat {
     }
 }
 
+/// One block of `N` rows of `A·x`: `N` independent complex dot products
+/// swept column by column, accumulators held in registers.
+///
+/// A single row's fold is one dependent chain of two `f64` adds per
+/// column, so a row-at-a-time sweep waits on add latency. A block runs
+/// `N` such chains side by side. Each row still keeps its own
+/// accumulator, starts from zero and folds its columns left to right with
+/// [`C64::mul_add`]; no sum is reassociated, so blocking is bitwise
+/// invisible.
+#[inline(always)]
+fn matvec_block<const N: usize>(block: &[C64], cols: usize, x: &[C64]) -> [C64; N] {
+    let rows: [&[C64]; N] = std::array::from_fn(|k| &block[k * cols..(k + 1) * cols]);
+    let mut acc = [C64::ZERO; N];
+    for (c, &b) in x.iter().enumerate() {
+        for k in 0..N {
+            acc[k] = acc[k].mul_add(rows[k][c], b);
+        }
+    }
+    acc
+}
+
+/// `out = A·x` for the row-major `data` of `out.len()` rows by `cols`
+/// columns: blocks of 8 rows, then one block each of 4, 2 and 1 for the
+/// remainder.
+#[inline(always)]
+fn matvec_rows(data: &[C64], cols: usize, x: &[C64], out: &mut [C64]) {
+    let x = &x[..cols];
+    let mut r = 0;
+    let rows = out.len();
+    while rows - r >= 8 {
+        out[r..r + 8].copy_from_slice(&matvec_block::<8>(&data[r * cols..], cols, x));
+        r += 8;
+    }
+    if rows - r >= 4 {
+        out[r..r + 4].copy_from_slice(&matvec_block::<4>(&data[r * cols..], cols, x));
+        r += 4;
+    }
+    if rows - r >= 2 {
+        out[r..r + 2].copy_from_slice(&matvec_block::<2>(&data[r * cols..], cols, x));
+        r += 2;
+    }
+    if rows - r == 1 {
+        out[r] = matvec_block::<1>(&data[r * cols..], cols, x)[0];
+    }
+}
+
+/// [`matvec_rows`] at the widest ISA this host runs.
+///
+/// As `metaai::engine` dispatches its row sweeps, the AVX2 path is the
+/// *same* safe body recompiled with 256-bit vectors available
+/// (`#[target_feature(enable = "avx2")]`, no intrinsics, FMA off), picked
+/// by a runtime check. rustc never contracts a `mul` and an `add` into an
+/// FMA on its own, so every path computes the identical `f64` sequence.
+mod matvec_isa {
+    use super::{matvec_rows, C64};
+
+    pub(super) fn run(data: &[C64], cols: usize, x: &[C64], out: &mut [C64]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: guarded by the runtime feature check above.
+            return unsafe { run_avx2(data, cols, x, out) };
+        }
+        matvec_rows(data, cols, x, out)
+    }
+
+    /// [`matvec_rows`] compiled with AVX2 enabled.
+    ///
+    /// # Safety
+    ///
+    /// The CPU running it must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn run_avx2(data: &[C64], cols: usize, x: &[C64], out: &mut [C64]) {
+        matvec_rows(data, cols, x, out)
+    }
+}
+
 impl std::ops::Index<(usize, usize)> for CMat {
     type Output = C64;
     #[inline]
@@ -235,6 +314,7 @@ impl std::ops::IndexMut<(usize, usize)> for CMat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     fn approx(a: C64, b: C64) -> bool {
         (a - b).abs() < 1e-10
@@ -298,6 +378,118 @@ mod tests {
         let row1 = a.row_vec(1);
         assert_eq!(row1.len(), 3);
         assert_eq!(row1[2].re, 12.0);
+    }
+
+    /// Every row's left fold from zero in column order: what `matvec`
+    /// computed before it swept rows in blocks.
+    fn reference_matvec(a: &CMat, x: &CVec) -> Vec<C64> {
+        (0..a.rows())
+            .map(|r| {
+                a.row(r)
+                    .iter()
+                    .zip(x.iter())
+                    .fold(C64::ZERO, |acc, (&p, &q)| acc.mul_add(p, q))
+            })
+            .collect()
+    }
+
+    /// Bits of every part; NaN parts compare as NaN only, since IEEE 754
+    /// leaves the payload and sign of a NaN result to the hardware.
+    fn words(v: &[C64]) -> Vec<Option<u64>> {
+        v.iter()
+            .flat_map(|z| [z.re, z.im])
+            .map(|p| (!p.is_nan()).then(|| p.to_bits()))
+            .collect()
+    }
+
+    /// A part drawn from `rng`: mostly Gaussian, and with `specials`, one
+    /// time in four a signed zero, a subnormal, an infinity or a NaN.
+    fn part(rng: &mut SimRng, specials: bool) -> f64 {
+        const SPECIAL: [f64; 8] = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -5e-324,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -1.5e-310,
+        ];
+        if specials && rng.below(4) == 0 {
+            SPECIAL[rng.below(SPECIAL.len())]
+        } else {
+            rng.normal(0.0, 1.0)
+        }
+    }
+
+    /// `(matrix, input)` pairs covering every 8/4/2/1 row remainder and
+    /// column counts 0, 1, 3 and 784, with and without special values.
+    fn matvec_cases() -> Vec<(CMat, CVec)> {
+        let mut rng = SimRng::seed_from_u64(0x6d76);
+        let mut cases = Vec::new();
+        for specials in [false, true] {
+            for rows in 0..=17 {
+                for cols in [0, 1, 3, 784] {
+                    let mut z = || C64::new(part(&mut rng, specials), part(&mut rng, specials));
+                    let a = CMat::from_fn(rows, cols, |_, _| z());
+                    let x = CVec::from_fn(cols, |_| z());
+                    cases.push((a, x));
+                }
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn blocked_matvec_matches_the_per_row_fold_bitwise() {
+        for (a, x) in matvec_cases() {
+            let want = reference_matvec(&a, &x);
+            assert_eq!(
+                words(a.matvec(&x).as_slice()),
+                words(&want),
+                "{} × {}",
+                a.rows(),
+                a.cols()
+            );
+        }
+        // Signed zeros survive: an all-(−0) product row sums to +0 from
+        // the +0 seed, exactly as the fold does.
+        let a = CMat::from_fn(9, 3, |_, _| C64::new(-0.0, 0.0));
+        let x = CVec::from_fn(3, |_| C64::new(0.0, -0.0));
+        assert_eq!(
+            words(a.matvec(&x).as_slice()),
+            words(&reference_matvec(&a, &x))
+        );
+    }
+
+    /// CI's x86 hosts run only the AVX2 sweep, so drive the portable body
+    /// (what non-x86 builds ship) against it directly.
+    #[test]
+    fn matvec_isa_paths_agree_bitwise() {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                println!("note: no AVX2 on this host; ISA parity not checked");
+                return;
+            }
+            for (a, x) in matvec_cases() {
+                let mut portable = vec![C64::ZERO; a.rows()];
+                let mut avx2 = vec![C64::ONE; a.rows()];
+                matvec_rows(a.as_slice(), a.cols(), x.as_slice(), &mut portable);
+                // SAFETY: AVX2 presence checked above.
+                unsafe { matvec_isa::run_avx2(a.as_slice(), a.cols(), x.as_slice(), &mut avx2) };
+                assert_eq!(
+                    words(&portable),
+                    words(&avx2),
+                    "{} × {}",
+                    a.rows(),
+                    a.cols()
+                );
+                assert_eq!(words(&portable), words(&reference_matvec(&a, &x)));
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("note: not an x86-64 host; only the portable sweep exists");
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //! * descriptive statistics ([`stats`]) for the experiment harness, and
 //! * deterministic, seedable random sources ([`rng`]).
 //!
-//! Everything is written for clarity first. The one concession to raw speed
-//! is [`CPlanes`], a split re/im column-major copy of a [`CMat`] that the
-//! inference engine's fused scoring kernel streams through the autovectorizer;
-//! everywhere else the matrices involved are small (hundreds by tens) and
+//! Everything is written for clarity first. There are two concessions to
+//! raw speed: [`CPlanes`], a split re/im column-major copy of a [`CMat`]
+//! that the inference engine's fused scoring kernel streams through the
+//! autovectorizer, and [`CMat::matvec`], the training forward pass, which
+//! sweeps rows in register blocks with the bits of the plain per-row fold.
+//! Everywhere else the matrices involved are small (hundreds by tens) and
 //! cache-oblivious blocking or explicit SIMD would be noise.
 
 pub mod cmat;

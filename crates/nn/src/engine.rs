@@ -26,7 +26,7 @@
 //!    addition order is therefore a pure function of the batch layout —
 //!    never of which worker ran which sub-chunk — so the trained weights
 //!    are bitwise independent of the rayon worker count.
-//! 3. **Scratch reuse.** Gradient matrices and augmentation buffers are
+//! 3. **Scratch reuse.** Gradient planes and augmentation buffers are
 //!    allocated once per training run and reused across batches
 //!    (`apply_all_into` writes augmented samples into per-slot buffers);
 //!    the unaugmented path borrows the dataset input directly with no copy
@@ -40,16 +40,17 @@
 //! And the per-sample cogradient: L = 1 accumulates
 //! [`ComplexLnn::accumulate_grad`]'s `Γ_r·x̄_i` into its one factor, which
 //! is its own effective weights, so its batches form no product; L ≥ 2
-//! forms the effective weights and each factor's complement
-//! `Π_{k≠l} W_k` once per batch and accumulates
-//! `Γ_r·x̄_i·conj(Π_{k≠l} W_k)`.
+//! forms the effective weights and each factor's conjugated complement
+//! `conj(Π_{k≠l} W_k)` once per batch and accumulates
+//! `Γ_r·x̄_i·conj(Π_{k≠l} W_k)`. Both run on split re/im `f64` planes,
+//! with the bits of the interleaved `C64` loops (`add_cograds`).
 //!
 //! [`fold_batch`] is the generic reduction primitive; the deep trainers in
 //! [`crate::deep`], [`crate::deep_complex`] and [`crate::pnn_stack`] reuse
 //! it with their own scratch types.
 
 use crate::augment::apply_all_into;
-use crate::complex_lnn::{add_weight_cograd, ComplexLnn, StackWeights};
+use crate::complex_lnn::{ComplexLnn, StackWeights};
 use crate::data::ComplexDataset;
 use crate::loss::magnitude_ce;
 use crate::train::{EpochStats, TrainConfig};
@@ -156,10 +157,29 @@ where
     n_sub
 }
 
-/// Per-sub-chunk scratch: one partial gradient per factor, running
+/// A `rows × cols` complex matrix as split re/im row-major `f64` planes:
+/// entry `(r, c)` is `(re[r·cols + c], im[r·cols + c])`.
+struct SplitPlanes {
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl SplitPlanes {
+    fn zeros(len: usize) -> Self {
+        SplitPlanes {
+            re: vec![0.0; len],
+            im: vec![0.0; len],
+        }
+    }
+}
+
+/// Per-sub-chunk scratch: one partial gradient per factor, the current
+/// sample's conjugated input `x̄` (both split re/im), running
 /// loss/accuracy counters, and the augmentation ping-pong buffers.
 struct TrainScratch {
-    grads: Vec<CMat>,
+    grads: Vec<SplitPlanes>,
+    xc_re: Vec<f64>,
+    xc_im: Vec<f64>,
     loss: f64,
     correct: usize,
     aug: CVec,
@@ -170,8 +190,10 @@ impl TrainScratch {
     fn new(layers: usize, classes: usize, input_len: usize) -> Self {
         TrainScratch {
             grads: (0..layers)
-                .map(|_| CMat::zeros(classes, input_len))
+                .map(|_| SplitPlanes::zeros(classes * input_len))
                 .collect(),
+            xc_re: vec![0.0; input_len],
+            xc_im: vec![0.0; input_len],
             loss: 0.0,
             correct: 0,
             aug: CVec::zeros(0),
@@ -181,41 +203,122 @@ impl TrainScratch {
 
     fn reset(&mut self) {
         for g in &mut self.grads {
-            g.as_mut_slice().fill(C64::ZERO);
+            g.re.fill(0.0);
+            g.im.fill(0.0);
         }
         self.loss = 0.0;
         self.correct = 0;
-        // aug/tmp are overwritten per sample; no need to clear.
+        // aug/tmp and x̄ are overwritten per sample; no need to clear.
     }
 }
 
-/// Per factor `l`, the entrywise product of every other factor,
-/// `Π_{k≠l} W_k`, in path order.
-fn complements(factors: &[CMat]) -> Vec<CMat> {
-    let (rows, cols) = (factors[0].rows(), factors[0].cols());
-    (0..factors.len())
-        .map(|l| {
-            CMat::from_fn(rows, cols, |r, c| {
-                factors
-                    .iter()
-                    .enumerate()
-                    .filter(|&(k, _)| k != l)
-                    .fold(C64::ONE, |acc, (_, f)| acc * f[(r, c)])
-            })
-        })
-        .collect()
+/// Per factor `l`, the conjugated complement `conj(Π_{k≠l} W_k)` (the
+/// product in path order), written into `out[l]`.
+fn conj_complements_into(factors: &[CMat], out: &mut [SplitPlanes]) {
+    for (l, planes) in out.iter_mut().enumerate() {
+        for (j, (re, im)) in planes.re.iter_mut().zip(&mut planes.im).enumerate() {
+            let c = factors
+                .iter()
+                .enumerate()
+                .filter(|&(k, _)| k != l)
+                .fold(C64::ONE, |acc, (_, f)| acc * f.as_slice()[j]);
+            *re = c.re;
+            *im = -c.im;
+        }
+    }
 }
 
-/// `grads[l][r, i] += Γ_r · x̄_i · conj(Π_{k≠l} W_k[r, i])`: one sample's
-/// cogradient of every factor of an L ≥ 2 network.
-fn add_factor_cograds(cograd: &CVec, x: &CVec, complements: &[CMat], grads: &mut [CMat]) {
-    for (grad, comp) in grads.iter_mut().zip(complements) {
-        for (r, g) in cograd.iter().enumerate() {
-            let row = grad.row_mut(r);
-            for (i, xi) in x.iter().enumerate() {
-                row[i] += *g * xi.conj() * comp[(r, i)].conj();
+/// One sample's cogradient of every factor, on split planes.
+///
+/// With no complements (L = 1) the one factor is the network:
+/// `grad[r, i] += Γ_r·x̄_i` for every row whose cograd `Γ_r` is nonzero.
+/// With complements (L ≥ 2), factor `l` accumulates
+/// `Γ_r·x̄_i·conj(Π_{k≠l} W_k[r, i])` on every row.
+///
+/// Each plane element gets the `f64` operations of the interleaved
+/// [`C64`] expression it replaces, in the same order — `C64::mul_add`
+/// for L = 1; two `C64` products, then `+=`, for L ≥ 2 — with `x̄` and
+/// the conjugated complements split once beforehand (a conjugate only
+/// flips a sign bit). The split layout lets the row streams vectorize;
+/// the bits are the interleaved loop's.
+#[inline(always)]
+fn add_cograds(
+    cograd: &[C64],
+    xc_re: &[f64],
+    xc_im: &[f64],
+    conj_comps: &[SplitPlanes],
+    grads: &mut [SplitPlanes],
+) {
+    let u = xc_re.len();
+    let xc_im = &xc_im[..u];
+    if conj_comps.is_empty() {
+        let grad = &mut grads[0];
+        for (r, &g) in cograd.iter().enumerate() {
+            if g == C64::ZERO {
+                continue;
+            }
+            let row_re = &mut grad.re[r * u..(r + 1) * u];
+            let row_im = &mut grad.im[r * u..(r + 1) * u];
+            for (((a_re, a_im), &xr), &xi) in row_re.iter_mut().zip(row_im).zip(xc_re).zip(xc_im) {
+                *a_re = *a_re + g.re * xr - g.im * xi;
+                *a_im = *a_im + g.re * xi + g.im * xr;
             }
         }
+        return;
+    }
+    for (grad, comp) in grads.iter_mut().zip(conj_comps) {
+        for (r, &g) in cograd.iter().enumerate() {
+            let row = r * u..(r + 1) * u;
+            let row_re = &mut grad.re[row.clone()];
+            let row_im = &mut grad.im[row.clone()];
+            let (c_re, c_im) = (&comp.re[row.clone()], &comp.im[row]);
+            for i in 0..u {
+                let t_re = g.re * xc_re[i] - g.im * xc_im[i];
+                let t_im = g.re * xc_im[i] + g.im * xc_re[i];
+                row_re[i] += t_re * c_re[i] - t_im * c_im[i];
+                row_im[i] += t_re * c_im[i] + t_im * c_re[i];
+            }
+        }
+    }
+}
+
+/// [`add_cograds`] at the widest ISA this host runs, dispatched as
+/// `CMat::matvec` is: the AVX2 path is the same safe body recompiled with
+/// AVX2 enabled (no intrinsics, FMA off), so every path computes the
+/// identical `f64` sequence.
+mod cograd_isa {
+    use super::{add_cograds, SplitPlanes, C64};
+
+    pub(super) fn run(
+        cograd: &[C64],
+        xc_re: &[f64],
+        xc_im: &[f64],
+        conj_comps: &[SplitPlanes],
+        grads: &mut [SplitPlanes],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: guarded by the runtime feature check above.
+            return unsafe { run_avx2(cograd, xc_re, xc_im, conj_comps, grads) };
+        }
+        add_cograds(cograd, xc_re, xc_im, conj_comps, grads)
+    }
+
+    /// [`add_cograds`] compiled with AVX2 enabled.
+    ///
+    /// # Safety
+    ///
+    /// The CPU running it must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn run_avx2(
+        cograd: &[C64],
+        xc_re: &[f64],
+        xc_im: &[f64],
+        conj_comps: &[SplitPlanes],
+        grads: &mut [SplitPlanes],
+    ) {
+        add_cograds(cograd, xc_re, xc_im, conj_comps, grads)
     }
 }
 
@@ -271,6 +374,12 @@ impl TrainEngine {
         let mut scratch: Vec<TrainScratch> = (0..slots)
             .map(|_| TrainScratch::new(layers, classes, input_len))
             .collect();
+        // L ≥ 2 only: each factor's conjugated complement, refilled per
+        // batch. One factor is its own effective weights and needs none.
+        let complemented = if layers > 1 { layers } else { 0 };
+        let mut conj_comps: Vec<SplitPlanes> = (0..complemented)
+            .map(|_| SplitPlanes::zeros(classes * input_len))
+            .collect();
 
         // Telemetry is sampled once per run: a disabled registry costs one
         // atomic load here and nothing inside the epoch/batch loops.
@@ -287,11 +396,13 @@ impl TrainEngine {
             for (b, chunk) in order.chunks(cfg.batch).enumerate() {
                 let _batch_span = tele.map(|m| m.batch_seconds.span());
                 // Per-batch constants of L ≥ 2: the effective weights and
-                // each factor's complement product. One factor is its own
-                // effective weights and needs neither.
-                let products =
-                    (layers > 1).then(|| (stack.effective(), complements(&stack.factors)));
-                let effective = products.as_ref().map_or(&stack.factors[0], |p| &p.0);
+                // the conjugated complements.
+                let product = (layers > 1).then(|| {
+                    conj_complements_into(&stack.factors, &mut conj_comps);
+                    stack.effective()
+                });
+                let effective = product.as_ref().unwrap_or(&stack.factors[0]);
+                let conj_comps = conj_comps.as_slice();
                 let augs = cfg.augmentations.as_slice();
                 let seed = cfg.seed;
                 fold_batch(
@@ -314,14 +425,19 @@ impl TrainEngine {
                             );
                             &s.aug
                         };
+                        for ((re, im), z) in s.xc_re.iter_mut().zip(&mut s.xc_im).zip(x.iter()) {
+                            *re = z.re;
+                            *im = -z.im;
+                        }
                         let label = data.labels[idx];
                         let out = magnitude_ce(&effective.matvec(x), label);
-                        match &products {
-                            None => add_weight_cograd(&out.cograd, x, &mut s.grads[0]),
-                            Some((_, comps)) => {
-                                add_factor_cograds(&out.cograd, x, comps, &mut s.grads)
-                            }
-                        }
+                        cograd_isa::run(
+                            out.cograd.as_slice(),
+                            &s.xc_re,
+                            &s.xc_im,
+                            conj_comps,
+                            &mut s.grads,
+                        );
                         s.loss += out.loss;
                         if out.predicted == label {
                             s.correct += 1;
@@ -329,7 +445,12 @@ impl TrainEngine {
                     },
                     |acc, part| {
                         for (a, p) in acc.grads.iter_mut().zip(&part.grads) {
-                            a.axpy(1.0, p);
+                            for (ai, &pi) in a.re.iter_mut().zip(&p.re) {
+                                *ai += pi;
+                            }
+                            for (ai, &pi) in a.im.iter_mut().zip(&p.im) {
+                                *ai += pi;
+                            }
                         }
                         acc.loss += part.loss;
                         acc.correct += part.correct;
@@ -339,17 +460,21 @@ impl TrainEngine {
                 let merged = &scratch[0];
                 epoch_loss += merged.loss;
                 correct += merged.correct;
-                // Per factor: v ← μ·v − lr·(g / |chunk|); W ← W + v.
+                // Per factor and element: v ← μ·v + (−lr/|chunk|)·g;
+                // W ← W + v.
+                let step = -cfg.lr / chunk.len() as f64;
                 for ((w, v), g) in stack
                     .factors
                     .iter_mut()
                     .zip(&mut velocity)
                     .zip(&merged.grads)
                 {
-                    v.scale_mut(cfg.momentum);
-                    v.axpy(-cfg.lr / chunk.len() as f64, g);
-                    for (wi, &vi) in w.as_mut_slice().iter_mut().zip(v.as_slice()) {
-                        *wi += vi;
+                    let gs = g.re.iter().zip(&g.im);
+                    for ((wi, vi), (&g_re, &g_im)) in
+                        w.as_mut_slice().iter_mut().zip(v.as_mut_slice()).zip(gs)
+                    {
+                        *vi = vi.scale(cfg.momentum) + C64::new(g_re, g_im) * step;
+                        *wi += *vi;
                     }
                 }
             }
@@ -477,6 +602,170 @@ mod tests {
             engine.train_stack(&data, 2).0,
             engine.train_stack(&data, 2).0
         );
+    }
+
+    /// The interleaved cogradient loops the split-plane kernel replaced:
+    /// `grad[r, i] = grad[r, i].mul_add(Γ_r, x̄_i)` on nonzero rows for one
+    /// factor, `grad[r, i] += Γ_r·x̄_i·conj(Π_{k≠l} W_k[r, i])` on every
+    /// row for several.
+    fn reference_cograds(cograd: &CVec, x: &CVec, factors: &[CMat], grads: &mut [CMat]) {
+        if let [grad] = grads {
+            return crate::complex_lnn::add_weight_cograd(cograd, x, grad);
+        }
+        for (l, grad) in grads.iter_mut().enumerate() {
+            for (r, g) in cograd.iter().enumerate() {
+                for (i, xi) in x.iter().enumerate() {
+                    let comp = factors
+                        .iter()
+                        .enumerate()
+                        .filter(|&(k, _)| k != l)
+                        .fold(C64::ONE, |acc, (_, f)| acc * f[(r, i)]);
+                    grad[(r, i)] += *g * xi.conj() * comp.conj();
+                }
+            }
+        }
+    }
+
+    fn plane_words(p: &SplitPlanes) -> Vec<u64> {
+        p.re.iter().chain(&p.im).map(|v| v.to_bits()).collect()
+    }
+
+    fn cmat_words(m: &CMat) -> Vec<u64> {
+        let parts = |f: fn(&C64) -> f64| m.as_slice().iter().map(f).map(f64::to_bits);
+        parts(|z| z.re).chain(parts(|z| z.im)).collect()
+    }
+
+    /// `(factors, start, samples)` of `layers` factors over a 5 × 13
+    /// network, with a starting gradient per factor. Factors, inputs and
+    /// starting gradients hold signed zeros, so a skipped row (which
+    /// keeps a `−0`) and an accumulated one (`−0 + 0` is `+0`) differ.
+    /// Each sample's cograd has an exactly zero row (`+0` or `−0` parts)
+    /// and a row with a zero part.
+    #[allow(clippy::type_complexity)]
+    fn cograd_case(layers: usize, seed: u64) -> (Vec<CMat>, Vec<CMat>, Vec<(CVec, CVec)>) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let (rows, cols) = (5, 13);
+        let z = |rng: &mut SimRng| match rng.below(6) {
+            0 => C64::new(-0.0, 0.0),
+            1 => C64::new(0.0, -0.0),
+            2 => C64::new(rng.normal(0.0, 1.0), -0.0),
+            _ => rng.complex_gaussian(1.0),
+        };
+        let mut matrices = || -> Vec<CMat> {
+            (0..layers)
+                .map(|_| CMat::from_fn(rows, cols, |_, _| z(&mut rng)))
+                .collect()
+        };
+        let (factors, start) = (matrices(), matrices());
+        let samples = (0..4)
+            .map(|k| {
+                let x = CVec::from_fn(cols, |_| z(&mut rng));
+                let cograd = CVec::from_fn(rows, |r| match (r + k) % rows {
+                    0 => C64::ZERO,
+                    1 => C64::new(-0.0, -0.0),
+                    2 => C64::new(0.0, rng.normal(0.0, 1.0)),
+                    _ => rng.complex_gaussian(1.0),
+                });
+                (cograd, x)
+            })
+            .collect();
+        (factors, start, samples)
+    }
+
+    /// Runs every sample of a case through `kernel` on split planes and
+    /// through the interleaved reference, and compares the bits after
+    /// each.
+    fn check_cograds(
+        layers: usize,
+        kernel: impl Fn(&[C64], &[f64], &[f64], &[SplitPlanes], &mut [SplitPlanes]),
+    ) {
+        let (factors, start, samples) = cograd_case(layers, 70 + layers as u64);
+        let (rows, cols) = (factors[0].rows(), factors[0].cols());
+        let complemented = if layers > 1 { layers } else { 0 };
+        let mut conj_comps: Vec<SplitPlanes> = (0..complemented)
+            .map(|_| SplitPlanes::zeros(rows * cols))
+            .collect();
+        conj_complements_into(&factors, &mut conj_comps);
+        let mut scratch = TrainScratch::new(layers, rows, cols);
+        for (planes, m) in scratch.grads.iter_mut().zip(&start) {
+            planes.re = m.as_slice().iter().map(|z| z.re).collect();
+            planes.im = m.as_slice().iter().map(|z| z.im).collect();
+        }
+        let mut want = start;
+        for (cograd, x) in &samples {
+            for ((re, im), z) in scratch
+                .xc_re
+                .iter_mut()
+                .zip(&mut scratch.xc_im)
+                .zip(x.iter())
+            {
+                *re = z.re;
+                *im = -z.im;
+            }
+            kernel(
+                cograd.as_slice(),
+                &scratch.xc_re,
+                &scratch.xc_im,
+                &conj_comps,
+                &mut scratch.grads,
+            );
+            reference_cograds(cograd, x, &factors, &mut want);
+            // After every sample: a later nonzero row overwrites a `−0`.
+            for (l, (got, want)) in scratch.grads.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    plane_words(got),
+                    cmat_words(want),
+                    "L = {layers}, factor {l}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn split_plane_cograds_match_the_interleaved_loops_bitwise() {
+        for layers in 1..=3 {
+            check_cograds(layers, cograd_isa::run);
+        }
+    }
+
+    #[test]
+    fn cograd_complements_are_the_conjugated_products() {
+        let (factors, _, _) = cograd_case(3, 9);
+        let mut planes: Vec<SplitPlanes> = (0..3).map(|_| SplitPlanes::zeros(5 * 13)).collect();
+        conj_complements_into(&factors, &mut planes);
+        for (l, p) in planes.iter().enumerate() {
+            let others: Vec<CMat> = (0..3)
+                .filter(|&k| k != l)
+                .map(|k| factors[k].clone())
+                .collect();
+            let comp = crate::complex_lnn::entrywise_product(&others);
+            let conj = CMat::from_fn(5, 13, |r, c| comp[(r, c)].conj());
+            assert_eq!(plane_words(p), cmat_words(&conj), "factor {l}");
+        }
+    }
+
+    /// CI's x86 hosts run only the AVX2 kernel, so drive the portable
+    /// body (what non-x86 builds ship) against the reference as well.
+    #[test]
+    fn cograd_isa_paths_agree_bitwise() {
+        for layers in 1..=3 {
+            check_cograds(layers, add_cograds);
+        }
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                println!("note: no AVX2 on this host; ISA parity not checked");
+                return;
+            }
+            for layers in 1..=3 {
+                // SAFETY: AVX2 presence checked above.
+                check_cograds(layers, |g, xr, xi, c, out| unsafe {
+                    cograd_isa::run_avx2(g, xr, xi, c, out)
+                });
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        println!("note: not an x86-64 host; only the portable kernel exists");
     }
 
     #[test]
