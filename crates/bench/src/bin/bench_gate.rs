@@ -6,7 +6,7 @@
 //! the exact rules). Nothing timed is read.
 //!
 //! Usage:
-//!   bench_gate --baseline BENCH_pr10.json --fresh scenario-results/merged.json
+//!   bench_gate --baseline BENCH_scenarios.json --fresh scenario-results/merged.json
 
 use metaai_bench::gate;
 

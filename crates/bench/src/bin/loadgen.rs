@@ -1,36 +1,51 @@
-//! Load generator for `metaai serve`: drives batch-saturating open-loop
-//! traffic and reports throughput, p50/p99 latency, and shed rate.
+//! Load generator for `metaai serve`: synchronous clients that send
+//! requests for a fixed time and count the replies.
 //!
 //! ```text
 //! loadgen [--addr 127.0.0.1:7077] [--duration-secs 2] [--connections 2]
-//!         [--depth 256] [--deadline-us 0] [--models alpha,beta] [--shutdown]
+//!         [--models alpha,beta] [--shutdown]
 //!         [--chaos] [--seed 7] [--chaos-connections 4] [--chaos-faults 120]
 //! ```
 //!
+//! Each connection runs the scenario harness's request loop
+//! (`metaai_bench::serveload::send`), one request in flight, with a check
+//! that only counts replies; an error reply or an IO error on a clean
+//! connection fails the run. It reports counts, not latency: perfbench
+//! (`perfbench/`) measures latency at a fixed offered rate.
+//!
 //! `--models` switches to mixed multi-tenant traffic: the v2 handshake
 //! resolves each name to its wire id, connections are dealt round-robin
-//! across the named models, and the run reports per-model throughput,
-//! p50/p99 latency, and shed rate alongside the merged aggregate.
+//! across the named models, and the run reports each model's counts.
 //!
 //! `--shutdown` sends a SHUTDOWN frame after the run and waits for the
-//! drain ack, so `metaai serve` exits cleanly — CI uses this to assert a
-//! full start → load → drain cycle.
+//! drain ack, so `metaai serve` exits cleanly — a full start → load →
+//! drain cycle.
 //!
 //! `--chaos` runs seeded fault-injecting connections (bit flips,
 //! truncated frames, corrupt length prefixes, mid-frame disconnects,
 //! slow-loris writes — see `metaai_bench::chaos`) *alongside* the clean
 //! load. Error replies and disconnects on the chaos connections are the
 //! expected outcome and never fail the run; the exit code reflects only
-//! the clean connections, which must see zero protocol errors even while
-//! the listener is being abused.
+//! the clean connections, which must see no error even while the
+//! listener is being abused.
 
 use metaai_bench::chaos::{self, ChaosConfig};
-use metaai_bench::serveload::{self, LoadConfig, ModelTarget};
-use std::time::Duration;
+use metaai_bench::scenario::chaos_clean_input;
+use metaai_bench::serveload::{self, Target};
+use metaai_serve::tcp::{ClientConfig, TcpClient};
+use std::time::{Duration, Instant};
+
+/// One stream of clean requests: a target and its input length.
+struct Tenant {
+    label: String,
+    target: Target,
+    symbols: usize,
+}
 
 fn main() {
     let mut addr = "127.0.0.1:7077".to_string();
-    let mut cfg = LoadConfig::default();
+    let mut duration = Duration::from_secs(2);
+    let mut connections = 2usize;
     let mut model_names: Vec<String> = Vec::new();
     let mut want_shutdown = false;
     let mut want_chaos = false;
@@ -44,11 +59,9 @@ fn main() {
         match arg.as_str() {
             "--addr" => addr = value("--addr"),
             "--duration-secs" => {
-                cfg.duration = Duration::from_secs_f64(parse(&value("--duration-secs")))
+                duration = Duration::from_secs_f64(parse(&value("--duration-secs")))
             }
-            "--connections" => cfg.connections = parse(&value("--connections")),
-            "--depth" => cfg.depth = parse(&value("--depth")),
-            "--deadline-us" => cfg.deadline_us = parse(&value("--deadline-us")),
+            "--connections" => connections = parse(&value("--connections")),
             "--models" => {
                 model_names = value("--models")
                     .split(',')
@@ -65,7 +78,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "loadgen [--addr HOST:PORT] [--duration-secs S] [--connections N] \
-                     [--depth N] [--deadline-us US] [--models NAME,NAME] [--shutdown] \
+                     [--models NAME,NAME] [--shutdown] \
                      [--chaos] [--seed N] [--chaos-connections N] [--chaos-faults N]"
                 );
                 return;
@@ -74,47 +87,57 @@ fn main() {
         }
     }
 
-    if !model_names.is_empty() {
-        run_mixed(&addr, &model_names, &cfg, want_shutdown);
-        return;
-    }
-
-    let (epoch, outputs, symbols) =
-        match serveload::probe_info_retry(&addr, Duration::from_secs(30)) {
-            Ok(info) => info,
-            Err(e) => fail(&format!("cannot reach {addr}: {e}")),
-        };
-    println!("target    {addr} (epoch {epoch}, {outputs} outputs x {symbols} symbols)");
+    let tenants = if model_names.is_empty() {
+        let (epoch, outputs, symbols) =
+            match serveload::probe_info_retry(&addr, Duration::from_secs(30)) {
+                Ok(info) => info,
+                Err(e) => fail(&format!("cannot reach {addr}: {e}")),
+            };
+        println!("target    {addr} (epoch {epoch}, {outputs} outputs x {symbols} symbols)");
+        vec![Tenant {
+            label: "clean".to_string(),
+            target: Target::Default,
+            symbols: symbols as usize,
+        }]
+    } else {
+        resolve_models(&addr, &model_names)
+    };
+    let connections = connections.max(tenants.len());
     println!(
-        "load      {} conn x depth {} for {:.1}s{}",
-        cfg.connections,
-        cfg.depth,
-        cfg.duration.as_secs_f64(),
-        if cfg.deadline_us > 0 {
-            format!(", deadline {} us", cfg.deadline_us)
-        } else {
-            String::new()
-        }
+        "load      {connections} conn for {:.1}s across {} target(s)",
+        duration.as_secs_f64(),
+        tenants.len()
     );
 
     let chaos_handle = want_chaos.then(|| {
         // Let chaos outlast the clean load a touch so clean traffic
         // never runs unaccompanied, but cap it: if the fault target is
         // not reached, the run still ends.
-        chaos_cfg.duration = cfg.duration + Duration::from_secs(10);
+        chaos_cfg.duration = duration + Duration::from_secs(10);
         println!(
             "chaos     {} conn, seed {}, target {} faults",
             chaos_cfg.connections, chaos_cfg.seed, chaos_cfg.target_faults
         );
         let addr = addr.clone();
         let chaos_cfg = chaos_cfg.clone();
-        std::thread::spawn(move || chaos::run(&addr, symbols as usize, &chaos_cfg))
+        let symbols = tenants[0].symbols;
+        std::thread::spawn(move || chaos::run(&addr, symbols, &chaos_cfg))
     });
 
-    let mut report = match serveload::run(&addr, symbols as usize, &cfg) {
-        Ok(r) => r,
-        Err(e) => fail(&format!("load run failed: {e}")),
-    };
+    // Connections are dealt round-robin across the tenants.
+    let started = Instant::now();
+    let results: Vec<Result<u64, String>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..connections)
+            .map(|conn| {
+                let (addr, tenant) = (&addr, &tenants[conn % tenants.len()]);
+                scope.spawn(move || run_connection(addr, tenant, conn as u64, started + duration))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("connection thread"))
+            .collect()
+    });
 
     if let Some(handle) = chaos_handle {
         match handle.join().expect("chaos thread") {
@@ -141,106 +164,74 @@ fn main() {
         }
     }
 
-    println!(
-        "sent      {} ({} scored, {} shed, {} expired, {} protocol errors)",
-        report.sent, report.scored, report.shed, report.expired, report.protocol_errors
-    );
-    println!("throughput {:>10.1} samples/s", report.samples_per_sec());
-    println!(
-        "latency    p50 {:>8.1} us",
-        report.latency_percentile_us(50.0)
-    );
-    println!(
-        "           p99 {:>8.1} us",
-        report.latency_percentile_us(99.0)
-    );
-    println!("shed rate  {:>10.3}%", report.shed_rate() * 100.0);
+    let mut scored = vec![0u64; tenants.len()];
+    let mut failures = Vec::new();
+    for (conn, result) in results.into_iter().enumerate() {
+        let slot = conn % tenants.len();
+        match result {
+            Ok(n) => scored[slot] += n,
+            Err(e) => failures.push(format!("{}: {e}", tenants[slot].label)),
+        }
+    }
+    for (tenant, n) in tenants.iter().zip(&scored) {
+        println!("{:<9} {n} scored", tenant.label);
+    }
 
     if want_shutdown {
         match serveload::shutdown(&addr) {
-            Ok(()) => println!("shutdown   acked after drain"),
+            Ok(()) => println!("shutdown  acked after drain"),
             Err(e) => fail(&format!("shutdown failed: {e}")),
         }
     }
-    if report.protocol_errors > 0 {
-        fail(&format!("{} protocol errors", report.protocol_errors));
+    if !failures.is_empty() {
+        fail(&failures.join("; "));
     }
 }
 
-/// The `--models` path: resolve names through the v2 handshake, deal
-/// connections across the tenants, and report each model on its own
-/// lines plus a merged aggregate.
-fn run_mixed(addr: &str, names: &[String], cfg: &LoadConfig, want_shutdown: bool) {
+/// The `--models` path: resolves names through the v2 handshake.
+fn resolve_models(addr: &str, names: &[String]) -> Vec<Tenant> {
     let table = match serveload::probe_hello_retry(addr, Duration::from_secs(30)) {
         Ok(models) => models,
         Err(e) => fail(&format!("cannot reach {addr}: {e}")),
     };
-    let targets: Vec<ModelTarget> = names
+    println!("target    {addr} ({} models served)", table.len());
+    names
         .iter()
         .map(|name| {
-            let descriptor = table
+            let d = table
                 .iter()
                 .find(|m| &m.name == name)
                 .unwrap_or_else(|| fail(&format!("server does not serve a model named {name:?}")));
-            ModelTarget {
-                id: descriptor.id,
-                name: name.clone(),
-                symbols: descriptor.symbols as usize,
+            println!("model     {name} (wire id {}, {} symbols)", d.id, d.symbols);
+            Tenant {
+                label: name.clone(),
+                target: Target::Model(d.id),
+                symbols: d.symbols as usize,
             }
         })
-        .collect();
-    println!("target    {addr} ({} models served)", table.len());
-    for target in &targets {
-        println!(
-            "model     {} (wire id {}, {} symbols)",
-            target.name, target.id, target.symbols
-        );
-    }
-    println!(
-        "load      {} conn x depth {} for {:.1}s across {} models",
-        cfg.connections.max(targets.len()),
-        cfg.depth,
-        cfg.duration.as_secs_f64(),
-        targets.len()
-    );
+        .collect()
+}
 
-    let reports = match serveload::run_mixed(addr, &targets, cfg) {
-        Ok(r) => r,
-        Err(e) => fail(&format!("load run failed: {e}")),
-    };
-
-    let mut aggregate = metaai_bench::serveload::LoadReport::default();
-    for (name, report) in &reports {
-        let mut report = report.clone();
-        println!(
-            "{name:<10} {} sent, {} scored, {} shed, {} expired, {} protocol errors",
-            report.sent, report.scored, report.shed, report.expired, report.protocol_errors
-        );
-        println!(
-            "{name:<10} {:>10.1} samples/s, p50 {:>8.1} us, p99 {:>8.1} us, shed {:>6.3}%",
-            report.samples_per_sec(),
-            report.latency_percentile_us(50.0),
-            report.latency_percentile_us(99.0),
-            report.shed_rate() * 100.0
-        );
-        aggregate.merge(report);
-    }
-    println!(
-        "aggregate  {} scored, {:>10.1} samples/s, shed rate {:>6.3}%",
-        aggregate.scored,
-        aggregate.samples_per_sec(),
-        aggregate.shed_rate() * 100.0
-    );
-
-    if want_shutdown {
-        match serveload::shutdown(addr) {
-            Ok(()) => println!("shutdown   acked after drain"),
-            Err(e) => fail(&format!("shutdown failed: {e}")),
-        }
-    }
-    if aggregate.protocol_errors > 0 {
-        fail(&format!("{} protocol errors", aggregate.protocol_errors));
-    }
+/// One clean connection: requests to `tenant` until `until`, counting
+/// replies. An error reply or an IO error ends it with an `Err`.
+fn run_connection(addr: &str, tenant: &Tenant, conn: u64, until: Instant) -> Result<u64, String> {
+    let mut client = TcpClient::connect_with(addr, ClientConfig::with_all(Duration::from_secs(5)))
+        .map_err(|e| format!("connect: {e}"))?;
+    let requests = (conn << 40..)
+        .take_while(|_| Instant::now() < until)
+        .map(|sample| (sample, chaos_clean_input(sample, tenant.symbols)));
+    serveload::send(
+        &mut client,
+        tenant.target,
+        requests,
+        None,
+        |sample, _, reply| {
+            reply
+                .as_ref()
+                .map(|_| ())
+                .map_err(|e| format!("sample {sample}: error reply ({e})"))
+        },
+    )
 }
 
 fn parse<T: std::str::FromStr>(s: &str) -> T {

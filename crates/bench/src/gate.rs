@@ -594,12 +594,12 @@ mod tests {
 
     #[test]
     fn the_committed_baseline_gates_exactly() {
-        let baseline = parse(include_str!("../../../BENCH_pr10.json")).expect("parse");
+        let baseline = parse(include_str!("../../../BENCH_scenarios.json")).expect("parse");
         let r = compare(&baseline, &baseline);
         assert!(r.passed(), "failures: {:?}", r.failures);
         assert_eq!(r.checked, 8);
         // A non-accuracy leaf moved by one fails.
-        let text = include_str!("../../../BENCH_pr10.json").replacen(
+        let text = include_str!("../../../BENCH_scenarios.json").replacen(
             "\"clean_verified\": 24",
             "\"clean_verified\": 23",
             1,

@@ -1,10 +1,10 @@
 //! Recipe-driven scenario harness: declarative workloads over the
-//! existing engine/serve/load/chaos machinery.
+//! existing engine/serve/chaos machinery.
 //!
 //! A *recipe* is a small hand-rolled `key = value` text file (no serde —
 //! same discipline as [`crate::gate`]) describing the dataset preset,
-//! channel conditions, load shape, fault profile, mobility schedule, and
-//! deterministic seeds of one workload. A *scenario* is a named way to
+//! channel conditions, client count, fault profile, mobility schedule,
+//! and deterministic seeds of one workload. A *scenario* is a named way to
 //! exercise a materialized recipe (`offline-accuracy`,
 //! `engine-throughput`, `serve-load`, `serve-chaos`, `multi-tenant-mix`,
 //! `mobility-sweep`, `adaptive-mobility`, `stacked-accuracy`). The runner
@@ -17,8 +17,10 @@
 //! Each result object splits into a `fixed` subtree (accuracies,
 //! realization errors, prediction histograms, verified-sample counts —
 //! everything derived from seeded streams) and a `timing` subtree
-//! (throughput, latency percentiles, shed/fault counters — everything a
-//! wall clock touches). Running the same recipe twice must produce
+//! (elapsed time, swap latency, fault counters — everything a wall clock
+//! touches). Every serve scenario sends its requests through the one
+//! client in [`crate::serveload`] and checks every reply with
+//! [`serveload::verify`]. Running the same recipe twice must produce
 //! byte-identical rendered JSON once the `timing` subtree is stripped
 //! ([`strip_timing`]); an integration test pins this. `bench_gate`
 //! requires every `fixed` subtree to equal the baseline's exactly and
@@ -28,7 +30,7 @@ use crate::chaos::{self, ChaosConfig, ChaosReport};
 use crate::common::ExpContext;
 use crate::exp_mobility;
 use crate::gate::Json;
-use crate::serveload::{self, LoadConfig, LoadReport, ModelTarget};
+use crate::serveload::{self, Target};
 use metaai::config::SystemConfig;
 use metaai::mobility::DriftSchedule;
 use metaai::pipeline::MetaAiSystem;
@@ -112,14 +114,8 @@ pub struct Recipe {
     pub snr_db: f64,
     /// Extra tenants (dataset per tenant) behind the same server.
     pub tenants: Vec<DatasetId>,
-    /// Load window in milliseconds (serve scenarios, engine timing).
-    pub duration_ms: u64,
-    /// Concurrent clean load connections.
+    /// Synchronous clients of `serve-load` and `multi-tenant-mix`.
     pub connections: usize,
-    /// Max in-flight requests per connection.
-    pub depth: usize,
-    /// Per-request deadline in µs (0 = none).
-    pub deadline_us: u64,
     /// Worker threads per model.
     pub workers: usize,
     /// Most requests one server worker takes from its queue at once.
@@ -172,10 +168,7 @@ fn base_recipe() -> Recipe {
         environment: EnvironmentKind::Office,
         snr_db: 20.0,
         tenants: Vec::new(),
-        duration_ms: 500,
         connections: 2,
-        depth: 64,
-        deadline_us: 0,
         workers: 2,
         max_batch: 8,
         queue_capacity: 512,
@@ -380,10 +373,7 @@ impl Recipe {
                             fail(format!("`snr-db` expects a finite number, got {value:?}"))
                         })?;
                 }
-                "duration-ms" => recipe.duration_ms = parse_num(key, value, 1).map_err(fail)?,
                 "connections" => recipe.connections = parse_num(key, value, 1).map_err(fail)?,
-                "depth" => recipe.depth = parse_num(key, value, 1).map_err(fail)?,
-                "deadline-us" => recipe.deadline_us = parse_num(key, value, 0).map_err(fail)?,
                 "workers" => recipe.workers = parse_num(key, value, 1).map_err(fail)?,
                 "max-batch" => recipe.max_batch = parse_num(key, value, 1).map_err(fail)?,
                 "queue-capacity" => {
@@ -496,10 +486,7 @@ impl Recipe {
             environment_key(self.environment)
         ));
         out.push_str(&format!("snr-db = {}\n", self.snr_db));
-        out.push_str(&format!("duration-ms = {}\n", self.duration_ms));
         out.push_str(&format!("connections = {}\n", self.connections));
-        out.push_str(&format!("depth = {}\n", self.depth));
-        out.push_str(&format!("deadline-us = {}\n", self.deadline_us));
         out.push_str(&format!("workers = {}\n", self.workers));
         out.push_str(&format!("max-batch = {}\n", self.max_batch));
         out.push_str(&format!("queue-capacity = {}\n", self.queue_capacity));
@@ -523,11 +510,6 @@ impl Recipe {
         out.push_str(&format!("layers = {}\n", self.layers));
         out.push_str(&format!("atom-budget = {}\n", self.atom_budget));
         out
-    }
-
-    /// The load window as a [`Duration`].
-    pub fn duration(&self) -> Duration {
-        Duration::from_millis(self.duration_ms)
     }
 
     fn serve_config(&self) -> ServeConfig {
@@ -620,7 +602,7 @@ pub fn materialize(recipe: &Recipe) -> Materialized {
 pub struct ScenarioOutcome {
     /// Seed-determined values — byte-identical across runs.
     pub fixed: Json,
-    /// Wall-clock-dependent values — throughput, latency, counters.
+    /// Wall-clock-dependent values — elapsed time, latency, counters.
     pub timing: Json,
 }
 
@@ -695,9 +677,9 @@ fn engine_throughput(m: &Materialized) -> Result<ScenarioOutcome, String> {
     let classes = t.test.num_classes;
     let mut scratch = Vec::new();
 
-    // Fixed part: predictions over `samples` indexed scorings — the
-    // exact per-sample RNG streams the serve path uses, so this pins the
-    // engine's determinism, not just its speed.
+    // Predictions over `samples` indexed scorings — the exact
+    // per-sample RNG streams the serve path uses, so this pins the
+    // engine's determinism. perfbench times the engine.
     let mut histogram = vec![0u64; classes];
     for i in 0..recipe.samples {
         let x = &t.test.inputs[i % t.test.len()];
@@ -705,27 +687,17 @@ fn engine_throughput(m: &Materialized) -> Result<ScenarioOutcome, String> {
         histogram[predicted] += 1;
     }
 
-    // Timing part: single-thread scoring rate over the recipe's window.
-    let started = Instant::now();
-    let mut done = 0u64;
-    while started.elapsed() < recipe.duration() {
-        let i = done % recipe.samples as u64;
-        let x = &t.test.inputs[i as usize % t.test.len()];
-        std::hint::black_box(t.system.score_indexed(x, stream, i, &mut scratch));
-        done += 1;
-    }
-    let per_core_sec = done as f64 / started.elapsed().as_secs_f64();
-
     Ok(ScenarioOutcome {
         fixed: Json::Obj(vec![
             kv("samples", num(recipe.samples as f64)),
-            kv(
-                "predictions",
-                Json::Arr(histogram.into_iter().map(|c| num(c as f64)).collect()),
-            ),
+            kv("predictions", histogram_json(&histogram)),
         ]),
-        timing: Json::Obj(vec![kv("samples_per_core_sec", num(per_core_sec))]),
+        timing: Json::Obj(Vec::new()),
     })
+}
+
+fn histogram_json(counts: &[u64]) -> Json {
+    Json::Arr(counts.iter().map(|&c| num(c as f64)).collect())
 }
 
 /// A serve stack brought up on an ephemeral loopback port for one
@@ -769,113 +741,133 @@ impl LiveServer {
     }
 }
 
-fn load_timing(report: &mut LoadReport) -> Vec<(String, Json)> {
-    vec![
-        kv("sent", num(report.sent as f64)),
-        kv("scored", num(report.scored as f64)),
-        kv("shed", num(report.shed as f64)),
-        kv("expired", num(report.expired as f64)),
-        kv("samples_per_sec", num(report.samples_per_sec())),
-        kv("p50_latency_us", num(report.latency_percentile_us(50.0))),
-        kv("p99_latency_us", num(report.latency_percentile_us(99.0))),
-        kv("shed_rate", num(report.shed_rate())),
-    ]
-}
+/// Sample-index base of `serve-load` and `multi-tenant-mix` requests,
+/// disjoint from every other serve scenario's: chaos counts up from 0,
+/// the serve-chaos primary from 1 000 000, its witness from 2 000 000
+/// and adaptive-mobility from 3 000 000.
+const LOAD_SAMPLE_BASE: u64 = 4_000_000;
 
-fn serve_load(m: &Materialized) -> Result<ScenarioOutcome, String> {
+/// The `serve-load` and `multi-tenant-mix` backend. Each tenant in
+/// `tenants` (a prefix of the registry) gets `samples` requests: sample
+/// `LOAD_SAMPLE_BASE + i` carries test input `i % len`. The requests go
+/// over `connections` synchronous clients dealt round-robin across the
+/// tenants (at least one each), as v2 frames when `v2` is set and as v1
+/// frames to the default model otherwise. Every reply is verified
+/// bitwise; with at most one request in flight per client nothing is
+/// shed, so any error reply fails the scenario.
+fn verified_load(
+    m: &Materialized,
+    tenants: &[Tenant],
+    v2: bool,
+) -> Result<ScenarioOutcome, String> {
     let recipe = &m.recipe;
-    let t = m.tenants.first().ok_or("no tenants materialized")?;
-    let symbols = t.system.channels.cols();
+    if let Some(t) = tenants.iter().find(|t| t.test.is_empty()) {
+        return Err(format!("tenant {:?} has an empty test set", t.name));
+    }
     let live = launch(m)?;
-    let cfg = LoadConfig {
-        duration: recipe.duration(),
-        connections: recipe.connections,
-        depth: recipe.depth,
-        deadline_us: recipe.deadline_us,
-        model: None,
-    };
-    let outcome = serveload::run(live.addr, symbols, &cfg).map_err(|e| format!("load run: {e}"));
+    let clients = recipe.connections.max(tenants.len());
+    // Per client: its tenant and the `(i, predicted)` of every verified
+    // reply.
+    type ClientResult = Result<(usize, Vec<(usize, usize)>), String>;
+    let results: Vec<ClientResult> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let tenant = c % tenants.len();
+                // This tenant's clients are tenant, tenant + T, …; this
+                // one sends every `share`-th sample from `c / T` on.
+                let share = (clients - tenant).div_ceil(tenants.len());
+                let first = c / tenants.len();
+                let (t, entry, addr) = (&tenants[tenant], &live.entries[tenant], live.addr);
+                scope.spawn(move || {
+                    let target = if v2 {
+                        Target::Model(entry.wire_id())
+                    } else {
+                        Target::Default
+                    };
+                    let deployments = [entry.current()];
+                    let mut client = TcpClient::connect_with(
+                        addr,
+                        ClientConfig::with_all(Duration::from_secs(5)),
+                    )
+                    .map_err(|e| format!("{} connect: {e}", t.name))?;
+                    let requests = (first..recipe.samples).step_by(share).map(|i| {
+                        let input = t.test.inputs[i % t.test.len()].clone();
+                        (LOAD_SAMPLE_BASE + i as u64, input)
+                    });
+                    let mut replies = Vec::new();
+                    serveload::send(&mut client, target, requests, None, |sample, x, reply| {
+                        serveload::verify(&deployments, sample, x, reply)?;
+                        let predicted = reply.as_ref().map_or(0, |r| r.predicted);
+                        replies.push(((sample - LOAD_SAMPLE_BASE) as usize, predicted));
+                        Ok(())
+                    })
+                    .map_err(|e| format!("{} {e}", t.name))?;
+                    Ok((tenant, replies))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|_| Err("client thread panicked".to_string()))
+            })
+            .collect()
+    });
     live.shutdown()?;
-    let mut report = outcome?;
-    if report.protocol_errors > 0 {
-        return Err(format!(
-            "clean load saw {} protocol errors",
-            report.protocol_errors
+
+    let mut replies: Vec<Vec<(usize, usize)>> = vec![Vec::new(); tenants.len()];
+    for result in results {
+        let (tenant, part) = result?;
+        replies[tenant].extend(part);
+    }
+    let mut per_tenant = Vec::new();
+    for (t, replies) in tenants.iter().zip(&replies) {
+        if replies.len() != recipe.samples {
+            return Err(format!(
+                "tenant {:?}: {} of {} requests verified",
+                t.name,
+                replies.len(),
+                recipe.samples
+            ));
+        }
+        let mut predictions = vec![0u64; t.test.num_classes];
+        let mut correct = 0u64;
+        for &(i, predicted) in replies {
+            predictions[predicted] += 1;
+            correct += u64::from(t.test.labels[i % t.test.len()] == predicted);
+        }
+        per_tenant.push(kv(
+            &t.name,
+            Json::Obj(vec![
+                kv("verified", num(replies.len() as f64)),
+                kv("correct", num(correct as f64)),
+                kv("predictions", histogram_json(&predictions)),
+            ]),
         ));
     }
     Ok(ScenarioOutcome {
         fixed: Json::Obj(vec![
-            kv("connections", num(recipe.connections as f64)),
-            kv("depth", num(recipe.depth as f64)),
-            kv("protocol_errors", num(0.0)),
+            kv("connections", num(clients as f64)),
+            kv("tenants", Json::Obj(per_tenant)),
         ]),
-        timing: Json::Obj(load_timing(&mut report)),
+        timing: Json::Obj(Vec::new()),
     })
 }
 
+fn serve_load(m: &Materialized) -> Result<ScenarioOutcome, String> {
+    // v1 frames reach only the default model: the primary tenant.
+    let primary = m.tenants.get(..1).ok_or("no tenants materialized")?;
+    verified_load(m, primary, false)
+}
+
 fn multi_tenant_mix(m: &Materialized) -> Result<ScenarioOutcome, String> {
-    let recipe = &m.recipe;
     if m.tenants.len() < 2 {
         return Err(
             "multi-tenant-mix needs at least one `tenant =` beside the primary dataset".to_string(),
         );
     }
-    let live = launch(m)?;
-    let run = (|| -> Result<Vec<(String, LoadReport)>, String> {
-        let table = serveload::probe_hello(live.addr).map_err(|e| format!("v2 handshake: {e}"))?;
-        let targets: Vec<ModelTarget> = m
-            .tenants
-            .iter()
-            .map(|t| {
-                table
-                    .iter()
-                    .find(|d| d.name == t.name)
-                    .map(|d| ModelTarget {
-                        id: d.id,
-                        name: d.name.clone(),
-                        symbols: d.symbols as usize,
-                    })
-                    .ok_or_else(|| format!("tenant {:?} missing from model table", t.name))
-            })
-            .collect::<Result<_, _>>()?;
-        let cfg = LoadConfig {
-            duration: recipe.duration(),
-            connections: recipe.connections.max(targets.len()),
-            depth: recipe.depth,
-            deadline_us: recipe.deadline_us,
-            model: None,
-        };
-        serveload::run_mixed(live.addr, &targets, &cfg).map_err(|e| format!("mixed load: {e}"))
-    })();
-    live.shutdown()?;
-    let reports = run?;
-
-    let mut aggregate = LoadReport::default();
-    let mut models = Vec::new();
-    for (name, report) in reports {
-        if report.protocol_errors > 0 {
-            return Err(format!(
-                "tenant {name:?} saw {} protocol errors",
-                report.protocol_errors
-            ));
-        }
-        let mut report = report.clone();
-        models.push(kv(&name, Json::Obj(load_timing(&mut report))));
-        aggregate.merge(report);
-    }
-    Ok(ScenarioOutcome {
-        fixed: Json::Obj(vec![
-            kv("models", num(m.tenants.len() as f64)),
-            kv("protocol_errors", num(0.0)),
-        ]),
-        timing: Json::Obj(vec![
-            kv(
-                "aggregate_samples_per_sec",
-                num(aggregate.samples_per_sec()),
-            ),
-            kv("models", Json::Obj(models)),
-        ]),
-    })
+    verified_load(m, &m.tenants, true)
 }
 
 /// Outcome of the serve-chaos backend, exposed so the chaos-soak
@@ -906,9 +898,10 @@ pub struct SecondaryOutcome {
     pub restarts: u64,
 }
 
-/// Clean-traffic input for `serve-chaos` verification: derived from the
-/// sample index alone, so served replies can be checked bitwise against
-/// `score_indexed` on the same deployment stream.
+/// Clean-traffic input where no test set is sent (`serve-chaos`,
+/// `adaptive-mobility`, `loadgen`): derived from the sample index alone,
+/// so served replies can be checked bitwise against `score_indexed` on
+/// the same deployment stream.
 pub fn chaos_clean_input(sample: u64, symbols: usize) -> CVec {
     let mut rng = SimRng::derive(sample, "scenario-chaos-clean");
     CVec::from_vec((0..symbols).map(|_| rng.complex_gaussian(1.0)).collect())
@@ -953,9 +946,7 @@ pub fn run_serve_chaos(m: &Materialized) -> Result<ChaosSoakOutcome, String> {
     // mid-run.
     let clean_thread = std::thread::spawn({
         let faults = live.faults.clone();
-        let system = primary.system.clone();
         let seed = recipe.seed;
-        let victims = victims.clone();
         move || -> Result<u64, String> {
             let mut client =
                 TcpClient::connect_with(addr, ClientConfig::with_all(Duration::from_secs(5)))
@@ -966,30 +957,22 @@ pub fn run_serve_chaos(m: &Materialized) -> Result<ChaosSoakOutcome, String> {
                 max_delay: Duration::from_millis(100),
                 seed,
             };
-            let mut scratch = Vec::new();
-            let mut verified = 0u64;
-            for i in 0..samples {
+            let deployments = [primary_deploy];
+            let requests = (0..samples).map(|i| {
                 let sample = 1_000_000 + i;
                 if victims.contains(&sample) {
                     faults.panic_on_sample(sample);
                 }
-                let input = chaos_clean_input(sample, symbols);
-                let scored = client
-                    .score_retry(sample, sample, input.as_slice(), &policy)
-                    .map_err(|e| format!("clean sample {sample}: io error {e}"))?
-                    .map_err(|e| {
-                        format!("clean sample {sample}: unanswered after retries ({e})")
-                    })?;
-                let offline =
-                    system.score_indexed(&input, primary_deploy.stream, sample, &mut scratch);
-                if scored.predicted != offline || scored.scores != scratch {
-                    return Err(format!(
-                        "clean sample {sample}: served reply differs from offline scoring"
-                    ));
-                }
-                verified += 1;
-            }
-            Ok(verified)
+                (sample, chaos_clean_input(sample, symbols))
+            });
+            serveload::send(
+                &mut client,
+                Target::Default,
+                requests,
+                Some(&policy),
+                |sample, x, reply| serveload::verify(&deployments, sample, x, reply),
+            )
+            .map_err(|e| format!("clean {e}"))
         }
     });
 
@@ -999,43 +982,30 @@ pub fn run_serve_chaos(m: &Materialized) -> Result<ChaosSoakOutcome, String> {
     let secondary = match &secondary_entry {
         None => Ok(None),
         Some(entry) => (|| -> Result<Option<SecondaryOutcome>, String> {
-            let witness = &m.tenants[1];
-            let deploy = entry.current();
-            let wire_id = entry.wire_id();
-            let w_symbols = witness.system.channels.cols();
+            let w_symbols = m.tenants[1].system.channels.cols();
+            // One pinned epoch, no retry: an error reply leaking across
+            // tenants or a swap fails the witness outright.
+            let deployments = [entry.current()];
             let mut client =
                 TcpClient::connect_with(addr, ClientConfig::with_all(Duration::from_secs(5)))
                     .map_err(|e| format!("witness connect: {e}"))?;
-            let mut scratch = Vec::new();
-            let mut verified = 0u64;
             let mut max_depth = 0usize;
-            for i in 0..samples {
+            let requests = (0..samples).map(|i| {
                 let sample = 2_000_000 + i;
-                let input = chaos_clean_input(sample, w_symbols);
-                let scored = client
-                    .score_model(wire_id, sample, sample, input.as_slice().to_vec())
-                    .map_err(|e| format!("witness sample {sample}: io error {e}"))?
-                    .map_err(|e| {
-                        format!("witness sample {sample}: error reply {e} leaked across tenants")
-                    })?;
-                if scored.epoch != deploy.epoch {
-                    return Err(format!(
-                        "witness sample {sample}: epoch changed ({} -> {})",
-                        deploy.epoch, scored.epoch
-                    ));
-                }
-                let offline =
-                    witness
-                        .system
-                        .score_indexed(&input, deploy.stream, sample, &mut scratch);
-                if scored.predicted != offline || scored.scores != scratch {
-                    return Err(format!(
-                        "witness sample {sample}: served reply differs from offline scoring"
-                    ));
-                }
-                verified += 1;
-                max_depth = max_depth.max(entry.queue().depth());
-            }
+                (sample, chaos_clean_input(sample, w_symbols))
+            });
+            let verified = serveload::send(
+                &mut client,
+                Target::Model(entry.wire_id()),
+                requests,
+                None,
+                |sample, x, reply| {
+                    serveload::verify(&deployments, sample, x, reply)?;
+                    max_depth = max_depth.max(entry.queue().depth());
+                    Ok(())
+                },
+            )
+            .map_err(|e| format!("witness {e}"))?;
             Ok(Some(SecondaryOutcome {
                 verified,
                 max_depth,
@@ -1182,7 +1152,7 @@ fn mobility_sweep(recipe: &Recipe) -> Result<ScenarioOutcome, String> {
 
 /// Live requests sent per adaptation round in `adaptive-mobility` —
 /// enough to straddle every swap boundary without turning the scenario
-/// into a load test (`serve-load` covers throughput).
+/// into a load test.
 const ADAPT_REQUESTS_PER_ROUND: u64 = 4;
 
 /// The adaptive-mobility backend: the same receiver walk, twice.
@@ -1223,7 +1193,7 @@ fn adaptive_mobility(m: &Materialized) -> Result<ScenarioOutcome, String> {
     let live = launch(m)?;
     let adaptive = (|| -> Result<(Vec<StepReport>, u64), String> {
         let entry = live.entries.first().ok_or("no registered models")?.clone();
-        let wire_id = entry.wire_id();
+        let target = Target::Model(entry.wire_id());
         let view = MobilityDrift {
             base: t.system.config.clone(),
             schedule,
@@ -1235,7 +1205,6 @@ fn adaptive_mobility(m: &Materialized) -> Result<ScenarioOutcome, String> {
         let mut client =
             TcpClient::connect_with(live.addr, ClientConfig::with_all(Duration::from_secs(5)))
                 .map_err(|e| format!("adaptive connect: {e}"))?;
-        let mut scratch = Vec::new();
         let mut verified = 0u64;
         let mut reports = Vec::new();
         for round in 0..rounds {
@@ -1245,36 +1214,14 @@ fn adaptive_mobility(m: &Materialized) -> Result<ScenarioOutcome, String> {
             }
             // Clean traffic straddling the swap boundary. The sample
             // space (3 000 000+) is disjoint from every other scenario's.
-            for k in 0..ADAPT_REQUESTS_PER_ROUND {
+            let requests = (0..ADAPT_REQUESTS_PER_ROUND).map(|k| {
                 let sample = 3_000_000 + round * ADAPT_REQUESTS_PER_ROUND + k;
-                let input = chaos_clean_input(sample, symbols);
-                let scored = client
-                    .score_model(wire_id, sample, sample, input.as_slice().to_vec())
-                    .map_err(|e| format!("adaptive sample {sample}: io error {e}"))?
-                    .map_err(|e| {
-                        format!("adaptive sample {sample}: error reply {e} during adaptation")
-                    })?;
-                let dep = deployments
-                    .iter()
-                    .find(|d| d.epoch == scored.epoch)
-                    .ok_or_else(|| {
-                        format!(
-                            "adaptive sample {sample}: reply echoes unknown epoch {}",
-                            scored.epoch
-                        )
-                    })?;
-                let offline = dep
-                    .system
-                    .score_indexed(&input, dep.stream, sample, &mut scratch);
-                if scored.predicted != offline || scored.scores != scratch {
-                    return Err(format!(
-                        "adaptive sample {sample}: served reply differs from offline scoring \
-                         on epoch {}",
-                        scored.epoch
-                    ));
-                }
-                verified += 1;
-            }
+                (sample, chaos_clean_input(sample, symbols))
+            });
+            verified += serveload::send(&mut client, target, requests, None, |sample, x, reply| {
+                serveload::verify(&deployments, sample, x, reply)
+            })
+            .map_err(|e| format!("adaptive {e}"))?;
             reports.push(report);
         }
         Ok((reports, verified))
@@ -1384,6 +1331,9 @@ fn adaptive_mobility(m: &Materialized) -> Result<ScenarioOutcome, String> {
 /// add, magnitudes multiply) and residual compensation gives every
 /// weight L corrective solves instead of one. The scenario FAILS unless
 /// the stack wins — this is the regression gate for the stacked path.
+/// A third system trains the cascade itself (`train_stack` at L =
+/// `layers`, same training config and budget) and is scored on the same
+/// test set, so the gate also pins stacked training.
 fn stacked_accuracy(recipe: &Recipe) -> Result<ScenarioOutcome, String> {
     if recipe.layers < 2 {
         return Err(format!(
@@ -1406,21 +1356,30 @@ fn stacked_accuracy(recipe: &Recipe) -> Result<ScenarioOutcome, String> {
     }
     .with_augmentation(Augmentation::cdfa_default())
     .with_augmentation(Augmentation::noise_default());
-    let net = TrainEngine::new(tcfg).train(&train);
+    let net = TrainEngine::new(tcfg.clone()).train(&train);
 
     let single = MetaAiSystem::builder()
         .config(config.clone())
         .num_atoms(recipe.atom_budget)
         .deploy(net.clone());
     let stacked = MetaAiSystem::builder()
-        .config(config)
+        .config(config.clone())
         .num_atoms(recipe.atom_budget)
         .layers(recipe.layers)
         .deploy(net);
+    // The same cascade trained as a stack (`train_stack` at L = layers)
+    // rather than factorized from the one-layer network.
+    let trained_stacked = MetaAiSystem::builder()
+        .config(config)
+        .num_atoms(recipe.atom_budget)
+        .layers(recipe.layers)
+        .train_and_deploy(&train, &tcfg);
 
     let digital = single.digital_accuracy(&test);
     let single_ota = single.ota_accuracy(&test, &format!("scenario-{}-single", recipe.name));
     let stacked_ota = stacked.ota_accuracy(&test, &format!("scenario-{}-stacked", recipe.name));
+    let trained_stacked_ota =
+        trained_stacked.ota_accuracy(&test, &format!("scenario-{}-trained-stacked", recipe.name));
     let single_err = single.realization_error();
     let stacked_err = stacked.realization_error();
     if stacked_ota <= single_ota {
@@ -1440,6 +1399,7 @@ fn stacked_accuracy(recipe: &Recipe) -> Result<ScenarioOutcome, String> {
                     kv("digital", num(digital)),
                     kv("single_ota", num(single_ota)),
                     kv("stacked_ota", num(stacked_ota)),
+                    kv("trained_stacked_ota", num(trained_stacked_ota)),
                 ]),
             ),
             kv(

@@ -1,126 +1,114 @@
-//! Windowed load generation against a running `metaai serve` endpoint.
+//! The one serve client of the scenario harness and the `loadgen` bin.
 //!
-//! Used by the `loadgen` bin (CLI front-end) and by the scenario
-//! harness's `serve-load` and `multi-tenant-mix` scenarios (in-process
-//! measurement). Each connection runs a sender on the calling thread and
-//! a receiver thread, with a bounded in-flight window between them: the
-//! sender records `(id, send time)` into a `sync_channel` whose capacity
-//! is the pipeline depth, and the receiver pairs replies with those
-//! records in FIFO order (the server's per-connection writer resolves
-//! strictly in submission order). Depth ≥ the server's `max_batch` lets
-//! full batches queue up while every worker is busy: a saturating,
-//! closed-loop load. Latency at a fixed offered rate is measured by
-//! perfbench (`perfbench/`), not here.
+//! [`send`] is the request loop: one synchronous [`TcpClient`], one
+//! request in flight, each reply handed to a caller's check before the
+//! next request goes out. [`verify`] is the check every scenario uses:
+//! a reply must equal, bit for bit, offline `score_indexed` scoring on
+//! the deployment whose epoch it echoes. `loadgen` runs the same loop
+//! with a check that only counts replies. Latency at a fixed offered
+//! rate is measured by perfbench (`perfbench/`), not here.
 
-use metaai_math::rng::SimRng;
-use metaai_serve::tcp::TcpClient;
-use metaai_serve::wire::{self, ModelDescriptor, Request, Response};
-use std::io::{self, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::mpsc;
+use metaai_math::CVec;
+use metaai_serve::tcp::{RetryPolicy, TcpClient};
+use metaai_serve::wire::{ModelDescriptor, Request, Response};
+use metaai_serve::{ScoreResponse, ServeDeployment, ServeError};
+use std::io;
+use std::net::ToSocketAddrs;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Load-run parameters.
-#[derive(Clone, Debug)]
-pub struct LoadConfig {
-    /// How long to keep sending.
-    pub duration: Duration,
-    /// Concurrent connections.
-    pub connections: usize,
-    /// Max in-flight requests per connection (the batching pressure).
-    pub depth: usize,
-    /// Per-request deadline in µs (0 = none).
-    pub deadline_us: u64,
-    /// Route to this wire model id with v2 `INFER_MODEL` frames; `None`
-    /// sends v1 `INFER` frames, served by the default model.
-    pub model: Option<u32>,
+/// Where a request goes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Target {
+    /// v1 `INFER` frames, scored by the server's default model.
+    Default,
+    /// v2 `INFER_MODEL` frames for this wire id (from the HELLO table).
+    Model(u32),
 }
 
-impl Default for LoadConfig {
-    fn default() -> Self {
-        LoadConfig {
-            duration: Duration::from_secs(2),
-            connections: 2,
-            depth: 256,
-            deadline_us: 0,
-            model: None,
+/// What the server answered one request with: a score or an error reply.
+pub type Reply = Result<ScoreResponse, ServeError>;
+
+/// Sends each `(sample index, input)` of `requests` to `target` on
+/// `client`, one at a time, and hands every reply to `check`. The request
+/// id is the sample index. With `retry`, transient failures are retried
+/// under that policy ([`TcpClient::score_retry`]); without, the first
+/// reply is final.
+///
+/// Returns the number of replies checked. Stops at the first IO error or
+/// the first `Err` from `check`, naming the sample.
+pub fn send<I, F>(
+    client: &mut TcpClient,
+    target: Target,
+    requests: I,
+    retry: Option<&RetryPolicy>,
+    mut check: F,
+) -> Result<u64, String>
+where
+    I: IntoIterator<Item = (u64, CVec)>,
+    F: FnMut(u64, &CVec, &Reply) -> Result<(), String>,
+{
+    let once = RetryPolicy {
+        attempts: 1,
+        ..RetryPolicy::default()
+    };
+    let policy = retry.unwrap_or(&once);
+    let mut checked = 0u64;
+    for (sample, input) in requests {
+        let reply = match target {
+            Target::Default => client.score_retry(sample, sample, input.as_slice(), policy),
+            Target::Model(id) => {
+                client.score_model_retry(id, sample, sample, input.as_slice(), policy)
+            }
         }
+        .map_err(|e| format!("sample {sample}: io error {e}"))?;
+        check(sample, &input, &reply)?;
+        checked += 1;
     }
+    Ok(checked)
 }
 
-/// One tenant of a mixed multi-model run.
-#[derive(Clone, Debug)]
-pub struct ModelTarget {
-    /// Wire id from the HELLO_ACK model table.
-    pub id: u32,
-    /// Registry name, used to label the per-model report.
-    pub name: String,
-    /// Input length the model expects.
-    pub symbols: usize,
-}
-
-/// Aggregated outcome of a load run.
-#[derive(Clone, Debug, Default)]
-pub struct LoadReport {
-    /// Requests written to the wire.
-    pub sent: u64,
-    /// Scored replies.
-    pub scored: u64,
-    /// Replies shed by backpressure (`Overloaded`).
-    pub shed: u64,
-    /// Replies dropped past their deadline (`Expired`).
-    pub expired: u64,
-    /// Protocol violations: io failures, id mismatches, unexpected or
-    /// undecodable frames, unknown error codes.
-    pub protocol_errors: u64,
-    /// Wall-clock of the sending window.
-    pub elapsed: Duration,
-    /// Client-observed end-to-end latencies of scored replies, in µs.
-    pub latencies_us: Vec<f64>,
-}
-
-impl LoadReport {
-    /// Scored replies per second of wall clock.
-    pub fn samples_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.scored as f64 / secs
-        } else {
-            0.0
+/// Checks one reply against offline scoring: `reply` must be a score
+/// whose `predicted` and every score bit equal `score_indexed` of
+/// `input` at `sample` on the deployment in `deployments` with the epoch
+/// the reply echoes. An error reply, an epoch not in `deployments` or any
+/// differing bit is an `Err` naming the sample and the epoch.
+pub fn verify(
+    deployments: &[Arc<ServeDeployment>],
+    sample: u64,
+    input: &CVec,
+    reply: &Reply,
+) -> Result<(), String> {
+    let scored = match reply {
+        Ok(scored) => scored,
+        Err(e) => {
+            let serving = deployments.last().map_or(0, |d| d.epoch);
+            return Err(format!(
+                "sample {sample}: error reply ({e}) instead of a score on epoch {serving}"
+            ));
         }
+    };
+    let epoch = scored.epoch;
+    let dep = deployments
+        .iter()
+        .find(|d| d.epoch == epoch)
+        .ok_or_else(|| format!("sample {sample}: reply echoes unknown epoch {epoch}"))?;
+    let mut offline = Vec::new();
+    let predicted = dep
+        .system
+        .score_indexed(input, dep.stream, sample, &mut offline);
+    let same_bits = scored.scores.len() == offline.len()
+        && scored
+            .scores
+            .iter()
+            .zip(&offline)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+    if scored.predicted != predicted || !same_bits {
+        return Err(format!(
+            "sample {sample}: served reply differs from offline scoring on epoch {epoch}"
+        ));
     }
-
-    /// Shed replies as a fraction of requests sent.
-    pub fn shed_rate(&self) -> f64 {
-        if self.sent > 0 {
-            self.shed as f64 / self.sent as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// The `p`-th percentile (0–100) of scored latency, in µs.
-    pub fn latency_percentile_us(&mut self, p: f64) -> f64 {
-        if self.latencies_us.is_empty() {
-            return 0.0;
-        }
-        self.latencies_us.sort_by(f64::total_cmp);
-        let rank = (p / 100.0) * (self.latencies_us.len() - 1) as f64;
-        self.latencies_us[rank.round() as usize]
-    }
-
-    /// Folds another connection's outcome into this aggregate: counters
-    /// add, elapsed takes the max (connections run concurrently), and
-    /// latency samples concatenate.
-    pub fn merge(&mut self, other: LoadReport) {
-        self.sent += other.sent;
-        self.scored += other.scored;
-        self.shed += other.shed;
-        self.expired += other.expired;
-        self.protocol_errors += other.protocol_errors;
-        self.elapsed = self.elapsed.max(other.elapsed);
-        self.latencies_us.extend(other.latencies_us);
-    }
+    Ok(())
 }
 
 /// Queries the deployment shape (`symbols` is what request inputs must
@@ -197,179 +185,95 @@ pub fn shutdown<A: ToSocketAddrs>(addr: A) -> io::Result<()> {
     }
 }
 
-/// Drives open-loop load at `addr` and aggregates the per-connection
-/// outcomes. Inputs cycle through a small pool of seeded Gaussian
-/// vectors of length `symbols`.
-pub fn run<A: ToSocketAddrs>(addr: A, symbols: usize, cfg: &LoadConfig) -> io::Result<LoadReport> {
-    let addrs: Vec<_> = addr.to_socket_addrs()?.collect();
-    let addr = *addrs.first().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-    })?;
-    let mut report = LoadReport::default();
-    let outcomes: Vec<io::Result<LoadReport>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.connections.max(1))
-            .map(|conn| {
-                scope.spawn(move || run_connection(addr, conn as u64, symbols, cfg.model, cfg))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("connection thread"))
-            .collect()
-    });
-    for outcome in outcomes {
-        report.merge(outcome?);
-    }
-    Ok(report)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use metaai::config::SystemConfig;
+    use metaai::pipeline::MetaAiSystem;
+    use metaai_math::rng::SimRng;
+    use metaai_nn::complex_lnn::ComplexLnn;
 
-/// Drives mixed multi-tenant load: connections are dealt round-robin
-/// across `models` (each model gets at least one), every connection
-/// sends v2 `INFER_MODEL` frames for its model, and the outcomes come
-/// back as one [`LoadReport`] per model, in `models` order.
-pub fn run_mixed<A: ToSocketAddrs>(
-    addr: A,
-    models: &[ModelTarget],
-    cfg: &LoadConfig,
-) -> io::Result<Vec<(String, LoadReport)>> {
-    let addrs: Vec<_> = addr.to_socket_addrs()?.collect();
-    let addr = *addrs.first().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-    })?;
-    if models.is_empty() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "run_mixed needs at least one model",
-        ));
-    }
-    let outcomes: Vec<(usize, io::Result<LoadReport>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.connections.max(models.len()))
-            .map(|conn| {
-                let target = &models[conn % models.len()];
-                scope.spawn(move || {
-                    (
-                        conn % models.len(),
-                        run_connection(addr, conn as u64, target.symbols, Some(target.id), cfg),
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("connection thread"))
-            .collect()
-    });
-    let mut reports: Vec<(String, LoadReport)> = models
-        .iter()
-        .map(|m| (m.name.clone(), LoadReport::default()))
-        .collect();
-    for (slot, outcome) in outcomes {
-        reports[slot].1.merge(outcome?);
-    }
-    Ok(reports)
-}
+    const SYMBOLS: usize = 16;
+    const STREAM: u64 = 0x5eed;
+    const SAMPLE: u64 = 4_000_007;
 
-fn run_connection(
-    addr: std::net::SocketAddr,
-    conn: u64,
-    symbols: usize,
-    model: Option<u32>,
-    cfg: &LoadConfig,
-) -> io::Result<LoadReport> {
-    let stream = TcpStream::connect(addr)?;
-    let _ = stream.set_nodelay(true);
-    let reader_stream = stream.try_clone()?;
-    // The in-flight window: capacity bounds how far the sender runs
-    // ahead, and FIFO order is how replies are paired with send times.
-    let (window_tx, window_rx) = mpsc::sync_channel::<(u64, Instant)>(cfg.depth.max(1));
-
-    let receiver = std::thread::spawn(move || {
-        let mut reader = BufReader::new(reader_stream);
-        let mut r = LoadReport::default();
-        for (id, sent_at) in window_rx {
-            let frame = match wire::read_frame(&mut reader) {
-                Ok(Some(frame)) => frame,
-                Ok(None) | Err(_) => {
-                    r.protocol_errors += 1;
-                    break;
-                }
-            };
-            match Response::decode(&frame) {
-                Ok(Response::Score { id: rid, .. }) if rid == id => {
-                    r.scored += 1;
-                    r.latencies_us.push(sent_at.elapsed().as_secs_f64() * 1e6);
-                }
-                Ok(Response::Error { id: rid, code }) if rid == id => match code {
-                    1 => r.shed += 1,
-                    2 => r.expired += 1,
-                    _ => r.protocol_errors += 1,
-                },
-                _ => r.protocol_errors += 1,
-            }
-        }
-        r
-    });
-
-    // A small pool of deterministic inputs, pre-encoded once and cycled
-    // round-robin with only the id fields restamped per send: payload
-    // variety without re-serializing the symbol vector on the hot path.
-    let mut rng = SimRng::derive(0x10ad, &format!("loadgen-{conn}"));
-    let mut pool: Vec<Vec<u8>> = (0..16)
-        .map(|_| {
-            let input = (0..symbols).map(|_| rng.complex_gaussian(1.0)).collect();
-            match model {
-                Some(model) => Request::InferModel {
-                    model,
-                    id: 0,
-                    sample_index: 0,
-                    deadline_us: cfg.deadline_us,
-                    input,
-                }
-                .encode(),
-                None => Request::Infer {
-                    id: 0,
-                    sample_index: 0,
-                    deadline_us: cfg.deadline_us,
-                    input,
-                }
-                .encode(),
-            }
+    fn deployment(epoch: u64) -> Arc<ServeDeployment> {
+        let mut rng = SimRng::seed_from_u64(epoch);
+        let net = ComplexLnn::init(3, SYMBOLS, &mut rng);
+        let system = MetaAiSystem::builder()
+            .config(SystemConfig::paper_default())
+            .num_atoms(32)
+            .deploy(net);
+        Arc::new(ServeDeployment {
+            system: Arc::new(system),
+            epoch,
+            stream: STREAM + epoch,
         })
-        .collect();
-
-    // Sized to hold many whole frames: a default-sized buffer is smaller
-    // than one encoded request, which degenerates to a syscall per send.
-    let mut w = std::io::BufWriter::with_capacity(256 * 1024, stream);
-    let mut sent = 0u64;
-    let started = Instant::now();
-    while started.elapsed() < cfg.duration {
-        let id = (conn << 40) | sent;
-        let payload = &mut pool[(sent % 16) as usize];
-        Request::restamp_infer(payload, id, id);
-        // Record the send before writing so buffering and kernel
-        // queueing count against latency. A full window means we are
-        // about to block on replies, so flush everything buffered first
-        // — otherwise those unsent requests could never be answered.
-        match window_tx.try_send((id, Instant::now())) {
-            Ok(()) => {}
-            Err(mpsc::TrySendError::Full(entry)) => {
-                if w.flush().is_err() || window_tx.send(entry).is_err() {
-                    break;
-                }
-            }
-            // Receiver died (protocol error already counted there).
-            Err(mpsc::TrySendError::Disconnected(_)) => break,
-        }
-        if wire::write_frame(&mut w, payload).is_err() {
-            break;
-        }
-        sent += 1;
     }
-    let _ = w.flush();
-    let elapsed = started.elapsed();
-    drop(window_tx);
-    let mut report = receiver.join().expect("receiver thread");
-    report.sent = sent;
-    report.elapsed = elapsed;
-    Ok(report)
+
+    /// The reply an honest server sends for `SAMPLE` on `dep`.
+    fn honest_reply(dep: &ServeDeployment, input: &CVec) -> ScoreResponse {
+        let mut scores = Vec::new();
+        let predicted = dep
+            .system
+            .score_indexed(input, dep.stream, SAMPLE, &mut scores);
+        ScoreResponse {
+            id: SAMPLE,
+            epoch: dep.epoch,
+            predicted,
+            scores,
+        }
+    }
+
+    fn setup() -> (Vec<Arc<ServeDeployment>>, CVec, ScoreResponse) {
+        let deployments = vec![deployment(1), deployment(2)];
+        let input = crate::scenario::chaos_clean_input(SAMPLE, SYMBOLS);
+        let reply = honest_reply(&deployments[1], &input);
+        (deployments, input, reply)
+    }
+
+    fn rejects(deployments: &[Arc<ServeDeployment>], input: &CVec, reply: Reply, epoch: u64) {
+        let err = verify(deployments, SAMPLE, input, &reply).expect_err("must reject");
+        assert!(err.contains(&format!("sample {SAMPLE}")), "{err}");
+        assert!(err.contains(&format!("epoch {epoch}")), "{err}");
+    }
+
+    #[test]
+    fn verify_accepts_an_honest_reply_on_either_epoch() {
+        let (deployments, input, reply) = setup();
+        verify(&deployments, SAMPLE, &input, &Ok(reply)).expect("epoch 2");
+        let old = honest_reply(&deployments[0], &input);
+        verify(&deployments, SAMPLE, &input, &Ok(old)).expect("epoch 1");
+    }
+
+    #[test]
+    fn verify_rejects_one_flipped_score_bit() {
+        let (deployments, input, mut reply) = setup();
+        let last = reply.scores.len() - 1;
+        reply.scores[last] = f64::from_bits(reply.scores[last].to_bits() ^ 1);
+        rejects(&deployments, &input, Ok(reply), 2);
+    }
+
+    #[test]
+    fn verify_rejects_a_wrong_prediction() {
+        let (deployments, input, mut reply) = setup();
+        reply.predicted = (reply.predicted + 1) % reply.scores.len();
+        rejects(&deployments, &input, Ok(reply), 2);
+    }
+
+    #[test]
+    fn verify_rejects_an_epoch_not_in_the_list() {
+        let (deployments, input, mut reply) = setup();
+        reply.epoch = 3;
+        rejects(&deployments, &input, Ok(reply), 3);
+        // A reply scored on epoch 2 cannot pass against epoch 1 alone.
+        let (_, _, reply) = setup();
+        rejects(&deployments[..1], &input, Ok(reply), 2);
+    }
+
+    #[test]
+    fn verify_rejects_an_error_reply() {
+        let (deployments, input, _) = setup();
+        rejects(&deployments, &input, Err(ServeError::Overloaded), 2);
+    }
 }

@@ -3,9 +3,10 @@
 //! deployment is hot-swapped mid-run. The wire protocol echoes the epoch
 //! each reply was scored under, so the swap is observable only as the
 //! echo flipping from 1 to 2 — never as a wrong answer: every reply
-//! verifies bitwise against offline scoring on the deployment whose
-//! epoch it echoes, the flip happens exactly once, and everything after
-//! it scores against the *new* system on the *new* stream.
+//! passes the harness's one check (`serveload::verify`, bitwise against
+//! offline scoring on the deployment whose epoch it echoes), the flip
+//! happens exactly once, and everything after it scores against the
+//! *new* system on the *new* stream.
 //!
 //! Sample spaces are disjoint as everywhere else in the harness: chaos
 //! counts up from 0, the clean connection from 1 000 000.
@@ -13,7 +14,7 @@
 use metaai::pipeline::MetaAiSystem;
 use metaai_bench::chaos::{self, ChaosConfig};
 use metaai_bench::scenario::chaos_clean_input;
-use metaai_bench::serveload;
+use metaai_bench::serveload::{self, Target};
 use metaai_math::rng::SimRng;
 use metaai_nn::complex_lnn::ComplexLnn;
 use metaai_serve::tcp::{self, ClientConfig, RetryPolicy, TcpClient};
@@ -64,8 +65,8 @@ fn a_mid_soak_hot_swap_flips_the_epoch_echo_without_dropping_a_request() {
     };
     let chaos_thread = std::thread::spawn(move || chaos::run(addr, SYMBOLS, &chaos_cfg));
 
-    let old_deploy = entry.current();
-    assert_eq!(old_deploy.epoch, 1);
+    let mut deployments = vec![entry.current()];
+    assert_eq!(deployments[0].epoch, 1);
     let mut client = TcpClient::connect_with(addr, ClientConfig::with_all(Duration::from_secs(5)))
         .expect("clean connect");
     let policy = RetryPolicy {
@@ -74,52 +75,44 @@ fn a_mid_soak_hot_swap_flips_the_epoch_echo_without_dropping_a_request() {
         max_delay: Duration::from_millis(100),
         seed: 3,
     };
-    let mut new_deploy = None;
-    let mut scratch = Vec::new();
-    let mut flips = 0u32;
-    let mut last_epoch = old_deploy.epoch;
+    let requests = |range: std::ops::Range<u64>| {
+        range.map(|i| {
+            let sample = 1_000_000 + i;
+            (sample, chaos_clean_input(sample, SYMBOLS))
+        })
+    };
+    let mut epochs = Vec::new();
     let mut verified = 0u64;
-    for i in 0..SAMPLES {
-        if i == SAMPLES / 2 {
+    for (half, range) in [(0, 0..SAMPLES / 2), (1, SAMPLES / 2..SAMPLES)] {
+        if half == 1 {
             // The swap, mid-soak: the registry accepts it (same shape)
             // and assigns the next epoch. In-flight batches drain under
             // epoch 1; every batch formed after this scores under 2.
             let epoch = entry.swap(fresh_system.clone()).expect("same-shape swap");
             assert_eq!(epoch, 2);
-            new_deploy = Some(entry.current());
-        }
-        let sample = 1_000_000 + i;
-        let input = chaos_clean_input(sample, SYMBOLS);
-        let scored = client
-            .score_retry(sample, sample, input.as_slice(), &policy)
-            .expect("clean io")
-            .unwrap_or_else(|e| panic!("sample {sample}: unanswered after retries ({e})"));
-        if scored.epoch != last_epoch {
-            flips += 1;
-            last_epoch = scored.epoch;
+            deployments.push(entry.current());
         }
         // Bitwise against the deployment the reply *says* scored it.
-        let deploy = match scored.epoch {
-            1 => &old_deploy,
-            2 => new_deploy.as_ref().expect("epoch 2 echoed before the swap"),
-            other => panic!("sample {sample}: unknown epoch {other}"),
-        };
-        let offline = deploy
-            .system
-            .score_indexed(&input, deploy.stream, sample, &mut scratch);
-        assert_eq!(
-            (scored.predicted, &scored.scores),
-            (offline, &scratch),
-            "sample {sample}: served reply differs from offline scoring on epoch {}",
-            scored.epoch
-        );
-        // Requests sent after the swap returned can only be batched
-        // against the new deployment.
-        if i >= SAMPLES / 2 {
-            assert_eq!(scored.epoch, 2, "sample {sample} echoed a stale epoch");
-        }
-        verified += 1;
+        verified += serveload::send(
+            &mut client,
+            Target::Default,
+            requests(range),
+            Some(&policy),
+            |sample, x, reply| {
+                serveload::verify(&deployments, sample, x, reply)?;
+                let epoch = reply.as_ref().map_or(0, |r| r.epoch);
+                // Requests sent after the swap returned can only be
+                // batched against the new deployment.
+                if half == 1 && epoch != 2 {
+                    return Err(format!("sample {sample} echoed a stale epoch {epoch}"));
+                }
+                epochs.push(epoch);
+                Ok(())
+            },
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
     }
+    let flips = epochs.windows(2).filter(|w| w[0] != w[1]).count();
     assert_eq!(verified, SAMPLES, "40/40 answered and verified");
     assert_eq!(flips, 1, "the epoch echo flipped exactly once");
     assert_eq!(entry.current().epoch, 2);

@@ -70,12 +70,12 @@ fn recipe_names_are_unique_across_the_quick_set() {
 
 /// The determinism contract end to end: two runs of one recipe produce
 /// byte-identical rendered JSON after [`strip_timing`]. The recipe is
-/// deliberately tiny (1 epoch, 8 samples, ~40 ms timing windows) — the
-/// point is the fixed subtree, not the numbers in it.
+/// deliberately tiny (1 epoch, 8 samples) — the point is the fixed
+/// subtree, not the numbers in it.
 #[test]
 fn same_recipe_twice_is_byte_identical_modulo_timing() {
-    let text = "name = pin\nscenario = offline-accuracy, engine-throughput\n\
-                dataset = afhq\nepochs = 1\nsamples = 8\nduration-ms = 40\nseed = 5\n";
+    let text = "name = pin\nscenario = offline-accuracy, engine-throughput, serve-load\n\
+                dataset = afhq\nepochs = 1\nsamples = 8\nseed = 5\n";
     let recipe = Recipe::parse(text).expect("parse");
     let render_run = || {
         run_recipe(&recipe)

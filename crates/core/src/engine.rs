@@ -582,7 +582,7 @@ impl<'a> OtaEngine<'a> {
 
     /// The scalar reference kernel: the pre-fusion per-row loop, kept as
     /// the executable specification the fused kernel is proptested against
-    /// (and as the `legacy` arm of the `engine_throughput` bench). It is
+    /// (perfbench times it as `core.engine.kernel_scalar_us`). It is
     /// also the production path below `FUSED_MIN_ROWS` output rows,
     /// where the fused kernel's chip stage cannot amortize.
     ///
