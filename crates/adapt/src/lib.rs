@@ -2,10 +2,11 @@
 //! MetaAI deployment fresh while the physical channel drifts underneath
 //! it.
 //!
-//! The paper's Sec 7 discussion (and the [`metaai::feedback`] protocol)
-//! covers offline recalibration: detect staleness, stop, re-solve, resume.
-//! A serving deployment cannot stop. This crate closes the loop *under
-//! live traffic*:
+//! The paper recovers from receiver movement by reconfiguring the surface
+//! through a feedback loop (Sec 4) and frames mobility as a race between
+//! the target's speed and that recalibration (Sec 7). This crate is that
+//! loop, and it runs *under live traffic* — a serving deployment cannot
+//! stop:
 //!
 //! 1. **observe** — seeded accuracy probes, the solver residual
 //!    `|H_mts − H_des|`, and score-margin statistics are sampled against

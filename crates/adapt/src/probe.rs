@@ -19,14 +19,13 @@
 //!   saturate at ~1 after half a wavelength of motion; aligning out the
 //!   common phase leaves the *differential* misalignment that actually
 //!   degrades inference;
-//! * **margin p50** — median top/runner-up score ratio, the paper's
-//!   confidence-feedback diagnostic.
+//! * **margin p50** — median top/runner-up score ratio, a confidence
+//!   diagnostic.
 //!
 //! Everything is seeded per `(probe seed, round, sample)`, so a reading
 //! is a pure function of the deployment, the world, and the round —
 //! bitwise reproducible across runs and worker counts.
 
-use metaai::feedback::FeedbackMonitor;
 use metaai::{MetaAiSystem, OtaEngine, SystemConfig};
 use metaai_math::rng::SimRng;
 use metaai_math::stats::argmax;
@@ -129,12 +128,33 @@ pub fn probe_health(
         if argmax(&scores) == probes.labels[i] {
             correct += 1;
         }
-        margins.push(FeedbackMonitor::margin(&scores));
+        margins.push(margin(&scores));
     }
     HealthReading {
         probe_accuracy: correct as f64 / probes.len() as f64,
         channel_residual,
         margin_p50: median_margin(margins),
+    }
+}
+
+/// The margin of one score vector: top / runner-up (∞ when the
+/// runner-up is non-positive).
+fn margin(scores: &[f64]) -> f64 {
+    assert!(scores.len() >= 2, "need at least two classes");
+    let mut top = f64::NEG_INFINITY;
+    let mut second = f64::NEG_INFINITY;
+    for &s in scores {
+        if s > top {
+            second = top;
+            top = s;
+        } else if s > second {
+            second = s;
+        }
+    }
+    if second <= 0.0 {
+        f64::INFINITY
+    } else {
+        top / second
     }
 }
 
@@ -206,6 +226,47 @@ mod tests {
         // A different round draws different realizations.
         let c = probe_health(&sys, &drifted, C64::ZERO, &probes, 4);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn probing_a_stack_scores_the_whole_cascade() {
+        // At its own geometry, a 2-layer system's probe scores the
+        // composed cascade the stack deployed — not layer 0 alone.
+        let train = toy_problem(3, 32, 40, 0.35, 60, 161);
+        let test = toy_problem(3, 32, 20, 0.35, 60, 261);
+        let tcfg = TrainConfig {
+            epochs: 5,
+            ..TrainConfig::default()
+        };
+        let sys = MetaAiSystem::builder()
+            .layers(2)
+            .train_and_deploy(&train, &tcfg);
+        let probes = ProbeSet::from_dataset(&test, 8, 7);
+        let reading = probe_health(&sys, &sys.config, C64::ZERO, &probes, 0);
+        assert!(
+            reading.channel_residual < 1e-7,
+            "residual {}",
+            reading.channel_residual
+        );
+        let stream = SimRng::stream_id("adapt-probe");
+        let engine = OtaEngine::new(&sys.channels);
+        let mut correct = 0usize;
+        let mut margins = Vec::new();
+        for (i, x) in probes.inputs.iter().enumerate() {
+            let mut rng = SimRng::derive_indexed(probes.seed, stream, i as u64);
+            let cond = sys.default_conditions(x.len(), &mut rng);
+            let scores = engine.scores(x, &cond, &mut rng);
+            correct += usize::from(argmax(&scores) == probes.labels[i]);
+            margins.push(margin(&scores));
+        }
+        assert_eq!(reading.probe_accuracy, correct as f64 / probes.len() as f64);
+        assert_eq!(reading.margin_p50, median_margin(margins));
+    }
+
+    #[test]
+    fn margin_orders_confidence() {
+        assert!(margin(&[10.0, 1.0]) > margin(&[10.0, 9.0]));
+        assert_eq!(margin(&[1.0, 0.0]), f64::INFINITY);
     }
 
     #[test]

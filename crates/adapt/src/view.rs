@@ -4,8 +4,8 @@
 //! function from round number to (geometry, quasi-static environmental
 //! offset). In simulation the view **is** the ground truth — the same
 //! drift the probe realizes against is the one the re-solve targets. On
-//! hardware the view would be fed by the paper's beam-scan feedback
-//! protocol; the controller is agnostic.
+//! hardware the view would be fed by the paper's beam scan; the
+//! controller is agnostic.
 
 use metaai::mobility::DriftSchedule;
 use metaai::SystemConfig;

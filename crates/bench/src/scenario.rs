@@ -1132,13 +1132,12 @@ fn mobility_sweep(recipe: &Recipe) -> Result<ScenarioOutcome, String> {
     let mut speeds = Vec::new();
     for row in &rows {
         let label = format!("speed_{}", row.speed_mps).replace('.', "_");
-        accuracy.push(kv(&label, num(row.report.accuracy)));
+        accuracy.push(kv(&label, num(row.accuracy)));
         speeds.push(Json::Obj(vec![
             kv("speed_mps", num(row.speed_mps)),
             kv("predicted_trackable", Json::Bool(row.predicted_trackable)),
-            kv("recalibrations", num(row.report.recalibrations as f64)),
-            kv("downtime", num(row.report.downtime)),
-            kv("steps", num(row.report.steps.len() as f64)),
+            kv("recalibrations", num(row.recalibrations as f64)),
+            kv("steps", num(row.steps.len() as f64)),
         ]));
     }
     Ok(ScenarioOutcome {

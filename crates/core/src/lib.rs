@@ -17,8 +17,8 @@
 //! Higher-level capabilities: antenna- and subcarrier-parallelism
 //! ([`parallel`], Eqns 9–10), multi-sensor fusion ([`fusion`],
 //! Eqns 11–12), the end-to-end energy/latency model of Appendix A.4
-//! ([`energy`]), receiver-mobility recalibration ([`mobility`]), and the
-//! confidence-feedback reconfiguration protocol ([`feedback`]).
+//! ([`energy`]) and the receiver-mobility recalibration race
+//! ([`mobility`]).
 //!
 //! Every deployment is an L-layer cascade modeled in [`metaai_sim`]; the
 //! paper's single surface is L = 1, the default of
@@ -33,7 +33,6 @@
 pub mod config;
 pub mod energy;
 pub mod engine;
-pub mod feedback;
 pub mod fusion;
 pub mod mapper;
 pub mod mobility;

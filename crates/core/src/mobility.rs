@@ -5,8 +5,9 @@
 //! configurations and logical weights goes stale. Recovery requires a beam
 //! scan (angle re-estimation) plus a full schedule re-solve; the system
 //! supports a target only while that recalibration loop outruns the
-//! receiver's angular drift. This module quantifies the race and models
-//! the paper's feedback-protocol reconfiguration.
+//! receiver's angular drift. This module quantifies the race and gives
+//! the receiver walk ([`DriftSchedule`]) that `metaai-adapt`'s controller
+//! tracks.
 
 use crate::config::SystemConfig;
 use metaai_mts::control::ControlModel;
@@ -105,13 +106,6 @@ impl DriftSchedule {
     }
 }
 
-/// How stale a schedule becomes when the receiver moves from the solved
-/// position: the fraction of the angular tolerance consumed.
-pub fn staleness(config: &SystemConfig, new_rx_angle_rad: f64, model: &MobilityModel) -> f64 {
-    let old = (config.rx.x - config.mts_center.x).atan2(config.rx.y - config.mts_center.y);
-    (new_rx_angle_rad - old).abs() / model.angle_tolerance_rad
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,14 +173,5 @@ mod tests {
         // A zero-speed schedule never moves: the static baseline.
         let frozen = DriftSchedule::paper_walk(0.0);
         assert_eq!(frozen.angle_at(50), 40.0);
-    }
-
-    #[test]
-    fn staleness_zero_at_current_angle() {
-        let cfg = SystemConfig::paper_default();
-        let m = MobilityModel::paper_prototype(0.05);
-        let angle = (cfg.rx.x - cfg.mts_center.x).atan2(cfg.rx.y - cfg.mts_center.y);
-        assert!(staleness(&cfg, angle, &m) < 1e-12);
-        assert!(staleness(&cfg, angle + 0.2, &m) > 1.0);
     }
 }

@@ -439,13 +439,14 @@ fn training_counts_epochs_and_samples_at_every_layer_count() {
 }
 
 /// Recorded heap allocations, on the calling thread, of a one-worker,
-/// two-epoch `TrainEngine::train` on 15 samples in batches of 4: four per
-/// sample (the forward pass's output, and the loss's magnitudes,
-/// probabilities and cogradient), one per batch (the fold's job list),
-/// and the rest per epoch (the shuffle) and per run (weights, velocity,
-/// gradient scratch, statistics). Reused scratch keeps every other
-/// per-sample buffer off the heap.
-const TRAIN_ALLOCATIONS: u64 = 143;
+/// two-epoch `TrainEngine::train` on 15 samples in batches of 4: none per
+/// sample, one per batch (the fold's job list), and the rest per epoch
+/// (the shuffle) and per run (weights, velocity, gradient scratch,
+/// statistics). The scratch slot's logits and its loss's magnitudes,
+/// probabilities and cogradient are four of the per-run allocations: each
+/// grows once, on the slot's first sample, and every later sample reuses
+/// it. A buffer allocated per sample adds 30 here.
+const TRAIN_ALLOCATIONS: u64 = 27;
 
 #[test]
 fn one_worker_training_makes_pinned_allocations() {

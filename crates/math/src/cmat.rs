@@ -97,10 +97,17 @@ impl CMat {
     /// Row `r` is the left fold `acc.mul_add(a, x_c)` from zero in column
     /// order, bit for bit, whichever row block and ISA path computes it.
     pub fn matvec(&self, x: &CVec) -> CVec {
+        let mut out = CVec::zeros(self.rows);
+        self.matvec_into(x, &mut out);
+        out
+    }
+
+    /// [`matvec`](Self::matvec) into `out` (resized to the row count),
+    /// reusing its capacity.
+    pub fn matvec_into(&self, x: &CVec, out: &mut CVec) {
         assert_eq!(self.cols, x.len(), "matvec: dimension mismatch");
-        let mut out = vec![C64::ZERO; self.rows];
-        matvec_isa::run(&self.data, self.cols, x.as_slice(), &mut out);
-        CVec::from_vec(out)
+        out.resize(self.rows);
+        matvec_isa::run(&self.data, self.cols, x.as_slice(), out.as_mut_slice());
     }
 
     /// Matrix–matrix product `A·B`.

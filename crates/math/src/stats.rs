@@ -73,13 +73,23 @@ pub fn argmax(xs: &[f64]) -> usize {
 
 /// Numerically stable softmax.
 pub fn softmax(xs: &[f64]) -> Vec<f64> {
+    let mut out = Vec::new();
+    softmax_into(xs, &mut out);
+    out
+}
+
+/// [`softmax`] into `out`, reusing its capacity.
+pub fn softmax_into(xs: &[f64], out: &mut Vec<f64>) {
+    out.clear();
     if xs.is_empty() {
-        return Vec::new();
+        return;
     }
     let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<f64> = xs.iter().map(|x| (x - max).exp()).collect();
-    let sum: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    out.extend(xs.iter().map(|x| (x - max).exp()));
+    let sum: f64 = out.iter().sum();
+    for p in out.iter_mut() {
+        *p /= sum;
+    }
 }
 
 /// Converts a power ratio to decibels.

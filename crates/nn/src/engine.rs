@@ -52,7 +52,7 @@
 use crate::augment::apply_all_into;
 use crate::complex_lnn::{ComplexLnn, StackWeights};
 use crate::data::ComplexDataset;
-use crate::loss::magnitude_ce;
+use crate::loss::{magnitude_ce_into, MagnitudeCeLoss};
 use crate::train::{EpochStats, TrainConfig};
 use metaai_math::rng::SimRng;
 use metaai_math::{CMat, CVec, C64};
@@ -174,12 +174,15 @@ impl SplitPlanes {
 }
 
 /// Per-sub-chunk scratch: one partial gradient per factor, the current
-/// sample's conjugated input `x̄` (both split re/im), running
-/// loss/accuracy counters, and the augmentation ping-pong buffers.
+/// sample's conjugated input `x̄` (both split re/im), its logits and loss
+/// buffers, running loss/accuracy counters, and the augmentation
+/// ping-pong buffers.
 struct TrainScratch {
     grads: Vec<SplitPlanes>,
     xc_re: Vec<f64>,
     xc_im: Vec<f64>,
+    logits: CVec,
+    ce: MagnitudeCeLoss,
     loss: f64,
     correct: usize,
     aug: CVec,
@@ -194,6 +197,8 @@ impl TrainScratch {
                 .collect(),
             xc_re: vec![0.0; input_len],
             xc_im: vec![0.0; input_len],
+            logits: CVec::zeros(0),
+            ce: MagnitudeCeLoss::default(),
             loss: 0.0,
             correct: 0,
             aug: CVec::zeros(0),
@@ -208,7 +213,8 @@ impl TrainScratch {
         }
         self.loss = 0.0;
         self.correct = 0;
-        // aug/tmp and x̄ are overwritten per sample; no need to clear.
+        // aug/tmp, x̄, logits and ce are overwritten per sample; no need
+        // to clear.
     }
 }
 
@@ -430,16 +436,17 @@ impl TrainEngine {
                             *im = -z.im;
                         }
                         let label = data.labels[idx];
-                        let out = magnitude_ce(&effective.matvec(x), label);
+                        effective.matvec_into(x, &mut s.logits);
+                        magnitude_ce_into(&s.logits, label, &mut s.ce);
                         cograd_isa::run(
-                            out.cograd.as_slice(),
+                            s.ce.cograd.as_slice(),
                             &s.xc_re,
                             &s.xc_im,
                             conj_comps,
                             &mut s.grads,
                         );
-                        s.loss += out.loss;
-                        if out.predicted == label {
+                        s.loss += s.ce.loss;
+                        if s.ce.predicted == label {
                             s.correct += 1;
                         }
                     },

@@ -12,14 +12,16 @@
 //! so the *conjugate cogradient* at the complex logit `z_r` is
 //! `g_r · z_r / (2|z_r|)` with `g_r = softmax_r − 1{r = label}`.
 
-use metaai_math::stats::softmax;
+use metaai_math::stats::{argmax, softmax_into};
 use metaai_math::{CVec, C64};
 
 /// Forward + backward of magnitude-softmax-CE for one sample.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MagnitudeCeLoss {
     /// Loss value.
     pub loss: f64,
+    /// Logit magnitudes `|z_r|`.
+    pub mags: Vec<f64>,
     /// Softmax probabilities over classes.
     pub probs: Vec<f64>,
     /// Predicted class (argmax of magnitudes).
@@ -30,29 +32,32 @@ pub struct MagnitudeCeLoss {
 
 /// Evaluates the loss for complex logits `z` and true `label`.
 pub fn magnitude_ce(z: &CVec, label: usize) -> MagnitudeCeLoss {
+    let mut out = MagnitudeCeLoss::default();
+    magnitude_ce_into(z, label, &mut out);
+    out
+}
+
+/// [`magnitude_ce`] into `out`, reusing its buffers: no heap allocation
+/// once they have grown to `z.len()`.
+pub(crate) fn magnitude_ce_into(z: &CVec, label: usize, out: &mut MagnitudeCeLoss) {
     let r = z.len();
     assert!(label < r, "label {label} out of range for {r} outputs");
-    let mags = z.abs();
-    let probs = softmax(&mags);
-    let loss = -probs[label].max(1e-300).ln();
-    let predicted = metaai_math::stats::argmax(&mags);
+    out.mags.clear();
+    out.mags.extend(z.iter().map(|zk| zk.abs()));
+    softmax_into(&out.mags, &mut out.probs);
+    out.loss = -out.probs[label].max(1e-300).ln();
+    out.predicted = argmax(&out.mags);
 
-    let cograd = CVec::from_fn(r, |k| {
-        let g = probs[k] - if k == label { 1.0 } else { 0.0 };
-        let m = mags[k];
-        if m < 1e-12 {
+    out.cograd.resize(r);
+    let parts = out.probs.iter().zip(&out.mags).zip(z.iter());
+    for (k, (c, ((&p, &m), &zk))) in out.cograd.as_mut_slice().iter_mut().zip(parts).enumerate() {
+        let g = p - if k == label { 1.0 } else { 0.0 };
+        *c = if m < 1e-12 {
             // |z| is not differentiable at 0; the subgradient 0 is safe.
             C64::ZERO
         } else {
-            z[k] * (g / (2.0 * m))
-        }
-    });
-
-    MagnitudeCeLoss {
-        loss,
-        probs,
-        predicted,
-        cograd,
+            zk * (g / (2.0 * m))
+        };
     }
 }
 

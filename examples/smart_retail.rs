@@ -7,8 +7,8 @@
 //! inventory classes — never raw shelf footage. This example deploys the
 //! Fruits-360 stand-in and then stress-tests the installation: stuck
 //! meta-atoms (a aging PIN diode driver), and a receiver that drifts away
-//! from the calibrated position, followed by the feedback-protocol
-//! recalibration.
+//! from the calibrated position, followed by a re-solve at the new
+//! position.
 //!
 //! ```sh
 //! cargo run --release --example smart_retail
