@@ -3,14 +3,14 @@
 use crate::BytesDataset;
 use metaai_math::CVec;
 use metaai_nn::data::{ComplexDataset, RealDataset};
-use metaai_phy::bits::bytes_to_bits;
 use metaai_phy::Modulation;
+use rayon::prelude::*;
 
 /// Modulates one byte vector into a complex symbol vector, exactly as a
 /// commodity transmitter would: bytes → bits (MSB-first) → Gray-mapped
 /// constellation symbols.
 pub fn encode_sample(bytes: &[u8], modulation: Modulation) -> CVec {
-    CVec::from_vec(modulation.modulate(&bytes_to_bits(bytes)))
+    CVec::from_vec(modulation.modulate_bytes(bytes))
 }
 
 /// Modulates a whole dataset. The symbol-vector length is
@@ -18,7 +18,7 @@ pub fn encode_sample(bytes: &[u8], modulation: Modulation) -> CVec {
 pub fn encode_bytes_dataset(data: &BytesDataset, modulation: Modulation) -> ComplexDataset {
     let inputs: Vec<CVec> = data
         .samples
-        .iter()
+        .par_iter()
         .map(|s| encode_sample(s, modulation))
         .collect();
     ComplexDataset::new(inputs, data.labels.clone(), data.num_classes)

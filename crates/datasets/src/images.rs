@@ -6,8 +6,9 @@
 //! multimodal); a sample picks a mode, adds a smooth per-sample
 //! deformation field and per-pixel noise, then quantizes to bytes.
 
+use crate::partition::{pixel_noise_draws, render_partition};
 use crate::spec::DatasetSpec;
-use crate::{BytesDataset, BytesSplit};
+use crate::BytesSplit;
 use metaai_math::rng::SimRng;
 
 /// A smooth random field over a `w × h` grid built from explicit spatial
@@ -83,7 +84,7 @@ pub fn foreground_mask(w: usize, h: usize, frac: f64, rng: &mut SimRng) -> Vec<f
     assert!((0.0..=1.0).contains(&frac), "fraction in [0,1]");
     let field = smooth_field(w, h, 4, rng);
     let mut sorted = field.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite field"));
+    sorted.sort_by(f64::total_cmp);
     let cut_idx = ((1.0 - frac) * (sorted.len() - 1) as f64).round() as usize;
     let threshold = sorted[cut_idx];
     field
@@ -130,8 +131,11 @@ fn class_prototypes(spec: &DatasetSpec, rng: &mut SimRng) -> Vec<Vec<Vec<f64>>> 
         .collect()
 }
 
+/// Frequencies in a sample's smooth deformation field.
+const DEFORM_TERMS: usize = 3;
+
 fn render_sample(spec: &DatasetSpec, prototype: &[f64], rng: &mut SimRng) -> Vec<u8> {
-    let deform = smooth_field(spec.width, spec.height, 3, rng);
+    let deform = smooth_field(spec.width, spec.height, DEFORM_TERMS, rng);
     prototype
         .iter()
         .zip(&deform)
@@ -142,26 +146,11 @@ fn render_sample(spec: &DatasetSpec, prototype: &[f64], rng: &mut SimRng) -> Vec
         .collect()
 }
 
-fn generate_partition(
-    spec: &DatasetSpec,
-    prototypes: &[Vec<Vec<f64>>],
-    count: usize,
-    rng: &mut SimRng,
-) -> BytesDataset {
-    let mut samples = Vec::with_capacity(count);
-    let mut labels = Vec::with_capacity(count);
-    for i in 0..count {
-        // Round-robin classes for balance, random mode per sample.
-        let class = i % spec.classes;
-        let mode = rng.below(spec.modes);
-        samples.push(render_sample(spec, &prototypes[class][mode], rng));
-        labels.push(class);
-    }
-    BytesDataset {
-        samples,
-        labels,
-        num_classes: spec.classes,
-    }
+/// Raw draws [`render_sample`] consumes: two per deformation frequency,
+/// a phase and an amplitude per deformation term, and the pixel noise. A
+/// function of the spec alone.
+fn render_draws(spec: &DatasetSpec) -> u64 {
+    4 * DEFORM_TERMS as u64 + pixel_noise_draws(spec)
 }
 
 /// Generates a full train/test split for an image dataset.
@@ -174,15 +163,21 @@ pub fn generate_image_split(spec: &DatasetSpec, seed: u64) -> BytesSplit {
     let prototypes = class_prototypes(spec, &mut prng);
     let mut train_rng = SimRng::derive(seed, &format!("{}-train", spec.id.name()));
     let mut test_rng = SimRng::derive(seed, &format!("{}-test", spec.id.name()));
+    // Samples render in parallel from stream checkpoints.
+    let draws = render_draws(spec);
+    let partition = |count, rng: &mut SimRng| {
+        render_partition(spec, &prototypes, count, draws, rng, render_sample)
+    };
     BytesSplit {
-        train: generate_partition(spec, &prototypes, spec.train_samples, &mut train_rng),
-        test: generate_partition(spec, &prototypes, spec.test_samples, &mut test_rng),
+        train: partition(spec.train_samples, &mut train_rng),
+        test: partition(spec.test_samples, &mut test_rng),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::tests::{assert_matches_sequential, with_workers};
     use crate::spec::{DatasetId, Scale};
 
     fn quick_spec() -> DatasetSpec {
@@ -271,6 +266,33 @@ mod tests {
         // Not a strict guarantee per pair (multimodality), but the min
         // intra distance should not exceed the max inter distance by much.
         assert!(intra < inter * 1.5, "intra {intra} inter {inter}");
+    }
+
+    #[test]
+    fn checkpointed_partition_matches_the_sequential_stream_at_any_worker_count() {
+        let spec = quick_spec();
+        let prototypes = class_prototypes(&spec, &mut SimRng::seed_from_u64(10));
+        assert_matches_sequential(&spec, &prototypes, render_draws(&spec), render_sample);
+    }
+
+    #[test]
+    fn noiseless_samples_draw_no_pixel_normals() {
+        let mut spec = quick_spec();
+        spec.pixel_noise = 0.0;
+        let prototypes = class_prototypes(&spec, &mut SimRng::seed_from_u64(12));
+        assert_matches_sequential(&spec, &prototypes, render_draws(&spec), render_sample);
+    }
+
+    #[test]
+    #[should_panic(expected = "did not consume the")]
+    fn a_wrong_draw_count_trips_the_checkpoint_assert() {
+        let spec = quick_spec();
+        let prototypes = class_prototypes(&spec, &mut SimRng::seed_from_u64(10));
+        let mut rng = SimRng::seed_from_u64(11);
+        let draws = render_draws(&spec) + 1;
+        with_workers(1, || {
+            render_partition(&spec, &prototypes, 4, draws, &mut rng, render_sample)
+        });
     }
 
     #[test]

@@ -23,12 +23,22 @@
 //! * [`encode`] — bytes → bits → modulated complex symbols, the exact
 //!   path a commodity transmitter would take.
 //!
-//! All generation is deterministic in the dataset seed.
+//! All generation is deterministic in the dataset seed, at every worker
+//! count. Each partition's samples come from one seeded stream, and every
+//! sample consumes a fixed number of raw draws, so the image and Widar
+//! generators find each sample's stream position by skipping and render
+//! the samples in parallel from those checkpoints. Each sample is checked
+//! to end where the next one starts, so a wrong count panics rather than
+//! changing a byte. [`encode`] modulates samples in parallel, reading
+//! each scheme's constellation from a table built from
+//! [`Modulation::map_symbol`]. `tests/dataset_bits.rs` at the workspace
+//! root pins the bytes and symbols.
 
 pub mod encode;
 pub mod export;
 pub mod images;
 pub mod multisensor;
+mod partition;
 pub mod series;
 pub mod spec;
 

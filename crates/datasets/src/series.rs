@@ -6,6 +6,7 @@
 //! warping (people never repeat a gesture identically), add noise, and
 //! quantize — the same downstream path as the image datasets.
 
+use crate::partition::{pixel_noise_draws, render_partition};
 use crate::spec::DatasetSpec;
 use crate::{BytesDataset, BytesSplit};
 use metaai_math::rng::SimRng;
@@ -58,6 +59,13 @@ fn render_sample(spec: &DatasetSpec, template: &[f64], rng: &mut SimRng) -> Vec<
     out
 }
 
+/// Raw draws [`render_sample`] consumes: the warp phase and speed, and
+/// the pixel noise. The ridge count is drawn from the template stream, so
+/// this is a function of the spec alone.
+fn render_draws(spec: &DatasetSpec) -> u64 {
+    2 + pixel_noise_draws(spec)
+}
+
 /// Generates a full train/test split for the gesture dataset.
 pub fn generate_series_split(spec: &DatasetSpec, seed: u64) -> BytesSplit {
     let mut prng = SimRng::derive(seed, "widar-templates");
@@ -70,21 +78,11 @@ pub fn generate_series_split(spec: &DatasetSpec, seed: u64) -> BytesSplit {
         })
         .collect();
 
+    // Samples render in parallel from stream checkpoints.
+    let draws = render_draws(spec);
     let gen = |count: usize, label: &str| -> BytesDataset {
         let mut rng = SimRng::derive(seed, &format!("widar-{label}"));
-        let mut samples = Vec::with_capacity(count);
-        let mut labels = Vec::with_capacity(count);
-        for i in 0..count {
-            let class = i % spec.classes;
-            let mode = rng.below(spec.modes);
-            samples.push(render_sample(spec, &templates[class][mode], &mut rng));
-            labels.push(class);
-        }
-        BytesDataset {
-            samples,
-            labels,
-            num_classes: spec.classes,
-        }
+        render_partition(spec, &templates, count, draws, &mut rng, render_sample)
     };
 
     BytesSplit {
@@ -96,6 +94,7 @@ pub fn generate_series_split(spec: &DatasetSpec, seed: u64) -> BytesSplit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::tests::assert_matches_sequential;
     use crate::spec::{DatasetId, Scale};
 
     fn spec() -> DatasetSpec {
@@ -129,6 +128,20 @@ mod tests {
         let (a, b) = (&split.train.samples[0], &split.train.samples[6]);
         assert_eq!(split.train.labels[0], split.train.labels[6]);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn checkpointed_samples_match_the_sequential_stream_at_any_worker_count() {
+        let s = spec();
+        let mut prng = SimRng::seed_from_u64(5);
+        let templates: Vec<Vec<Vec<f64>>> = (0..s.classes)
+            .map(|_| {
+                (0..s.modes)
+                    .map(|_| gesture_template(&s, &mut prng))
+                    .collect()
+            })
+            .collect();
+        assert_matches_sequential(&s, &templates, render_draws(&s), render_sample);
     }
 
     #[test]

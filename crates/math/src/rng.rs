@@ -4,13 +4,30 @@
 //! noise, synchronization error) draws from a seeded [`SimRng`] so that
 //! experiments are exactly reproducible. Derived seeds let independent
 //! subsystems share one experiment seed without correlating their streams.
+//!
+//! Every draw consumes a fixed number of raw `u64`s from the underlying
+//! xoshiro256++ stream: one for [`uniform`](SimRng::uniform),
+//! [`chance`](SimRng::chance),
+//! [`uniform_range`](SimRng::uniform_range) (none for a degenerate range),
+//! [`below`](SimRng::below) (a multiply-shift, no rejection loop) and
+//! [`phase`](SimRng::phase); two for [`normal`](SimRng::normal) (Box–Muller;
+//! none when `std <= 0`) and [`standard_normal`](SimRng::standard_normal);
+//! `n − 1` for [`permutation`](SimRng::permutation). Only
+//! [`gamma`](SimRng::gamma) (rejection sampling) varies. A generator whose draw count
+//! is a function of its parameters alone can therefore checkpoint a stream:
+//! clone it, [`skip`](SimRng::skip) one item's draws, and resume each item
+//! from its own clone.
 
 use crate::complex::C64;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::{RngCore, RngExt, SeedableRng};
 use rand_distr::{Distribution, Gamma, Normal};
 
 /// A seeded pseudo-random source used throughout the workspace.
+///
+/// Cloning copies the stream position; two generators compare equal when
+/// their next draws are the same.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SimRng {
     inner: StdRng,
 }
@@ -62,6 +79,14 @@ impl SimRng {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         SimRng::seed_from_u64(z ^ (z >> 31))
+    }
+
+    /// Advances the stream past `n` raw draws, leaving it where `n` calls
+    /// of the underlying generator would.
+    pub fn skip(&mut self, n: u64) {
+        for _ in 0..n {
+            self.inner.next_u64();
+        }
     }
 
     /// Uniform `f64` in `[0, 1)`.
@@ -245,6 +270,29 @@ mod tests {
         for _ in 0..100 {
             assert!((rng.unit_phasor().abs() - 1.0).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn skip_leaves_the_state_of_as_many_draws() {
+        let mut drawn = SimRng::seed_from_u64(9);
+        let mut skipped = drawn.clone();
+        // One draw each of every fixed-count kind: 1 + 1 + 1 + 1 + 2 + 2 +
+        // 4 raw draws, and none for a degenerate range or zero std.
+        drawn.uniform();
+        drawn.uniform_range(-1.0, 1.0);
+        drawn.uniform_range(1.0, 1.0);
+        drawn.below(5);
+        drawn.phase();
+        drawn.normal(0.0, 3.0);
+        drawn.normal(1.0, 0.0);
+        drawn.standard_normal();
+        drawn.complex_gaussian(1.0);
+        assert_ne!(drawn, skipped);
+        skipped.skip(12);
+        assert_eq!(drawn, skipped);
+        assert_eq!(drawn.uniform().to_bits(), skipped.uniform().to_bits());
+        skipped.skip(0);
+        assert_eq!(drawn, skipped);
     }
 
     #[test]

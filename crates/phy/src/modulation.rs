@@ -10,6 +10,7 @@
 
 use crate::bits::{group_bits, ungroup_bits};
 use metaai_math::C64;
+use std::sync::OnceLock;
 
 /// A linear modulation scheme.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -150,13 +151,47 @@ impl Modulation {
         }
     }
 
+    /// The constellation indexed by group, built once per scheme from
+    /// [`map_symbol`](Self::map_symbol): entry `g` is bitwise
+    /// `map_symbol(g)`.
+    fn table(self) -> &'static [C64] {
+        static TABLES: [OnceLock<Vec<C64>>; 5] = [const { OnceLock::new() }; 5];
+        TABLES[self as usize].get_or_init(|| self.constellation())
+    }
+
     /// Modulates a bit stream into symbols (tail zero-padded to a full
     /// group).
     pub fn modulate(self, bits: &[u8]) -> Vec<C64> {
+        let table = self.table();
         group_bits(bits, self.bits_per_symbol())
             .into_iter()
-            .map(|g| self.map_symbol(g))
+            .map(|g| table[g as usize])
             .collect()
+    }
+
+    /// Modulates bytes, MSB-first, into symbols: bitwise
+    /// `modulate(&bytes_to_bits(bytes))`, with groups cut straight from
+    /// the bytes instead of a bit per `Vec` entry.
+    pub fn modulate_bytes(self, bytes: &[u8]) -> Vec<C64> {
+        let table = self.table();
+        let width = self.bits_per_symbol();
+        let mask = (1u32 << width) - 1;
+        let mut symbols = Vec::with_capacity((8 * bytes.len()).div_ceil(width));
+        // `pending` holds the low `held` bits not yet grouped (< width).
+        let (mut pending, mut held) = (0u32, 0);
+        for &b in bytes {
+            pending = (pending << 8) | u32::from(b);
+            held += 8;
+            while held >= width {
+                held -= width;
+                symbols.push(table[((pending >> held) & mask) as usize]);
+            }
+            pending &= (1 << held) - 1;
+        }
+        if held > 0 {
+            symbols.push(table[((pending << (width - held)) & mask) as usize]);
+        }
+        symbols
     }
 
     /// Demodulates symbols back into a bit stream.
@@ -269,6 +304,68 @@ mod tests {
         let corner = m.demap_symbol(C64::new(10.0, 10.0));
         let z = m.map_symbol(corner);
         assert!(z.re > 0.0 && z.im > 0.0);
+    }
+
+    /// The per-symbol path the table replaced, kept as the reference.
+    fn modulate_per_symbol(m: Modulation, bits: &[u8]) -> Vec<C64> {
+        group_bits(bits, m.bits_per_symbol())
+            .into_iter()
+            .map(|g| m.map_symbol(g))
+            .collect()
+    }
+
+    fn symbol_bits(symbols: &[C64]) -> Vec<[u64; 2]> {
+        symbols
+            .iter()
+            .map(|z| [z.re.to_bits(), z.im.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn every_table_entry_is_bitwise_map_symbol() {
+        for m in Modulation::all() {
+            let table = m.table();
+            assert_eq!(table.len(), 1 << m.bits_per_symbol(), "{}", m.name());
+            for g in 0..(1u16 << m.bits_per_symbol()) {
+                let [a, b] = [table[g as usize], m.map_symbol(g)];
+                assert_eq!(symbol_bits(&[a]), symbol_bits(&[b]), "{} g={g}", m.name());
+            }
+        }
+    }
+
+    #[test]
+    fn modulate_matches_the_per_symbol_path_on_random_bits() {
+        let mut rng = metaai_math::rng::SimRng::seed_from_u64(17);
+        // Lengths around every group width, ragged tails included.
+        for len in (0..40).chain([255, 256, 257, 1001]) {
+            let bits: Vec<u8> = (0..len).map(|_| rng.below(2) as u8).collect();
+            for m in Modulation::all() {
+                assert_eq!(
+                    symbol_bits(&m.modulate(&bits)),
+                    symbol_bits(&modulate_per_symbol(m, &bits)),
+                    "{} len={len}",
+                    m.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn modulate_bytes_matches_modulating_the_bit_stream() {
+        let mut rng = metaai_math::rng::SimRng::seed_from_u64(19);
+        // Every byte count mod 3 leaves a different 64-QAM tail.
+        for len in (0..12).chain([784, 785, 900]) {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+            for m in Modulation::all() {
+                let bits = bytes_to_bits(&bytes);
+                assert_eq!(
+                    symbol_bits(&m.modulate_bytes(&bytes)),
+                    symbol_bits(&modulate_per_symbol(m, &bits)),
+                    "{} bytes={len}",
+                    m.name()
+                );
+            }
+        }
     }
 
     #[test]
