@@ -28,7 +28,6 @@
 
 use metaai::{MetaAiSystem, OtaEngine, SystemConfig};
 use metaai_math::rng::SimRng;
-use metaai_math::stats::argmax;
 use metaai_math::{CVec, C64};
 use metaai_nn::data::ComplexDataset;
 
@@ -120,14 +119,17 @@ pub fn probe_health(
     let engine = OtaEngine::new(&live);
     let mut correct = 0usize;
     let mut margins = Vec::with_capacity(probes.len());
+    let mut scores = Vec::with_capacity(engine.num_outputs());
     for (i, x) in probes.inputs.iter().enumerate() {
-        let mut rng =
-            SimRng::derive_indexed(probes.seed, stream, round * probes.len() as u64 + i as u64);
-        let cond = deployed.default_conditions(x.len(), &mut rng);
-        let scores = engine.scores(x, &cond, &mut rng);
-        if argmax(&scores) == probes.labels[i] {
-            correct += 1;
-        }
+        let predicted = engine.score_indexed(
+            x,
+            probes.seed,
+            stream,
+            round * probes.len() as u64 + i as u64,
+            |rng| deployed.default_conditions(x.len(), rng),
+            &mut scores,
+        );
+        correct += usize::from(predicted == probes.labels[i]);
         margins.push(margin(&scores));
     }
     HealthReading {
@@ -173,6 +175,7 @@ fn median_margin(mut margins: Vec<f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metaai_math::stats::argmax;
     use metaai_nn::augment::Augmentation;
     use metaai_nn::train::{toy_problem, TrainConfig};
 

@@ -20,7 +20,9 @@ use metaai_bench::{
 };
 use metaai_datasets::{DatasetId, Scale};
 
-fn parse_args() -> (Vec<String>, ExpContext) {
+/// Parses the command line; a bad `--scale` or `--seed` value is an
+/// error, not a silent default.
+fn parse_args() -> Result<(Vec<String>, ExpContext), String> {
     let mut scale = Scale::Default;
     let mut seed = 42u64;
     let mut out_dir = "results".to_string();
@@ -32,24 +34,16 @@ fn parse_args() -> (Vec<String>, ExpContext) {
         match args[i].as_str() {
             "--scale" => {
                 i += 1;
-                scale = match args.get(i).map(String::as_str) {
-                    Some("quick") => Scale::Quick,
-                    Some("default") => Scale::Default,
-                    Some("paper") => Scale::Paper,
-                    other => {
-                        eprintln!("unknown scale {other:?}; using default");
-                        Scale::Default
-                    }
-                };
+                scale = Scale::parse(args.get(i).map_or("", String::as_str))?;
             }
             "--quick" => scale = Scale::Quick,
             "--paper" => scale = Scale::Paper,
             "--seed" => {
                 i += 1;
-                seed = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("bad seed; using 42");
-                    42
-                });
+                let value = args.get(i).map_or("", String::as_str);
+                seed = value
+                    .parse()
+                    .map_err(|_| format!("--seed expects a number, got {value:?}"))?;
             }
             "--out" => {
                 i += 1;
@@ -62,18 +56,21 @@ fn parse_args() -> (Vec<String>, ExpContext) {
     if experiments.is_empty() {
         experiments.push("all".into());
     }
-    (
+    Ok((
         experiments,
         ExpContext {
             scale,
             seed,
             out_dir,
         },
-    )
+    ))
 }
 
 fn main() {
-    let (experiments, ctx) = parse_args();
+    let (experiments, ctx) = parse_args().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let t0 = std::time::Instant::now();
     println!(
         "MetaAI experiments — scale {:?}, seed {}, output {}/",

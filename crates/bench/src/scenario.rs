@@ -190,53 +190,6 @@ fn base_recipe() -> Recipe {
     }
 }
 
-/// CLI-style dataset names (the strings `metaai train --dataset` takes).
-const DATASETS: &[(&str, DatasetId)] = &[
-    ("mnist", DatasetId::Mnist),
-    ("fashion", DatasetId::Fashion),
-    ("fruits", DatasetId::Fruits360),
-    ("afhq", DatasetId::Afhq),
-    ("celeba", DatasetId::CelebA),
-    ("widar", DatasetId::Widar3),
-];
-
-fn parse_dataset(v: &str) -> Result<DatasetId, String> {
-    DATASETS
-        .iter()
-        .find(|(name, _)| *name == v)
-        .map(|&(_, id)| id)
-        .ok_or_else(|| {
-            format!("unknown dataset {v:?} (expected mnist|fashion|fruits|afhq|celeba|widar)")
-        })
-}
-
-fn dataset_key(id: DatasetId) -> &'static str {
-    DATASETS
-        .iter()
-        .find(|&&(_, d)| d == id)
-        .map(|&(name, _)| name)
-        .expect("every DatasetId has a key")
-}
-
-fn parse_scale(v: &str) -> Result<Scale, String> {
-    match v {
-        "quick" => Ok(Scale::Quick),
-        "default" => Ok(Scale::Default),
-        "paper" => Ok(Scale::Paper),
-        other => Err(format!(
-            "unknown scale {other:?} (expected quick|default|paper)"
-        )),
-    }
-}
-
-fn scale_key(s: Scale) -> &'static str {
-    match s {
-        Scale::Quick => "quick",
-        Scale::Default => "default",
-        Scale::Paper => "paper",
-    }
-}
-
 fn parse_environment(v: &str) -> Result<EnvironmentKind, String> {
     match v {
         "corridor" => Ok(EnvironmentKind::Corridor),
@@ -358,9 +311,9 @@ impl Recipe {
                         recipe.scenarios.push(part.to_string());
                     }
                 }
-                "dataset" => recipe.dataset = parse_dataset(value).map_err(fail)?,
-                "tenant" => recipe.tenants.push(parse_dataset(value).map_err(fail)?),
-                "scale" => recipe.scale = parse_scale(value).map_err(fail)?,
+                "dataset" => recipe.dataset = DatasetId::parse(value).map_err(fail)?,
+                "tenant" => recipe.tenants.push(DatasetId::parse(value).map_err(fail)?),
+                "scale" => recipe.scale = Scale::parse(value).map_err(fail)?,
                 "epochs" => recipe.epochs = parse_num(key, value, 1).map_err(fail)?,
                 "seed" => recipe.seed = parse_num(key, value, 0).map_err(fail)?,
                 "environment" => recipe.environment = parse_environment(value).map_err(fail)?,
@@ -474,11 +427,11 @@ impl Recipe {
         for s in &self.scenarios {
             out.push_str(&format!("scenario = {s}\n"));
         }
-        out.push_str(&format!("dataset = {}\n", dataset_key(self.dataset)));
+        out.push_str(&format!("dataset = {}\n", self.dataset.key()));
         for t in &self.tenants {
-            out.push_str(&format!("tenant = {}\n", dataset_key(*t)));
+            out.push_str(&format!("tenant = {}\n", t.key()));
         }
-        out.push_str(&format!("scale = {}\n", scale_key(self.scale)));
+        out.push_str(&format!("scale = {}\n", self.scale.key()));
         out.push_str(&format!("epochs = {}\n", self.epochs));
         out.push_str(&format!("seed = {}\n", self.seed));
         out.push_str(&format!(
@@ -582,7 +535,7 @@ pub fn materialize(recipe: &Recipe) -> Materialized {
         let system = MetaAiSystem::builder()
             .config(config)
             .train_and_deploy(&train, &tcfg);
-        let mut name = dataset_key(id).to_string();
+        let mut name = id.key().to_string();
         while tenants.iter().any(|t| t.name == name) {
             name.push_str("-b");
         }

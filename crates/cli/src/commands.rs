@@ -14,29 +14,6 @@ use metaai_nn::io::{load_model, save_model};
 use metaai_nn::metrics::ConfusionMatrix;
 use metaai_nn::train::TrainConfig;
 
-fn parse_dataset(name: &str) -> Result<DatasetId, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "mnist" => Ok(DatasetId::Mnist),
-        "fashion" => Ok(DatasetId::Fashion),
-        "fruits" | "fruits360" | "fruits-360" => Ok(DatasetId::Fruits360),
-        "afhq" => Ok(DatasetId::Afhq),
-        "celeba" => Ok(DatasetId::CelebA),
-        "widar" | "widar3" | "widar3.0" => Ok(DatasetId::Widar3),
-        other => Err(format!(
-            "unknown dataset {other:?} (expected mnist|fashion|fruits|afhq|celeba|widar)"
-        )),
-    }
-}
-
-fn parse_scale(name: &str) -> Result<Scale, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "quick" => Ok(Scale::Quick),
-        "default" => Ok(Scale::Default),
-        "paper" => Ok(Scale::Paper),
-        other => Err(format!("unknown scale {other:?}")),
-    }
-}
-
 fn fail(msg: &str) -> i32 {
     eprintln!("error: {msg}");
     2
@@ -82,8 +59,8 @@ struct Setup {
 }
 
 fn setup(args: &Args) -> Result<Setup, String> {
-    let id = parse_dataset(args.get_or("dataset", "mnist"))?;
-    let scale = parse_scale(args.get_or("scale", "default"))?;
+    let id = DatasetId::parse(args.get_or("dataset", "mnist"))?;
+    let scale = Scale::parse(args.get_or("scale", "default"))?;
     let seed: u64 = args.num_or("seed", 42);
     let config = SystemConfig {
         seed,
@@ -187,22 +164,21 @@ pub fn eval(args: &Args) -> i32 {
         system.array.num_atoms(),
         100.0 * system.realization_error()
     );
-    let ota = system.ota_accuracy(&s.test, "cli-eval");
-    println!("over-the-air (prototype) accuracy: {:.2} %", 100.0 * ota);
+    // One prediction vector feeds both the accuracy and the confusion
+    // matrix, so the two cannot disagree.
+    let n = s.test.input_len();
+    let predictions =
+        system.ota_predictions(&s.test, "cli-eval", |rng| system.default_conditions(n, rng));
+    let mut cm = ConfusionMatrix::new(s.test.num_classes);
+    for (&truth, &predicted) in s.test.labels.iter().zip(&predictions) {
+        cm.record(truth, predicted);
+    }
+    println!(
+        "over-the-air (prototype) accuracy: {:.2} %",
+        100.0 * cm.accuracy()
+    );
 
     if args.flag("confusion") {
-        let n = s.test.input_len();
-        let mut cm = ConfusionMatrix::new(s.test.num_classes);
-        let stream = SimRng::stream_id("cli-confusion");
-        let predictions =
-            system
-                .engine()
-                .batch_predict_with(&s.test.inputs, s.config.seed, stream, |rng| {
-                    system.default_conditions(n, rng)
-                });
-        for (i, &pred) in predictions.iter().enumerate() {
-            cm.record(s.test.labels[i], pred);
-        }
         println!("\nconfusion matrix (over the air):\n{}", cm.render());
         println!("macro F1: {:.3}", cm.macro_f1());
         if let Some((t, p, c)) = cm.worst_confusion() {
@@ -276,11 +252,7 @@ pub fn infer(args: &Args) -> i32 {
     let x = &s.test.inputs[idx];
     let mut rng = SimRng::derive_indexed(s.config.seed, SimRng::stream_id("cli-infer"), idx as u64);
     let cond = system.default_conditions(x.len(), &mut rng);
-    let outcome = system.run(
-        &metaai::engine::InferenceRequest::new(x, cond).with_trace(),
-        &mut rng,
-    );
-    let trace = outcome.trace.expect("trace requested");
+    let trace = system.engine().traced(x, &cond, &mut rng);
 
     println!("sample {idx} (true class {}):", s.test.labels[idx]);
     for (class, score) in trace.scores.iter().enumerate() {
@@ -434,7 +406,7 @@ pub fn serve(args: &Args) -> i32 {
         };
         let probe_dataset = match args.options.get("adapt-probes") {
             None => None,
-            Some(name) => match parse_dataset(name) {
+            Some(name) => match DatasetId::parse(name) {
                 Ok(id) => Some(id),
                 Err(e) => return fail(&e),
             },
@@ -550,11 +522,11 @@ pub fn scan(args: &Args) -> i32 {
 
 /// `metaai export`
 pub fn export(args: &Args) -> i32 {
-    let id = match parse_dataset(args.get_or("dataset", "mnist")) {
+    let id = match DatasetId::parse(args.get_or("dataset", "mnist")) {
         Ok(id) => id,
         Err(e) => return fail(&e),
     };
-    let scale = match parse_scale(args.get_or("scale", "quick")) {
+    let scale = match Scale::parse(args.get_or("scale", "quick")) {
         Ok(s) => s,
         Err(e) => return fail(&e),
     };
@@ -711,22 +683,6 @@ pub fn bench(args: &Args) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dataset_names_parse() {
-        assert_eq!(parse_dataset("MNIST").expect("ok"), DatasetId::Mnist);
-        assert_eq!(
-            parse_dataset("fruits-360").expect("ok"),
-            DatasetId::Fruits360
-        );
-        assert!(parse_dataset("imagenet").is_err());
-    }
-
-    #[test]
-    fn scales_parse() {
-        assert_eq!(parse_scale("quick").expect("ok"), Scale::Quick);
-        assert!(parse_scale("enormous").is_err());
-    }
 
     #[test]
     fn end_to_end_train_then_eval_through_files() {

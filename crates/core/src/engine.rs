@@ -38,15 +38,19 @@
 //!   sample of the summed variance. The score distribution is identical;
 //!   the per-row cost drops from `2U` Gaussian pairs to one. (Trace mode
 //!   still resolves noise per chip, since it reports chip-level values.)
-//! * **Batch parallelism.** Batches are processed in chunks under rayon,
-//!   each worker reusing a scratch score buffer. Because every sample owns
-//!   a counter-derived RNG, results are bitwise independent of the worker
-//!   count (`RAYON_NUM_THREADS=1` and the default produce identical
-//!   output).
+//! * **One per-sample path.** [`OtaEngine::score_indexed`] derives a
+//!   sample's RNG, builds its conditions, scores and takes the argmax;
+//!   served requests, offline batches and health probes all score
+//!   through it, so served == offline holds by construction.
+//! * **Batch parallelism.** [`OtaEngine::batch_map`] runs inputs in
+//!   chunks under rayon, each chunk reusing one score buffer. Because
+//!   every sample owns a counter-derived RNG, results are bitwise
+//!   independent of the worker count (`RAYON_NUM_THREADS=1` and the
+//!   default produce identical output).
 //!
 //! The engine is reached through [`MetaAiSystem`](crate::pipeline::MetaAiSystem)
-//! (`run`, `run_batch`, `ota_accuracy*`) or directly via [`OtaEngine`] when
-//! only a channel matrix is at hand.
+//! (`engine`, `score_indexed`, `ota_accuracy*`) or directly via
+//! [`OtaEngine`] when only a channel matrix is at hand.
 
 use crate::ota::OtaConditions;
 use crate::trace::{InferenceTrace, TraceRow};
@@ -105,46 +109,6 @@ pub fn register_metrics() {
 /// Samples per worker chunk in batch processing. Small enough to balance
 /// uneven worker speeds, large enough to amortize per-chunk scratch.
 const BATCH_CHUNK: usize = 32;
-
-/// One inference to run: the input symbols, the channel conditions during
-/// the transmission, and whether to record a chip-level trace.
-#[derive(Clone, Debug)]
-pub struct InferenceRequest<'a> {
-    /// Transmitted symbol vector (one symbol per deployed weight column).
-    pub input: &'a CVec,
-    /// Channel conditions during this transmission.
-    pub conditions: OtaConditions,
-    /// Record a per-symbol [`InferenceTrace`] (requires cancellation).
-    pub trace: bool,
-}
-
-impl<'a> InferenceRequest<'a> {
-    /// A plain (untraced) inference request.
-    pub fn new(input: &'a CVec, conditions: OtaConditions) -> Self {
-        InferenceRequest {
-            input,
-            conditions,
-            trace: false,
-        }
-    }
-
-    /// Requests a chip-level trace of the transmission.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-}
-
-/// The result of one inference.
-#[derive(Clone, Debug)]
-pub struct InferenceOutcome {
-    /// Receiver-side class scores `y_r = |Σ_i H_r(t_i)·x_i|`.
-    pub scores: Vec<f64>,
-    /// `argmax` of the scores.
-    pub predicted: usize,
-    /// Chip-level trace, when requested.
-    pub trace: Option<InferenceTrace>,
-}
 
 /// The signal part of one received chip: the environmental path plus the
 /// (polarity-flipped) MTS weight, times the shaped chip.
@@ -712,83 +676,54 @@ impl<'a> OtaEngine<'a> {
         }
     }
 
-    /// Runs one request with an explicit RNG.
-    pub fn run(&self, request: &InferenceRequest<'_>, rng: &mut SimRng) -> InferenceOutcome {
-        if request.trace {
-            let trace = self.traced(request.input, &request.conditions, rng);
-            InferenceOutcome {
-                scores: trace.scores.clone(),
-                predicted: trace.predicted,
-                trace: Some(trace),
-            }
-        } else {
-            let scores = self.scores(request.input, &request.conditions, rng);
-            InferenceOutcome {
-                predicted: argmax(&scores),
-                scores,
-                trace: None,
-            }
-        }
-    }
-
-    /// Runs a batch of requests in parallel. Request `i` draws from the
-    /// counter-derived stream `derive_indexed(seed, stream, i)`, so the
-    /// result is bitwise independent of the worker count.
-    pub fn run_batch(
+    /// Scores sample `index` of the stream `(seed, stream)`: derives the
+    /// sample's RNG ([`SimRng::derive_indexed`]), builds its conditions
+    /// with `make_cond` on that RNG, scores into `out` (cleared first)
+    /// and returns the argmax.
+    ///
+    /// Every indexed score goes through here: served requests
+    /// ([`MetaAiSystem::score_indexed`](crate::pipeline::MetaAiSystem::score_indexed)),
+    /// offline batches ([`OtaEngine::batch_map`]) and health probes. A
+    /// sample's scores are therefore a function of `(seed, stream, index)`
+    /// and its conditions alone, whichever path or worker scored it.
+    pub fn score_indexed<F>(
         &self,
-        requests: &[InferenceRequest<'_>],
+        x: &CVec,
         seed: u64,
         stream: u64,
-    ) -> Vec<InferenceOutcome> {
-        if let Some(m) = tele() {
-            m.batches.inc();
-        }
-        self.chunked(requests.len(), |i| {
-            let mut rng = SimRng::derive_indexed(seed, stream, i as u64);
-            self.run(&requests[i], &mut rng)
-        })
-    }
-
-    /// Runs a batch of inputs under per-sample conditions built by
-    /// `make_cond` (called first on each sample's derived RNG, exactly as
-    /// the scalar path would).
-    pub fn batch_with<F>(
-        &self,
-        inputs: &[CVec],
-        seed: u64,
-        stream: u64,
+        index: u64,
         make_cond: F,
-    ) -> Vec<InferenceOutcome>
+        out: &mut Vec<f64>,
+    ) -> usize
     where
-        F: Fn(&mut SimRng) -> OtaConditions + Sync,
+        F: FnOnce(&mut SimRng) -> OtaConditions,
     {
-        if let Some(m) = tele() {
-            m.batches.inc();
-        }
-        self.chunked(inputs.len(), |i| {
-            let mut rng = SimRng::derive_indexed(seed, stream, i as u64);
-            let cond = make_cond(&mut rng);
-            let scores = self.scores(&inputs[i], &cond, &mut rng);
-            InferenceOutcome {
-                predicted: argmax(&scores),
-                scores,
-                trace: None,
-            }
-        })
+        let mut rng = SimRng::derive_indexed(seed, stream, index);
+        let cond = make_cond(&mut rng);
+        self.scores_into(x, &cond, &mut rng, out);
+        argmax(out)
     }
 
-    /// Batch classification only — the accuracy hot path. Each worker
-    /// reuses one score buffer across its whole chunk, so the per-sample
-    /// cost is pure arithmetic (no allocation at all).
-    pub fn batch_predict_with<F>(
+    /// Scores every input through [`OtaEngine::score_indexed`] (input `i`
+    /// at index `i`) and maps its scores through `per_sample`, in input
+    /// order.
+    ///
+    /// Inputs run in chunks under rayon, each chunk reusing one score
+    /// buffer, so no sample allocates. Because every sample owns its
+    /// counter-derived RNG, the result is bitwise independent of the
+    /// worker count.
+    pub fn batch_map<T, C, F>(
         &self,
         inputs: &[CVec],
         seed: u64,
         stream: u64,
-        make_cond: F,
-    ) -> Vec<usize>
+        make_cond: C,
+        per_sample: F,
+    ) -> Vec<T>
     where
-        F: Fn(&mut SimRng) -> OtaConditions + Sync,
+        T: Send,
+        C: Fn(&mut SimRng) -> OtaConditions + Sync,
+        F: Fn(&[f64]) -> T + Sync,
     {
         let n = inputs.len();
         if n == 0 {
@@ -797,40 +732,25 @@ impl<'a> OtaEngine<'a> {
         if let Some(m) = tele() {
             m.batches.inc();
         }
-        let nested: Vec<Vec<usize>> = (0..n.div_ceil(BATCH_CHUNK))
-            .into_par_iter()
-            .map(|c| {
-                let lo = c * BATCH_CHUNK;
-                let hi = ((c + 1) * BATCH_CHUNK).min(n);
-                let mut scratch = Vec::with_capacity(self.channels.rows());
-                (lo..hi)
-                    .map(|i| {
-                        let mut rng = SimRng::derive_indexed(seed, stream, i as u64);
-                        let cond = make_cond(&mut rng);
-                        self.scores_into(&inputs[i], &cond, &mut rng, &mut scratch);
-                        argmax(&scratch)
-                    })
-                    .collect()
-            })
-            .collect();
-        nested.into_iter().flatten().collect()
-    }
-
-    /// Order-preserving chunked parallel map over `0..n`.
-    fn chunked<T, F>(&self, n: usize, per_item: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        if n == 0 {
-            return Vec::new();
-        }
         let nested: Vec<Vec<T>> = (0..n.div_ceil(BATCH_CHUNK))
             .into_par_iter()
             .map(|c| {
                 let lo = c * BATCH_CHUNK;
                 let hi = ((c + 1) * BATCH_CHUNK).min(n);
-                (lo..hi).map(&per_item).collect()
+                let mut scores = Vec::with_capacity(self.channels.rows());
+                (lo..hi)
+                    .map(|i| {
+                        self.score_indexed(
+                            &inputs[i],
+                            seed,
+                            stream,
+                            i as u64,
+                            &make_cond,
+                            &mut scores,
+                        );
+                        per_sample(&scores)
+                    })
+                    .collect()
             })
             .collect();
         nested.into_iter().flatten().collect()
@@ -959,16 +879,15 @@ mod tests {
         let cond = busy_conditions(12, 5, true);
         let engine = OtaEngine::new(&h);
         let stream = SimRng::stream_id("test-batch");
-        let outcomes = engine.batch_with(&inputs, 7, stream, |_| cond.clone());
-        assert_eq!(outcomes.len(), inputs.len());
-        for (i, o) in outcomes.iter().enumerate() {
+        let batched = engine.batch_map(&inputs, 7, stream, |_| cond.clone(), <[f64]>::to_vec);
+        assert_eq!(batched.len(), inputs.len());
+        for (i, scores) in batched.iter().enumerate() {
             let mut rng = SimRng::derive_indexed(7, stream, i as u64);
             let scalar = engine.scores(&inputs[i], &cond, &mut rng);
-            assert_eq!(o.scores.len(), scalar.len());
-            for (a, b) in o.scores.iter().zip(&scalar) {
+            assert_eq!(scores.len(), scalar.len());
+            for (a, b) in scores.iter().zip(&scalar) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
-            assert_eq!(o.predicted, argmax(&scalar));
         }
     }
 
@@ -1024,57 +943,11 @@ mod tests {
     }
 
     #[test]
-    fn run_honours_the_trace_flag() {
-        let (h, inputs) = setup(2, 5, 9);
-        let cond = OtaConditions::ideal(5);
-        let engine = OtaEngine::new(&h);
-        let mut rng = SimRng::seed_from_u64(1);
-        let plain = engine.run(&InferenceRequest::new(&inputs[0], cond.clone()), &mut rng);
-        assert!(plain.trace.is_none());
-        let mut rng = SimRng::seed_from_u64(1);
-        let traced = engine.run(
-            &InferenceRequest::new(&inputs[0], cond).with_trace(),
-            &mut rng,
-        );
-        let trace = traced.trace.expect("trace requested");
-        assert_eq!(trace.scores, traced.scores);
-        assert_eq!(plain.predicted, traced.predicted);
-    }
-
-    #[test]
-    fn run_batch_handles_mixed_trace_requests() {
-        let (h, inputs) = setup(2, 6, 10);
-        let cond = OtaConditions::ideal(6);
-        let engine = OtaEngine::new(&h);
-        let requests: Vec<InferenceRequest<'_>> = inputs
-            .iter()
-            .enumerate()
-            .map(|(i, x)| {
-                let req = InferenceRequest::new(x, cond.clone());
-                if i % 2 == 0 {
-                    req.with_trace()
-                } else {
-                    req
-                }
-            })
-            .collect();
-        let outcomes = engine.run_batch(&requests, 3, 4);
-        assert_eq!(outcomes.len(), requests.len());
-        for (i, o) in outcomes.iter().enumerate() {
-            assert_eq!(o.trace.is_some(), i % 2 == 0);
-            assert_eq!(o.predicted, argmax(&o.scores));
-        }
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
         let (h, _) = setup(2, 4, 11);
         let engine = OtaEngine::new(&h);
         assert!(engine
-            .batch_with(&[], 1, 2, |_| OtaConditions::ideal(4))
-            .is_empty());
-        assert!(engine
-            .batch_predict_with(&[], 1, 2, |_| OtaConditions::ideal(4))
+            .batch_map(&[], 1, 2, |_| OtaConditions::ideal(4), argmax)
             .is_empty());
     }
 
@@ -1122,7 +995,7 @@ mod tests {
     }
 
     #[test]
-    fn predictions_agree_between_batch_apis() {
+    fn batch_predictions_match_score_indexed() {
         let (h, inputs) = setup(5, 10, 12);
         let engine = OtaEngine::new(&h);
         let make = |rng: &mut SimRng| {
@@ -1130,8 +1003,11 @@ mod tests {
             cond.sync_shift = rng.below(10) as isize;
             cond
         };
-        let full = engine.batch_with(&inputs, 5, 6, make);
-        let preds = engine.batch_predict_with(&inputs, 5, 6, make);
-        assert_eq!(full.iter().map(|o| o.predicted).collect::<Vec<_>>(), preds);
+        let preds = engine.batch_map(&inputs, 5, 6, make, argmax);
+        let mut scores = Vec::new();
+        for (i, x) in inputs.iter().enumerate() {
+            let p = engine.score_indexed(x, 5, 6, i as u64, make, &mut scores);
+            assert_eq!(preds[i], p, "sample {i}");
+        }
     }
 }

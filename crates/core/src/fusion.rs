@@ -16,30 +16,6 @@
 
 use metaai_math::CVec;
 use metaai_nn::data::ComplexDataset;
-use metaai_telemetry::Counter;
-use std::sync::OnceLock;
-
-/// Fusion-stage instruments, registered once with the global registry.
-struct FusionMetrics {
-    inferences: Counter,
-    segments: Counter,
-}
-
-fn metrics() -> &'static FusionMetrics {
-    static METRICS: OnceLock<FusionMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = metaai_telemetry::global();
-        FusionMetrics {
-            inferences: r.counter("metaai.core.fusion.inferences"),
-            segments: r.counter("metaai.core.fusion.segments"),
-        }
-    })
-}
-
-/// Registers the fusion layer's instruments with the global registry.
-pub fn register_metrics() {
-    let _ = metrics();
-}
 
 /// Concatenates the first `n_sensors` views of a multi-sensor dataset into
 /// one time-division dataset. All views must be index-aligned (same event
@@ -81,31 +57,6 @@ pub fn segment_offsets(views: &[ComplexDataset], n_sensors: usize) -> Vec<usize>
         offsets.push(offsets.last().expect("non-empty") + v.input_len());
     }
     offsets
-}
-
-/// Runs one fused inference: the sensors transmit their segments in turn
-/// (time division) and the receiver accumulates across all of them — the
-/// over-the-air realization of Eqn 11. `segments` are the per-sensor symbol
-/// vectors, in deployment order; their concatenation must match the fused
-/// system's input length.
-pub fn infer_fused(
-    system: &crate::pipeline::MetaAiSystem,
-    segments: &[&CVec],
-    conditions: crate::ota::OtaConditions,
-    rng: &mut metaai_math::rng::SimRng,
-) -> crate::engine::InferenceOutcome {
-    if metaai_telemetry::enabled() {
-        let m = metrics();
-        m.inferences.inc();
-        m.segments.add(segments.len() as u64);
-    }
-    let mut combined = Vec::new();
-    for seg in segments {
-        combined.extend_from_slice(seg.as_slice());
-    }
-    let fused = CVec::from_vec(combined);
-    let request = crate::engine::InferenceRequest::new(&fused, conditions);
-    system.run(&request, rng)
 }
 
 #[cfg(test)]
@@ -159,36 +110,5 @@ mod tests {
         let mut b = view(2, 4, 2.0);
         b.labels[0] = 1 - b.labels[0];
         fuse_views(&[a, b], 2);
-    }
-
-    #[test]
-    fn fused_inference_matches_direct_concatenation() {
-        use crate::ota::OtaConditions;
-        use metaai_math::rng::SimRng;
-        use metaai_nn::train::{toy_problem, TrainConfig};
-
-        let views = [view(6, 8, 1.0), view(6, 8, 2.0)];
-        let fused_data = fuse_views(&views, 2);
-        let train = toy_problem(2, fused_data.input_len(), 30, 0.3, 60, 160);
-        let system = crate::pipeline::MetaAiSystem::builder()
-            .config(crate::config::SystemConfig::paper_default())
-            .train_and_deploy(
-                &train,
-                &TrainConfig {
-                    epochs: 5,
-                    ..TrainConfig::default()
-                },
-            );
-
-        let cond = OtaConditions::ideal(fused_data.input_len());
-        let segments = [&views[0].inputs[0], &views[1].inputs[0]];
-        let mut r1 = SimRng::seed_from_u64(1);
-        let outcome = infer_fused(&system, &segments, cond.clone(), &mut r1);
-        let mut r2 = SimRng::seed_from_u64(1);
-        let direct = system
-            .engine()
-            .scores(&fused_data.inputs[0], &cond, &mut r2);
-        assert_eq!(outcome.scores, direct);
-        assert!(outcome.predicted < 2);
     }
 }

@@ -44,7 +44,7 @@ pub mod telemetry;
 pub mod trace;
 
 pub use config::SystemConfig;
-pub use engine::{InferenceOutcome, InferenceRequest, OtaEngine};
+pub use engine::OtaEngine;
 pub use mapper::{WeightMapper, WeightSchedule};
 pub use ota::{OtaConditions, OtaReceiver};
 pub use pipeline::{MetaAiSystem, StackDeployment, SystemBuilder};

@@ -207,13 +207,17 @@ impl AntennaParallel {
         let power = crate::ota::signal_power(&self.channels);
         let awgn = Awgn::from_snr_db(power, snr_db);
         let stream = SimRng::stream_id("ant-parallel");
-        let outcomes = OtaEngine::new(&self.channels).batch_with(inputs, seed, stream, |_| {
-            self.conditions(awgn, self.channels.cols())
-        });
-        let correct = outcomes
+        let predictions = OtaEngine::new(&self.channels).batch_map(
+            inputs,
+            seed,
+            stream,
+            |_| self.conditions(awgn, self.channels.cols()),
+            |scores| self.calibrated_argmax(scores),
+        );
+        let correct = predictions
             .iter()
             .zip(labels)
-            .filter(|(o, &l)| self.calibrated_argmax(&o.scores) == l)
+            .filter(|(p, l)| p == l)
             .count();
         correct as f64 / inputs.len() as f64
     }

@@ -2,7 +2,7 @@
 //! air.
 
 use crate::config::SystemConfig;
-use crate::engine::{InferenceOutcome, InferenceRequest, OtaEngine};
+use crate::engine::OtaEngine;
 use crate::mapper::WeightSchedule;
 use crate::ota::{signal_power, OtaConditions};
 use metaai_math::rng::SimRng;
@@ -307,42 +307,54 @@ impl MetaAiSystem {
         OtaEngine::with_planes(&self.channels, &self.planes)
     }
 
-    /// Runs one inference request (scores, prediction, optional trace).
-    pub fn run(&self, request: &InferenceRequest<'_>, rng: &mut SimRng) -> InferenceOutcome {
-        self.engine().run(request, rng)
-    }
-
-    /// Runs a batch of requests in parallel; request `i` draws from the
-    /// counter-derived stream `(seed, stream, i)`.
-    pub fn run_batch(
-        &self,
-        requests: &[InferenceRequest<'_>],
-        stream: u64,
-    ) -> Vec<InferenceOutcome> {
-        self.engine().run_batch(requests, self.config.seed, stream)
-    }
-
     /// Scores one input exactly as position `index` of an offline batch
-    /// run on stream `stream` — same derived RNG, same default-conditions
-    /// draw order — writing the class scores into `out` (reused scratch)
-    /// and returning the argmax.
+    /// on stream `stream` — [`OtaEngine::score_indexed`] under the
+    /// config's seed and [`default_conditions`](Self::default_conditions)
+    /// — writing the class scores into `out` (reused scratch) and
+    /// returning the argmax.
     ///
     /// This is the serving hot path: a live request carrying a sample
     /// index scores bitwise-identically to
-    /// `engine().batch_with(inputs, config.seed, stream, |rng| default_conditions(n, rng))`
+    /// `engine().batch_map(inputs, config.seed, stream, |rng| default_conditions(n, rng), ..)`
     /// at that index, independent of how requests were batched or which
     /// worker picked them up.
     pub fn score_indexed(&self, x: &CVec, stream: u64, index: u64, out: &mut Vec<f64>) -> usize {
-        let mut rng = SimRng::derive_indexed(self.config.seed, stream, index);
-        let cond = self.default_conditions(x.len(), &mut rng);
-        self.engine().scores_into(x, &cond, &mut rng, out);
-        metaai_math::stats::argmax(out)
+        self.engine().score_indexed(
+            x,
+            self.config.seed,
+            stream,
+            index,
+            |rng| self.default_conditions(x.len(), rng),
+            out,
+        )
     }
 
-    /// Over-the-air accuracy under per-sample conditions built by
-    /// `make_cond` (called with a sample-derived RNG). Batched through the
-    /// engine; fully deterministic in `label`, independent of the rayon
-    /// worker count.
+    /// Over-the-air predictions for every test input under per-sample
+    /// conditions built by `make_cond` (called with the sample's derived
+    /// RNG), on the stream `ota-{label}`. Batched through
+    /// [`OtaEngine::batch_map`]; fully deterministic in `label`,
+    /// independent of the rayon worker count.
+    pub fn ota_predictions<F>(&self, test: &ComplexDataset, label: &str, make_cond: F) -> Vec<usize>
+    where
+        F: Fn(&mut SimRng) -> OtaConditions + Sync,
+    {
+        let tele = metaai_telemetry::enabled().then(metrics);
+        let _span = tele.map(|m| m.accuracy_seconds.span());
+        if let Some(m) = tele {
+            m.accuracy_runs.inc();
+        }
+        let stream = SimRng::stream_id(&format!("ota-{label}"));
+        self.engine().batch_map(
+            &test.inputs,
+            self.config.seed,
+            stream,
+            make_cond,
+            metaai_math::stats::argmax,
+        )
+    }
+
+    /// Over-the-air accuracy: the share of
+    /// [`ota_predictions`](Self::ota_predictions) that match the labels.
     pub fn ota_accuracy_with<F>(&self, test: &ComplexDataset, label: &str, make_cond: F) -> f64
     where
         F: Fn(&mut SimRng) -> OtaConditions + Sync,
@@ -350,15 +362,7 @@ impl MetaAiSystem {
         if test.is_empty() {
             return 0.0;
         }
-        let tele = metaai_telemetry::enabled().then(metrics);
-        let _span = tele.map(|m| m.accuracy_seconds.span());
-        if let Some(m) = tele {
-            m.accuracy_runs.inc();
-        }
-        let stream = SimRng::stream_id(&format!("ota-{label}"));
-        let predictions =
-            self.engine()
-                .batch_predict_with(&test.inputs, self.config.seed, stream, make_cond);
+        let predictions = self.ota_predictions(test, label, make_cond);
         let correct = predictions
             .iter()
             .zip(&test.labels)
@@ -555,16 +559,18 @@ mod tests {
         let (sys, test) = quick_system();
         let n = test.input_len();
         let stream = metaai_math::rng::SimRng::stream_id("serve-test");
-        let batched = sys
-            .engine()
-            .batch_with(&test.inputs, sys.config.seed, stream, |rng| {
-                sys.default_conditions(n, rng)
-            });
+        let batched = sys.engine().batch_map(
+            &test.inputs,
+            sys.config.seed,
+            stream,
+            |rng| sys.default_conditions(n, rng),
+            |scores| (metaai_math::stats::argmax(scores), scores.to_vec()),
+        );
         let mut scratch = Vec::new();
         for (i, x) in test.inputs.iter().enumerate() {
             let predicted = sys.score_indexed(x, stream, i as u64, &mut scratch);
-            assert_eq!(predicted, batched[i].predicted, "sample {i}");
-            assert_eq!(scratch, batched[i].scores, "sample {i} scores");
+            assert_eq!(predicted, batched[i].0, "sample {i}");
+            assert_eq!(scratch, batched[i].1, "sample {i} scores");
         }
     }
 

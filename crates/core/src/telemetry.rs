@@ -4,7 +4,7 @@
 //! use; a snapshot taken before a stage ran would silently omit it.
 //! [`install`] forces registration across all instrumented crates so a
 //! `--metrics-out` snapshot always lists the full instrument set (engine,
-//! trainer, solver, stack solve, pipeline, fusion, parallel), zero-valued
+//! trainer, solver, stack solve, pipeline, parallel), zero-valued
 //! where a stage never ran.
 //!
 //! The instrument naming scheme is `metaai.<crate>.<stage>.<what>` —
@@ -20,7 +20,6 @@ pub fn install() -> &'static Registry {
     crate::engine::register_metrics();
     metaai_sim::solve::register_metrics();
     crate::pipeline::register_metrics();
-    crate::fusion::register_metrics();
     crate::parallel::register_metrics();
     metaai_telemetry::global()
 }
@@ -40,7 +39,6 @@ mod tests {
             "metaai.core.engine.sample_seconds",
             "metaai.sim.stack.solve_seconds",
             "metaai.core.pipeline.deploy_seconds",
-            "metaai.core.fusion.inferences",
             "metaai.core.parallel.deploys",
             "metaai.nn.train.epoch_seconds",
             "metaai.nn.train.samples_per_sec",

@@ -24,6 +24,7 @@ use metaai::ota::OtaConditions;
 use metaai::pipeline::MetaAiSystem;
 use metaai_datasets::{generate, DatasetId, Scale};
 use metaai_math::rng::SimRng;
+use metaai_math::stats::argmax;
 use metaai_math::{CMat, CVec, C64};
 use metaai_mts::array::{MtsArray, Prototype};
 use metaai_mts::solver::SolverScratch;
@@ -141,7 +142,7 @@ fn noiseless_batch_counters_match_the_chip_accounting() {
     let (h, inputs) = engine_and_inputs();
     let engine = OtaEngine::new(&h);
 
-    let predictions = engine.batch_predict_with(&inputs, 5, 0, |_| OtaConditions::ideal(U));
+    let predictions = engine.batch_map(&inputs, 5, 0, |_| OtaConditions::ideal(U), argmax);
     assert_eq!(predictions.len(), N);
 
     assert_eq!(counter(registry, "metaai.core.engine.batches"), 1);
@@ -210,7 +211,7 @@ fn disabled_telemetry_records_nothing() {
     let (h, inputs) = engine_and_inputs();
     let engine = OtaEngine::new(&h);
 
-    let predictions = engine.batch_predict_with(&inputs, 5, 0, |_| OtaConditions::ideal(U));
+    let predictions = engine.batch_map(&inputs, 5, 0, |_| OtaConditions::ideal(U), argmax);
     assert_eq!(predictions.len(), N);
 
     registry.set_enabled(true); // snapshots are unaffected by the flag

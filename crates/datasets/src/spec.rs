@@ -41,6 +41,32 @@ impl DatasetId {
             DatasetId::Widar3 => "Widar3.0",
         }
     }
+
+    /// The canonical lower-case name, as recipes and `--dataset` flags
+    /// write it.
+    pub fn key(self) -> &'static str {
+        match self {
+            DatasetId::Mnist => "mnist",
+            DatasetId::Fashion => "fashion",
+            DatasetId::Fruits360 => "fruits",
+            DatasetId::Afhq => "afhq",
+            DatasetId::CelebA => "celeba",
+            DatasetId::Widar3 => "widar",
+        }
+    }
+
+    /// Parses a dataset name in any case: a [`key`](Self::key) or one of
+    /// the aliases `fruits360`, `fruits-360`, `widar3`, `widar3.0`.
+    pub fn parse(name: &str) -> Result<DatasetId, String> {
+        let found = match name.to_ascii_lowercase().as_str() {
+            "fruits360" | "fruits-360" => Some(DatasetId::Fruits360),
+            "widar3" | "widar3.0" => Some(DatasetId::Widar3),
+            key => DatasetId::all().into_iter().find(|id| id.key() == key),
+        };
+        found.ok_or_else(|| {
+            format!("unknown dataset {name:?} (expected mnist|fashion|fruits|afhq|celeba|widar)")
+        })
+    }
 }
 
 /// How much data to generate: full paper sizes, a balanced default for
@@ -56,6 +82,24 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The canonical lower-case name, as recipes and `--scale` flags
+    /// write it.
+    pub fn key(self) -> &'static str {
+        match self {
+            Scale::Paper => "paper",
+            Scale::Default => "default",
+            Scale::Quick => "quick",
+        }
+    }
+
+    /// Parses a scale name ([`key`](Self::key)) in any case.
+    pub fn parse(name: &str) -> Result<Scale, String> {
+        [Scale::Quick, Scale::Default, Scale::Paper]
+            .into_iter()
+            .find(|s| s.key().eq_ignore_ascii_case(name))
+            .ok_or_else(|| format!("unknown scale {name:?} (expected quick|default|paper)"))
+    }
+
     fn cap(self, train: usize, test: usize) -> (usize, usize) {
         match self {
             Scale::Paper => (train, test),
@@ -191,5 +235,25 @@ mod tests {
             let s = DatasetSpec::of(id, Scale::Paper);
             assert!(s.modes >= 2, "{id:?} must be nonlinear enough");
         }
+    }
+
+    #[test]
+    fn names_round_trip_and_aliases_parse() {
+        for id in DatasetId::all() {
+            assert_eq!(DatasetId::parse(id.key()), Ok(id));
+            assert_eq!(DatasetId::parse(&id.key().to_uppercase()), Ok(id));
+        }
+        for alias in ["fruits360", "Fruits-360"] {
+            assert_eq!(DatasetId::parse(alias), Ok(DatasetId::Fruits360));
+        }
+        for alias in ["widar3", "Widar3.0"] {
+            assert_eq!(DatasetId::parse(alias), Ok(DatasetId::Widar3));
+        }
+        assert!(DatasetId::parse("imagenet").is_err());
+        for scale in [Scale::Quick, Scale::Default, Scale::Paper] {
+            assert_eq!(Scale::parse(scale.key()), Ok(scale));
+        }
+        assert_eq!(Scale::parse("QUICK"), Ok(Scale::Quick));
+        assert!(Scale::parse("enormous").is_err());
     }
 }

@@ -1256,7 +1256,7 @@ mod tests {
     /// Runs `kernel` on an `n`-weight batch into fresh output buffers and
     /// unpacks them into one result per weight (its `sweeps` left 0);
     /// returns those and the batch's sweeps.
-    fn run_batch(
+    fn solve_into_batch(
         solver: &WeightSolver,
         n: usize,
         kernel: impl FnOnce(BatchOutput<'_>) -> usize,
@@ -1316,7 +1316,7 @@ mod tests {
                 solver.max_sweeps = max_sweeps;
                 for n in BATCH_SIZES {
                     let targets = batch_targets(n, 40, &mut rng);
-                    let (batch, sweeps) = run_batch(&solver, n, |out| {
+                    let (batch, sweeps) = solve_into_batch(&solver, n, |out| {
                         solver.solve_batch(&targets, &table, &mut scratch, out)
                     });
                     let mut expected_sweeps = 0;
@@ -1342,7 +1342,7 @@ mod tests {
                 solver.max_sweeps = 6;
                 let n = 33;
                 let before = batch_targets(n, 40, &mut rng);
-                let (solved, _) = run_batch(&solver, n, |out| {
+                let (solved, _) = solve_into_batch(&solver, n, |out| {
                     solver.solve_batch(&before, &table, &mut scratch, out)
                 });
                 // Odd weights restart from their converged codes at their
@@ -1367,7 +1367,7 @@ mod tests {
                 solver.max_sweeps = max_sweeps;
                 for n in BATCH_SIZES {
                     let initial = packed(&starts[..n]);
-                    let (batch, sweeps) = run_batch(&solver, n, |out| {
+                    let (batch, sweeps) = solve_into_batch(&solver, n, |out| {
                         solver.solve_batch_warm(&targets[..n], &initial, &table, &mut scratch, out)
                     });
                     let mut expected_sweeps = 0;
@@ -1389,7 +1389,7 @@ mod tests {
         let table = solver.state_table();
         let mut initial = vec![0u8; 8];
         initial[3] = 2;
-        run_batch(&solver, 1, |out| {
+        solve_into_batch(&solver, 1, |out| {
             solver.solve_batch_warm(
                 &[C64::ONE],
                 &initial,
@@ -1418,11 +1418,11 @@ mod tests {
                 let targets = batch_targets(33, 64, rng);
                 let n = targets.len();
                 let cold = Start::PhaseAligned;
-                let portable = run_batch(&solver, n, |mut out| {
+                let portable = solve_into_batch(&solver, n, |mut out| {
                     lanes::<S>(&solver, &targets, cold, &table, &mut scratch, &mut out)
                 });
                 // SAFETY: AVX2 presence checked above.
-                let avx2 = run_batch(&solver, n, |mut out| unsafe {
+                let avx2 = solve_into_batch(&solver, n, |mut out| unsafe {
                     run_lanes_avx2::<S>(&solver, &targets, cold, &table, &mut scratch, &mut out)
                 });
                 assert_eq!(portable.1, avx2.1);
@@ -1443,11 +1443,11 @@ mod tests {
                 let initial = packed(&starts);
                 let nudged: Vec<C64> = targets.iter().map(|&t| t + C64::new(1.0, -0.5)).collect();
                 let warm = Start::Warm(&initial);
-                let portable = run_batch(&solver, n, |mut out| {
+                let portable = solve_into_batch(&solver, n, |mut out| {
                     lanes::<S>(&solver, &nudged, warm, &table, &mut scratch, &mut out)
                 });
                 // SAFETY: as above.
-                let avx2 = run_batch(&solver, n, |mut out| unsafe {
+                let avx2 = solve_into_batch(&solver, n, |mut out| unsafe {
                     run_lanes_avx2::<S>(&solver, &nudged, warm, &table, &mut scratch, &mut out)
                 });
                 assert_eq!(portable.1, avx2.1);

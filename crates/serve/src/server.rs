@@ -35,7 +35,7 @@
 
 use crate::batcher::{Pending, ScoreRequest, ScoreResponse, Ticket};
 use crate::deploy::{DeploymentRegistry, ModelEntry};
-use crate::{OverflowPolicy, ServeConfig, ServeError};
+use crate::{ServeConfig, ServeError};
 use metaai::pipeline::MetaAiSystem;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -62,8 +62,11 @@ pub struct Server {
 /// let server = Server::builder()
 ///     .model("afhq", afhq_system)
 ///     .model("widar", widar_system)
-///     .workers(4)
-///     .policy(OverflowPolicy::Shed)
+///     .config(ServeConfig {
+///         workers: 4,
+///         policy: OverflowPolicy::Shed,
+///         ..ServeConfig::default()
+///     })
 ///     .start();
 /// ```
 ///
@@ -86,30 +89,6 @@ impl ServerBuilder {
     /// Replaces the whole per-model queue/pool configuration at once.
     pub fn config(mut self, config: ServeConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Scoring threads **per model** (each model gets its own pool).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
-        self
-    }
-
-    /// The most requests one worker takes from the queue at once.
-    pub fn max_batch(mut self, max_batch: usize) -> Self {
-        self.config.max_batch = max_batch;
-        self
-    }
-
-    /// Per-model bounded submission-queue capacity.
-    pub fn queue_capacity(mut self, capacity: usize) -> Self {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Full-queue behaviour (shed vs block), applied to every model.
-    pub fn policy(mut self, policy: OverflowPolicy) -> Self {
-        self.config.policy = policy;
         self
     }
 

@@ -56,20 +56,23 @@ fn assert_served_matches_offline(workers: usize, max_batch: usize, input_seeds: 
 
     // The offline reference: one deterministic batch over the same
     // stream, exactly what `eval` would compute.
-    let offline = system
-        .engine()
-        .batch_with(&inputs, system.config.seed, stream, |rng| {
-            system.default_conditions(common::SYMBOLS, rng)
-        });
+    let offline = system.engine().batch_map(
+        &inputs,
+        system.config.seed,
+        stream,
+        |rng| system.default_conditions(common::SYMBOLS, rng),
+        |scores| (metaai_math::stats::argmax(scores), scores.to_vec()),
+    );
 
     for (i, response) in served.iter().enumerate() {
         assert_eq!(response.id, i as u64);
+        let (predicted, scores) = &offline[i];
         assert_eq!(
-            response.predicted, offline[i].predicted,
+            response.predicted, *predicted,
             "prediction diverged at sample {i} with {workers} workers"
         );
         assert_eq!(
-            response.scores, offline[i].scores,
+            &response.scores, scores,
             "scores diverged bitwise at sample {i} with {workers} workers"
         );
     }

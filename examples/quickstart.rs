@@ -6,9 +6,9 @@
 //! ```
 
 use metaai::config::SystemConfig;
-use metaai::engine::InferenceRequest;
 use metaai::pipeline::MetaAiSystem;
 use metaai_math::rng::SimRng;
+use metaai_math::stats::argmax;
 use metaai_nn::augment::Augmentation;
 use metaai_nn::train::{toy_problem, TrainConfig};
 
@@ -57,9 +57,9 @@ fn main() {
     //    accumulations — never the raw sensor data.
     let mut rng = SimRng::seed_from_u64(99);
     let cond = system.default_conditions(test.input_len(), &mut rng);
-    let outcome = system.run(&InferenceRequest::new(&test.inputs[0], cond), &mut rng);
+    let scores = system.engine().scores(&test.inputs[0], &cond, &mut rng);
     println!("\nclass scores at the receiver for one transmission:");
-    for (class, s) in outcome.scores.iter().enumerate() {
+    for (class, s) in scores.iter().enumerate() {
         let marker = if class == test.labels[0] {
             "  ← true class"
         } else {
@@ -67,5 +67,5 @@ fn main() {
         };
         println!("  class {class}: {s:.3e}{marker}");
     }
-    println!("decision: class {}", outcome.predicted);
+    println!("decision: class {}", argmax(&scores));
 }

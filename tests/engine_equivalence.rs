@@ -7,6 +7,7 @@
 use metaai::engine::OtaEngine;
 use metaai::ota::OtaConditions;
 use metaai_math::rng::SimRng;
+use metaai_math::stats::argmax;
 use metaai_math::{CMat, CVec};
 use metaai_rf::environment::EnvChannel;
 use metaai_rf::noise::Awgn;
@@ -59,13 +60,13 @@ proptest! {
             random_setup(seed, rows, u, batch, shift, canc == 1, noisy == 1);
         let stream = SimRng::stream_id("equivalence");
         let engine = OtaEngine::new(&h);
-        let outcomes = engine.batch_with(&inputs, seed, stream, |_| cond.clone());
-        prop_assert_eq!(outcomes.len(), inputs.len());
-        for (i, outcome) in outcomes.iter().enumerate() {
+        let batched = engine.batch_map(&inputs, seed, stream, |_| cond.clone(), <[f64]>::to_vec);
+        prop_assert_eq!(batched.len(), inputs.len());
+        for (i, scores) in batched.iter().enumerate() {
             let mut rng = SimRng::derive_indexed(seed, stream, i as u64);
             let scalar = engine.scores(&inputs[i], &cond, &mut rng);
-            prop_assert_eq!(outcome.scores.len(), scalar.len());
-            for (a, b) in outcome.scores.iter().zip(&scalar) {
+            prop_assert_eq!(scores.len(), scalar.len());
+            for (a, b) in scores.iter().zip(&scalar) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -89,12 +90,12 @@ proptest! {
         };
         let stream = SimRng::stream_id("equivalence-cond");
         let engine = OtaEngine::new(&h);
-        let outcomes = engine.batch_with(&inputs, seed, stream, make_cond);
-        for (i, outcome) in outcomes.iter().enumerate() {
+        let batched = engine.batch_map(&inputs, seed, stream, make_cond, <[f64]>::to_vec);
+        for (i, scores) in batched.iter().enumerate() {
             let mut rng = SimRng::derive_indexed(seed, stream, i as u64);
             let cond = make_cond(&mut rng);
             let scalar = engine.scores(&inputs[i], &cond, &mut rng);
-            for (a, b) in outcome.scores.iter().zip(&scalar) {
+            for (a, b) in scores.iter().zip(&scalar) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -189,16 +190,18 @@ fn batch_results_are_worker_count_independent() {
     let (h, inputs, cond) = random_setup(99, 6, 32, 80, -3, true, true);
     let engine = OtaEngine::new(&h);
     let run = || {
-        engine
-            .batch_with(&inputs, 7, SimRng::stream_id("threads"), |_| cond.clone())
-            .into_iter()
-            .map(|o| {
+        engine.batch_map(
+            &inputs,
+            7,
+            SimRng::stream_id("threads"),
+            |_| cond.clone(),
+            |scores| {
                 (
-                    o.predicted,
-                    o.scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                    argmax(scores),
+                    scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
                 )
-            })
-            .collect::<Vec<_>>()
+            },
+        )
     };
     let default_threads = run();
     let single = with_workers(1, run);
