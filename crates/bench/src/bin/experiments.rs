@@ -10,9 +10,10 @@
 //! fig26, fig27, fig28, fig29, fig30, fig31, micro, robustness,
 //! ablations, privacy, mobility, all}.
 //! With no experiment, runs `all`. Results print to stdout and are written
-//! as CSVs under `--out` (default `results/`).
+//! as CSVs under `--out` (default `results/`). An unknown flag or
+//! experiment name exits 2 with `error: …` before anything runs.
 
-use metaai_bench::common::{csv_write, pct, ExpContext};
+use metaai_bench::common::ExpContext;
 use metaai_bench::exp_robustness;
 use metaai_bench::{
     exp_ablation, exp_energy, exp_microbench, exp_mobility, exp_overall, exp_parallel, exp_privacy,
@@ -20,9 +21,70 @@ use metaai_bench::{
 };
 use metaai_datasets::{DatasetId, Scale};
 
-/// Parses the command line; a bad `--scale` or `--seed` value is an
-/// error, not a silent default.
-fn parse_args() -> Result<(Vec<String>, ExpContext), String> {
+/// What one experiment name runs.
+type Run = fn(&ExpContext);
+
+/// Every experiment name the runner accepts (space-separated), grouped
+/// by what it runs.
+const EXPERIMENTS: &[(&str, Run)] = &[
+    ("table1", table1),
+    ("table2 table3 energy", |ctx| {
+        exp_energy::report_all(&ctx.out_dir)
+    }),
+    ("fig6", exp_microbench::report_fig6),
+    ("fig7", exp_microbench::report_fig7),
+    (
+        "fig12 fig13 fig16 fig17 fig29 fig30 micro",
+        exp_microbench::report_all,
+    ),
+    ("fig18 fig31 parallel", exp_parallel::report_all),
+    (
+        "fig19 fig21 fig22 fig23 fig24 fig25 fig26 fig27 robustness",
+        exp_robustness::report_all,
+    ),
+    ("fig20 fig28 sensors", exp_sensors::report_all),
+    ("ablations", exp_ablation::report_all),
+    ("privacy", exp_privacy::report_all),
+    ("mobility", exp_mobility::report_all),
+    ("all", all),
+];
+
+fn table1(ctx: &ExpContext) {
+    let rows = exp_overall::run(ctx, &DatasetId::all());
+    exp_overall::report(ctx, &rows);
+}
+
+fn all(ctx: &ExpContext) {
+    table1(ctx);
+    exp_microbench::report_all(ctx);
+    exp_robustness::report_all(ctx);
+    exp_parallel::report_all(ctx);
+    exp_sensors::report_all(ctx);
+    exp_energy::report_all(&ctx.out_dir);
+    exp_ablation::report_all(ctx);
+    exp_privacy::report_all(ctx);
+    exp_mobility::report_all(ctx);
+}
+
+/// The experiment named `name`, or an error listing every accepted name.
+fn lookup(name: &str) -> Result<Run, String> {
+    EXPERIMENTS
+        .iter()
+        .find(|(names, _)| names.split(' ').any(|n| n == name))
+        .map(|&(_, run)| run)
+        .ok_or_else(|| {
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|&(names, _)| names).collect();
+            format!(
+                "unknown experiment {name:?} (expected {})",
+                known.join(" ").replace(' ', "|")
+            )
+        })
+}
+
+/// Parses the command line. A bad `--scale`, `--seed` or `--out` value,
+/// an unknown flag and an unknown experiment name are errors, found
+/// before anything runs.
+fn parse_args() -> Result<(Vec<(String, Run)>, ExpContext), String> {
     let mut scale = Scale::Default;
     let mut seed = 42u64;
     let mut out_dir = "results".to_string();
@@ -47,14 +109,15 @@ fn parse_args() -> Result<(Vec<String>, ExpContext), String> {
             }
             "--out" => {
                 i += 1;
-                out_dir = args.get(i).cloned().unwrap_or_else(|| "results".into());
+                out_dir = args.get(i).cloned().ok_or("--out expects a directory")?;
             }
-            exp => experiments.push(exp.to_string()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
+            exp => experiments.push((exp.to_string(), lookup(exp)?)),
         }
         i += 1;
     }
     if experiments.is_empty() {
-        experiments.push("all".into());
+        experiments.push(("all".to_string(), all as Run));
     }
     Ok((
         experiments,
@@ -77,71 +140,9 @@ fn main() {
         ctx.scale, ctx.seed, ctx.out_dir
     );
 
-    for exp in &experiments {
+    for (exp, run) in &experiments {
         let started = std::time::Instant::now();
-        match exp.as_str() {
-            "table1" => {
-                let rows = exp_overall::run(&ctx, &DatasetId::all());
-                exp_overall::report(&ctx, &rows);
-            }
-            "table2" | "table3" | "energy" => exp_energy::report_all(&ctx.out_dir),
-            "fig6" => {
-                let f = exp_microbench::fig6(&ctx, &[16, 32, 64, 128, 256, 512]);
-                println!("\nFig 6: weight-approximation error vs atoms");
-                for (m, e) in &f {
-                    println!("  M={m:<5} {e:.5}");
-                }
-                csv_write(
-                    &ctx.out_dir,
-                    "fig6",
-                    "atoms,mean_relative_residual",
-                    &f.iter()
-                        .map(|(m, e)| format!("{m},{e:.6}"))
-                        .collect::<Vec<_>>(),
-                );
-            }
-            "fig7" => {
-                let f = exp_microbench::fig7(
-                    &ctx,
-                    &[DatasetId::Mnist, DatasetId::Afhq],
-                    &[16, 64, 128, 256, 512],
-                );
-                println!("\nFig 7: accuracy vs atom count");
-                let mut rows = Vec::new();
-                for (id, series) in &f {
-                    print!("  {:<12}", id.name());
-                    for (m, acc) in series {
-                        print!(" M{m}={}", pct(*acc));
-                        rows.push(format!("{},{},{}", id.name(), m, pct(*acc)));
-                    }
-                    println!();
-                }
-                csv_write(&ctx.out_dir, "fig7", "dataset,atoms,accuracy", &rows);
-            }
-            "fig12" | "fig13" | "fig16" | "fig17" | "fig29" | "fig30" | "micro" => {
-                exp_microbench::report_all(&ctx)
-            }
-            "fig18" | "fig31" | "parallel" => exp_parallel::report_all(&ctx),
-            "fig19" | "fig21" | "fig22" | "fig23" | "fig24" | "fig25" | "fig26" | "fig27"
-            | "robustness" => exp_robustness::report_all(&ctx),
-            "fig20" | "fig28" | "sensors" => exp_sensors::report_all(&ctx),
-            "ablations" => exp_ablation::report_all(&ctx),
-            "privacy" => exp_privacy::report_all(&ctx),
-            "mobility" => exp_mobility::report_all(&ctx),
-            "all" => {
-                let rows = exp_overall::run(&ctx, &DatasetId::all());
-                exp_overall::report(&ctx, &rows);
-                exp_microbench::report_all(&ctx);
-                exp_robustness::report_all(&ctx);
-                exp_parallel::report_all(&ctx);
-                exp_sensors::report_all(&ctx);
-                exp_energy::report_all(&ctx.out_dir);
-                exp_ablation::report_all(&ctx);
-                exp_privacy::report_all(&ctx);
-                exp_mobility::report_all(&ctx);
-            }
-            other => eprintln!("unknown experiment: {other}"),
-        }
+        run(&ctx);
         eprintln!("[{exp}: {:.1?}]", started.elapsed());
     }
     eprintln!("total: {:.1?}", t0.elapsed());

@@ -13,9 +13,13 @@
 //! connection fails the run. It reports counts, not latency: perfbench
 //! (`perfbench/`) measures latency at a fixed offered rate.
 //!
-//! `--models` switches to mixed multi-tenant traffic: the v2 handshake
-//! resolves each name to its wire id, connections are dealt round-robin
-//! across the named models, and the run reports each model's counts.
+//! Every run starts with the v2 handshake (retried for up to 30 s, since
+//! `metaai serve` binds its port only after the model deploys); its model
+//! table gives each target's input length. By default the one target is
+//! the default model (wire id 0), sent v1 frames. `--models` switches to
+//! mixed multi-tenant traffic: each name resolves to its wire id,
+//! connections are dealt round-robin across the named models, and the
+//! run reports each model's counts.
 //!
 //! `--shutdown` sends a SHUTDOWN frame after the run and waits for the
 //! drain ack, so `metaai serve` exits cleanly — a full start → load →
@@ -31,8 +35,8 @@
 
 use metaai_bench::chaos::{self, ChaosConfig};
 use metaai_bench::scenario::chaos_clean_input;
-use metaai_bench::serveload::{self, Target};
-use metaai_serve::tcp::{ClientConfig, TcpClient};
+use metaai_bench::serveload;
+use metaai_serve::tcp::{ClientConfig, Target, TcpClient};
 use std::time::{Duration, Instant};
 
 /// One stream of clean requests: a target and its input length.
@@ -87,21 +91,7 @@ fn main() {
         }
     }
 
-    let tenants = if model_names.is_empty() {
-        let (epoch, outputs, symbols) =
-            match serveload::probe_info_retry(&addr, Duration::from_secs(30)) {
-                Ok(info) => info,
-                Err(e) => fail(&format!("cannot reach {addr}: {e}")),
-            };
-        println!("target    {addr} (epoch {epoch}, {outputs} outputs x {symbols} symbols)");
-        vec![Tenant {
-            label: "clean".to_string(),
-            target: Target::Default,
-            symbols: symbols as usize,
-        }]
-    } else {
-        resolve_models(&addr, &model_names)
-    };
+    let tenants = resolve_tenants(&addr, &model_names);
     let connections = connections.max(tenants.len());
     println!(
         "load      {connections} conn for {:.1}s across {} target(s)",
@@ -188,12 +178,31 @@ fn main() {
     }
 }
 
-/// The `--models` path: resolves names through the v2 handshake.
-fn resolve_models(addr: &str, names: &[String]) -> Vec<Tenant> {
-    let table = match serveload::probe_hello_retry(addr, Duration::from_secs(30)) {
+/// Resolves the run's targets from the server's HELLO model table,
+/// retried for up to 30 s (the port binds only after the model deploys).
+/// Without `names`, the one target is the default model (wire id 0),
+/// reached with v1 frames; with names, each is looked up by name and
+/// reached with v2 frames.
+fn resolve_tenants(addr: &str, names: &[String]) -> Vec<Tenant> {
+    let table = match serveload::probe_hello(addr, Duration::from_secs(30)) {
         Ok(models) => models,
         Err(e) => fail(&format!("cannot reach {addr}: {e}")),
     };
+    if names.is_empty() {
+        let d = table
+            .iter()
+            .find(|m| m.id == 0)
+            .unwrap_or_else(|| fail("server lists no default model"));
+        println!(
+            "target    {addr} (epoch {}, {} outputs x {} symbols)",
+            d.epoch, d.outputs, d.symbols
+        );
+        return vec![Tenant {
+            label: "clean".to_string(),
+            target: Target::Default,
+            symbols: d.symbols as usize,
+        }];
+    }
     println!("target    {addr} ({} models served)", table.len());
     names
         .iter()

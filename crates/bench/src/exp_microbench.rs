@@ -295,8 +295,9 @@ pub fn fig30(ctx: &ExpContext, atom_counts: &[usize]) -> Vec<(usize, f64)> {
 }
 
 /// Prints and persists all micro-benchmarks at their paper parameters.
-pub fn report_all(ctx: &ExpContext) {
-    // Fig 6.
+/// Runs Fig 6 at its reported atom counts, prints it and writes
+/// `fig6.csv`.
+pub fn report_fig6(ctx: &ExpContext) {
     let f6 = fig6(ctx, &[16, 32, 64, 128, 256, 512]);
     println!("\nFig 6: weight-approximation error vs atom count");
     for (m, e) in &f6 {
@@ -310,8 +311,11 @@ pub fn report_all(ctx: &ExpContext) {
             .map(|(m, e)| format!("{m},{e:.6}"))
             .collect::<Vec<_>>(),
     );
+}
 
-    // Fig 7.
+/// Runs Fig 7 on MNIST and AFHQ at its reported atom counts, prints it
+/// and writes `fig7.csv`.
+pub fn report_fig7(ctx: &ExpContext) {
     let atoms = [16usize, 64, 128, 256, 512];
     let f7 = fig7(ctx, &[DatasetId::Mnist, DatasetId::Afhq], &atoms);
     println!("\nFig 7: accuracy vs number of meta-atoms");
@@ -325,6 +329,13 @@ pub fn report_all(ctx: &ExpContext) {
         println!();
     }
     csv_write(&ctx.out_dir, "fig7", "dataset,atoms,accuracy", &rows);
+}
+
+/// Prints and persists every micro-benchmark figure: 6, 7, 12, 13, 16,
+/// 17, 29 and 30.
+pub fn report_all(ctx: &ExpContext) {
+    report_fig6(ctx);
+    report_fig7(ctx);
 
     // Fig 12.
     let f12 = fig12(ctx);

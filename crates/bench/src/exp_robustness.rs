@@ -2,8 +2,10 @@
 
 use crate::common::{csv_write, pct, ExpContext};
 use metaai::config::SystemConfig;
+use metaai::ota::OtaConditions;
 use metaai::pipeline::{redeploy, MetaAiSystem};
 use metaai_datasets::DatasetId;
+use metaai_math::rng::SimRng;
 use metaai_math::stats::percentile;
 use metaai_mts::array::Prototype;
 use metaai_nn::train::TrainConfig;
@@ -145,7 +147,7 @@ pub fn fig22(ctx: &ExpContext) -> Vec<(f64, f64)> {
 /// dataset; see EXPERIMENTS.md for the discussion.
 pub fn fig23(ctx: &ExpContext) -> Vec<(Modulation, f64)> {
     let mut split = metaai_datasets::generate(DatasetId::Mnist, ctx.scale, ctx.seed);
-    let mut flip_rng = metaai_math::rng::SimRng::derive(ctx.seed, "fig23-flips");
+    let mut flip_rng = SimRng::derive(ctx.seed, "fig23-flips");
     for part in [&mut split.train, &mut split.test] {
         for sample in &mut part.samples {
             for b in sample.iter_mut() {
@@ -211,36 +213,51 @@ pub fn fig25(ctx: &ExpContext, angles_deg: &[f64]) -> Vec<(f64, f64)> {
 pub fn fig26(ctx: &ExpContext) -> Vec<(InterferenceRegion, f64)> {
     let (sys, test) = build_default(ctx);
     let n = test.input_len();
-    let cfg = sys.config.clone();
     InterferenceRegion::all()
         .iter()
         .map(|&region| {
             let acc = sys.ota_accuracy_with(&test, &format!("fig26-{}", region.name()), |rng| {
-                let mut c = sys.default_conditions(n, rng);
-                let walker = Interferer::in_region(region, cfg.tx, cfg.mts_center, cfg.rx);
-                // Start the walk at a random point of a 4 s stroll so
-                // different samples see different walker positions.
-                let t0 = rng.uniform_range(0.0, 4.0);
-                let shifted = Interferer {
-                    start: walker.position_at(t0),
-                    ..walker
-                };
-                let (extra_env, mts_factor) = shifted.realize(
-                    n,
-                    cfg.symbol_period_s(),
-                    cfg.tx,
-                    cfg.mts_center,
-                    cfg.rx,
-                    cfg.freq_hz,
-                    rng,
-                );
-                c.env.add_component(&extra_env);
-                c.mts_factor = mts_factor;
-                c
+                walking_interferer_conditions(&sys, region, n, rng)
             });
             (region, acc)
         })
         .collect()
+}
+
+/// One sample's engine conditions with a person walking in `region`
+/// (Fig 26, and the `interferer` recipe key of the scenario harness):
+/// `sys`'s default conditions for `n` symbols plus the walker's extra
+/// multipath, with the MTS leg's blockage factor from the walker. The
+/// walk starts at a random point of a 4 s stroll, so different samples
+/// see the walker at different positions. Draws from `rng` in this
+/// order: the default conditions, the start time, the walker's
+/// realization.
+pub fn walking_interferer_conditions(
+    sys: &MetaAiSystem,
+    region: InterferenceRegion,
+    n: usize,
+    rng: &mut SimRng,
+) -> OtaConditions {
+    let cfg = &sys.config;
+    let mut c = sys.default_conditions(n, rng);
+    let walker = Interferer::in_region(region, cfg.tx, cfg.mts_center, cfg.rx);
+    let t0 = rng.uniform_range(0.0, 4.0);
+    let shifted = Interferer {
+        start: walker.position_at(t0),
+        ..walker
+    };
+    let (extra_env, mts_factor) = shifted.realize(
+        n,
+        cfg.symbol_period_s(),
+        cfg.tx,
+        cfg.mts_center,
+        cfg.rx,
+        cfg.freq_hz,
+        rng,
+    );
+    c.env.add_component(&extra_env);
+    c.mts_factor = mts_factor;
+    c
 }
 
 /// Fig 27: cross-room — 18 receiver positions across three offices,
@@ -416,8 +433,6 @@ pub fn report_all(ctx: &ExpContext) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metaai::ota::OtaConditions;
-    use metaai_math::rng::SimRng;
 
     #[test]
     fn fig25_fov_cliff_beyond_60_degrees() {

@@ -29,8 +29,9 @@
 use crate::chaos::{self, ChaosConfig, ChaosReport};
 use crate::common::ExpContext;
 use crate::exp_mobility;
+use crate::exp_robustness::walking_interferer_conditions;
 use crate::gate::Json;
-use crate::serveload::{self, Target};
+use crate::serveload;
 use metaai::config::SystemConfig;
 use metaai::mobility::DriftSchedule;
 use metaai::pipeline::MetaAiSystem;
@@ -46,9 +47,9 @@ use metaai_nn::data::ComplexDataset;
 use metaai_nn::engine::TrainEngine;
 use metaai_nn::train::TrainConfig;
 use metaai_rf::environment::EnvironmentKind;
-use metaai_rf::interference::{InterferenceRegion, Interferer};
+use metaai_rf::interference::InterferenceRegion;
 use metaai_serve::server::FaultInjector;
-use metaai_serve::tcp::{self, ClientConfig, RetryPolicy, TcpClient};
+use metaai_serve::tcp::{self, ClientConfig, RetryPolicy, Target, TcpClient};
 use metaai_serve::{ModelEntry, OverflowPolicy, ServeConfig, Server};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
@@ -580,33 +581,12 @@ fn offline_accuracy(m: &Materialized) -> Result<ScenarioOutcome, String> {
         .ota_accuracy(&t.test, &format!("scenario-{}", recipe.name));
     let mut accuracy = vec![kv("digital", num(digital)), kv("ota", num(ota))];
     if let Some(region) = recipe.interferer {
-        // A walking interferer in the configured region, same recipe as
-        // the robustness experiment (Fig 26): each sample sees the
-        // walker at a random point of a 4 s stroll.
-        let sys = &t.system;
-        let cfg = sys.config.clone();
+        // A walking interferer in the configured region, the conditions
+        // of the robustness experiment (Fig 26).
         let n = t.test.input_len();
         let label = format!("scenario-{}-{}", recipe.name, region.name());
-        let interfered = sys.ota_accuracy_with(&t.test, &label, |rng| {
-            let mut c = sys.default_conditions(n, rng);
-            let walker = Interferer::in_region(region, cfg.tx, cfg.mts_center, cfg.rx);
-            let t0 = rng.uniform_range(0.0, 4.0);
-            let shifted = Interferer {
-                start: walker.position_at(t0),
-                ..walker
-            };
-            let (extra_env, mts_factor) = shifted.realize(
-                n,
-                cfg.symbol_period_s(),
-                cfg.tx,
-                cfg.mts_center,
-                cfg.rx,
-                cfg.freq_hz,
-                rng,
-            );
-            c.env.add_component(&extra_env);
-            c.mts_factor = mts_factor;
-            c
+        let interfered = t.system.ota_accuracy_with(&t.test, &label, |rng| {
+            walking_interferer_conditions(&t.system, region, n, rng)
         });
         accuracy.push(kv("ota_interfered", num(interfered)));
     }

@@ -5,11 +5,12 @@
 //! next request goes out. [`verify`] is the check every scenario uses:
 //! a reply must equal, bit for bit, offline `score_indexed` scoring on
 //! the deployment whose epoch it echoes. `loadgen` runs the same loop
-//! with a check that only counts replies. Latency at a fixed offered
-//! rate is measured by perfbench (`perfbench/`), not here.
+//! with a check that only counts replies, after [`probe_hello`] has
+//! fetched the server's model table. Latency at a fixed offered rate is
+//! measured by perfbench (`perfbench/`), not here.
 
 use metaai_math::CVec;
-use metaai_serve::tcp::{RetryPolicy, TcpClient};
+use metaai_serve::tcp::{RetryPolicy, Target, TcpClient};
 use metaai_serve::wire::{ModelDescriptor, Request, Response};
 use metaai_serve::{ScoreResponse, ServeDeployment, ServeError};
 use std::io;
@@ -17,23 +18,14 @@ use std::net::ToSocketAddrs;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Where a request goes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Target {
-    /// v1 `INFER` frames, scored by the server's default model.
-    Default,
-    /// v2 `INFER_MODEL` frames for this wire id (from the HELLO table).
-    Model(u32),
-}
-
 /// What the server answered one request with: a score or an error reply.
 pub type Reply = Result<ScoreResponse, ServeError>;
 
 /// Sends each `(sample index, input)` of `requests` to `target` on
-/// `client`, one at a time, and hands every reply to `check`. The request
-/// id is the sample index. With `retry`, transient failures are retried
-/// under that policy ([`TcpClient::score_retry`]); without, the first
-/// reply is final.
+/// `client`, one at a time, through [`TcpClient::score`], and hands every
+/// reply to `check`. The request id is the sample index. `retry` is
+/// passed through: with a policy, transient failures are retried; without,
+/// the first reply is final.
 ///
 /// Returns the number of replies checked. Stops at the first IO error or
 /// the first `Err` from `check`, naming the sample.
@@ -48,20 +40,11 @@ where
     I: IntoIterator<Item = (u64, CVec)>,
     F: FnMut(u64, &CVec, &Reply) -> Result<(), String>,
 {
-    let once = RetryPolicy {
-        attempts: 1,
-        ..RetryPolicy::default()
-    };
-    let policy = retry.unwrap_or(&once);
     let mut checked = 0u64;
     for (sample, input) in requests {
-        let reply = match target {
-            Target::Default => client.score_retry(sample, sample, input.as_slice(), policy),
-            Target::Model(id) => {
-                client.score_model_retry(id, sample, sample, input.as_slice(), policy)
-            }
-        }
-        .map_err(|e| format!("sample {sample}: io error {e}"))?;
+        let reply = client
+            .score(target, sample, sample, input.as_slice(), retry)
+            .map_err(|e| format!("sample {sample}: io error {e}"))?;
         check(sample, &input, &reply)?;
         checked += 1;
     }
@@ -111,61 +94,26 @@ pub fn verify(
     Ok(())
 }
 
-/// Queries the deployment shape (`symbols` is what request inputs must
-/// match).
-pub fn probe_info<A: ToSocketAddrs>(addr: A) -> io::Result<(u64, u32, u32)> {
-    let mut client = TcpClient::connect(addr)?;
-    match client.request(&Request::Info)? {
-        Response::Info {
-            epoch,
-            outputs,
-            symbols,
-        } => Ok((epoch, outputs, symbols)),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unexpected INFO reply {other:?}"),
-        )),
-    }
-}
-
-/// [`probe_info`] with retry: polls until the service answers or
-/// `timeout` passes. Covers CI starting `metaai serve` in the background
-/// — the port only binds after the model is loaded and deployed.
-pub fn probe_info_retry<A: ToSocketAddrs + Clone>(
-    addr: A,
-    timeout: Duration,
-) -> io::Result<(u64, u32, u32)> {
-    let started = Instant::now();
-    loop {
-        match probe_info(addr.clone()) {
-            Ok(info) => return Ok(info),
-            Err(e) if started.elapsed() >= timeout => return Err(e),
-            Err(_) => std::thread::sleep(Duration::from_millis(100)),
-        }
-    }
-}
-
-/// Performs the v2 handshake and returns the server's model table. A v1
-/// server's refusal surfaces as `InvalidData`, not a hang.
-pub fn probe_hello<A: ToSocketAddrs>(addr: A) -> io::Result<Vec<ModelDescriptor>> {
-    let mut client = TcpClient::connect(addr)?;
-    client.hello()?.map_err(|e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("handshake refused: {e}"),
-        )
-    })
-}
-
-/// [`probe_hello`] with the same retry loop as [`probe_info_retry`].
-pub fn probe_hello_retry<A: ToSocketAddrs + Clone>(
+/// Performs the v2 handshake and returns the server's model table,
+/// retrying a failed connection or handshake every 100 ms until `timeout`
+/// passes: `metaai serve` binds its port only after the model is loaded
+/// and deployed, so a client started alongside it must wait. A refusal
+/// (a v1 server, or a version this build does not speak) is final and
+/// surfaces at once as `InvalidData`.
+pub fn probe_hello<A: ToSocketAddrs + Clone>(
     addr: A,
     timeout: Duration,
 ) -> io::Result<Vec<ModelDescriptor>> {
     let started = Instant::now();
     loop {
-        match probe_hello(addr.clone()) {
-            Ok(models) => return Ok(models),
+        match TcpClient::connect(addr.clone()).and_then(|mut client| client.hello()) {
+            Ok(Ok(models)) => return Ok(models),
+            Ok(Err(e)) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("handshake refused: {e}"),
+                ))
+            }
             Err(e) if started.elapsed() >= timeout => return Err(e),
             Err(_) => std::thread::sleep(Duration::from_millis(100)),
         }

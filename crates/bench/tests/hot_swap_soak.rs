@@ -14,10 +14,10 @@
 use metaai::pipeline::MetaAiSystem;
 use metaai_bench::chaos::{self, ChaosConfig};
 use metaai_bench::scenario::chaos_clean_input;
-use metaai_bench::serveload::{self, Target};
+use metaai_bench::serveload;
 use metaai_math::rng::SimRng;
 use metaai_nn::complex_lnn::ComplexLnn;
-use metaai_serve::tcp::{self, ClientConfig, RetryPolicy, TcpClient};
+use metaai_serve::tcp::{self, ClientConfig, RetryPolicy, Target, TcpClient};
 use metaai_serve::{OverflowPolicy, ServeConfig, Server};
 use std::net::TcpListener;
 use std::sync::Arc;

@@ -180,14 +180,20 @@ impl AntennaParallel {
         }
     }
 
-    /// Applies the per-antenna calibration gains and decides the class.
+    /// Applies the per-antenna calibration gains and decides the class:
+    /// the first strict maximum of `scores[i] * rx_gains[i]`, the rule of
+    /// [`argmax`], without collecting the calibrated scores.
     fn calibrated_argmax(&self, scores: &[f64]) -> usize {
-        let calibrated: Vec<f64> = scores
-            .iter()
-            .zip(&self.rx_gains)
-            .map(|(s, &g)| s * g)
-            .collect();
-        argmax(&calibrated)
+        let mut calibrated = scores.iter().zip(&self.rx_gains).map(|(s, &g)| s * g);
+        let mut best_score = calibrated.next().expect("argmax of empty slice");
+        let mut best = 0;
+        for (i, x) in calibrated.enumerate() {
+            if x > best_score {
+                best = i + 1;
+                best_score = x;
+            }
+        }
+        best
     }
 
     /// One parallel inference: a single transmission, every antenna
@@ -451,6 +457,35 @@ mod tests {
         let sys = AntennaParallel::deploy(&net, &cfg, &array, &rx);
         let acc = sys.accuracy(&inputs, &labels, 25.0, 1);
         assert!(acc > 0.6, "antenna-parallel accuracy {acc}");
+    }
+
+    #[test]
+    fn calibrated_argmax_matches_argmax_of_the_calibrated_scores() {
+        let (net, _, _) = trained(3, 24);
+        let cfg = SystemConfig::paper_default();
+        let array = MtsArray::paper_prototype(Prototype::DualBand, cfg.mts_center);
+        let rx = antenna_positions(&cfg, 3, 10.0);
+        let mut sys = AntennaParallel::deploy(&net, &cfg, &array, &rx);
+        sys.rx_gains = vec![2.0, 1.0, 0.5];
+        // Ties after calibration go to the first antenna, as in `argmax`.
+        for scores in [
+            [1.0, 2.0, 4.0],
+            [1.0, 2.0, 3.0],
+            [3.0, 1.0, 2.0],
+            [-1.0, -2.0, -4.0],
+            [0.0, 0.0, 0.0],
+        ] {
+            let calibrated: Vec<f64> = scores
+                .iter()
+                .zip(&sys.rx_gains)
+                .map(|(s, g)| s * g)
+                .collect();
+            assert_eq!(
+                sys.calibrated_argmax(&scores),
+                argmax(&calibrated),
+                "{scores:?}"
+            );
+        }
     }
 
     #[test]

@@ -287,22 +287,6 @@ impl DeploymentRegistry {
     pub fn entries(&self) -> &[Arc<ModelEntry>] {
         &self.models
     }
-
-    /// The default model's active deployment (the v1 single-model view).
-    pub fn current(&self) -> Arc<ServeDeployment> {
-        self.default_entry().current()
-    }
-
-    /// Swaps `name`'s deployment to `system`; returns the new epoch,
-    /// [`ServeError::UnknownModel`] for an unregistered name, or
-    /// [`ServeError::ShapeMismatch`] when the offered system's shape
-    /// differs from what the entry's HELLO model table advertises.
-    pub fn swap(&self, name: &str, system: Arc<MetaAiSystem>) -> Result<u64, ServeError> {
-        match self.entry(name) {
-            Some(entry) => entry.swap(system),
-            None => Err(ServeError::UnknownModel),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -344,15 +328,16 @@ mod tests {
             vec![("default".to_string(), first.clone())],
             &ServeConfig::default(),
         );
-        let held = registry.current();
+        let entry = registry.default_entry();
+        let held = entry.current();
         assert_eq!(held.epoch, 1);
 
-        let epoch = registry.swap("default", tiny_system(2)).expect("known");
+        let epoch = entry.swap(tiny_system(2)).expect("same shape");
         assert_eq!(epoch, 2);
-        assert_eq!(registry.current().epoch, 2);
+        assert_eq!(entry.current().epoch, 2);
         // The in-flight handle still scores on the original system.
         assert!(Arc::ptr_eq(&held.system, &first));
-        assert_ne!(held.stream, registry.current().stream);
+        assert_ne!(held.stream, entry.current().stream);
     }
 
     #[test]
@@ -363,10 +348,6 @@ mod tests {
         assert!(r.entry("gamma").is_none());
         assert!(r.entry_by_id(2).is_none());
         assert_eq!(r.default_entry().name(), "alpha");
-        assert!(matches!(
-            r.swap("gamma", tiny_system(9)),
-            Err(ServeError::UnknownModel)
-        ));
     }
 
     #[test]
@@ -442,11 +423,6 @@ mod tests {
         assert_eq!(after.epoch, before.epoch);
         assert!(Arc::ptr_eq(&after.system, &before.system));
         assert_eq!(entry.swap(tiny_system(2)).expect("matching shape"), 2);
-        assert_eq!(r.swap("alpha", tiny_system(3)).expect("via registry"), 3);
-        assert!(matches!(
-            r.swap("alpha", shaped_system(99, 4, 16)),
-            Err(ServeError::ShapeMismatch(_))
-        ));
     }
 
     #[test]

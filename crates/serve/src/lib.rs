@@ -23,9 +23,10 @@
 //!   count.
 //! * **Hot-swap deployments** ([`deploy`]): the active
 //!   [`MetaAiSystem`](metaai::pipeline::MetaAiSystem) sits behind an
-//!   epoch-versioned `Arc` swap; `deploy` replaces weights between
-//!   batches with zero downtime, and in-flight requests finish on the
-//!   epoch they started on.
+//!   epoch-versioned `Arc` swap per model; [`ModelEntry::swap`] (on
+//!   `server.registry().entry(name)` or `.default_entry()`) replaces
+//!   weights between batches with zero downtime, and in-flight requests
+//!   finish on the epoch they started on.
 //! * **Backpressure** ([`OverflowPolicy`]): a full queue either blocks
 //!   the submitter or sheds with [`ServeError::Overloaded`]; per-request
 //!   deadlines drop expired work before it wastes a worker; shutdown
@@ -33,8 +34,11 @@
 //!
 //! A length-prefixed TCP front-end ([`tcp`], wire format in [`wire`])
 //! exposes the service over `std::net`; the CLI wires it up as
-//! `metaai serve`, and `crates/bench`'s `loadgen` bin drives it with
-//! open-loop load. Telemetry flows through `metaai-telemetry` under
+//! `metaai serve`. Its synchronous client, [`tcp::TcpClient`], scores
+//! through one call, [`TcpClient::score`](tcp::TcpClient::score), given
+//! a [`tcp::Target`] (default model or a wire id) and an optional
+//! [`tcp::RetryPolicy`]; `crates/bench`'s `loadgen` bin drives it with
+//! closed-loop load. Telemetry flows through `metaai-telemetry` under
 //! `metaai.serve.*` (see [`register_metrics`]).
 
 pub mod batcher;

@@ -148,28 +148,11 @@ impl Server {
         })
     }
 
-    /// The deployment registry, for hot swaps and epoch queries.
+    /// The deployment registry. Hot swaps go through
+    /// [`ModelEntry::swap`] on `registry().entry(name)` or
+    /// `registry().default_entry()`.
     pub fn registry(&self) -> &Arc<DeploymentRegistry> {
         &self.registry
-    }
-
-    /// Installs `system` as the **default model's** new deployment;
-    /// returns its epoch, or [`ServeError::ShapeMismatch`] when the
-    /// system's shape differs from what the entry advertises. Keyed swaps
-    /// go through [`deploy_model`](Self::deploy_model).
-    pub fn deploy(&self, system: Arc<MetaAiSystem>) -> Result<u64, ServeError> {
-        self.registry.default_entry().swap(system)
-    }
-
-    /// Installs `system` as `name`'s new deployment; returns its epoch,
-    /// or [`ServeError::UnknownModel`] for an unregistered name.
-    pub fn deploy_model(&self, name: &str, system: Arc<MetaAiSystem>) -> Result<u64, ServeError> {
-        self.registry.swap(name, system)
-    }
-
-    /// The default model's current submission-queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.registry.default_entry().queue().depth()
     }
 
     /// How many scoring workers have been restarted after a panic,

@@ -1,5 +1,5 @@
 //! `std::net` front-end: one supervised accept loop, two threads per
-//! connection.
+//! connection, and the synchronous [`TcpClient`].
 //!
 //! The per-connection **reader** decodes frames ([`wire`]), routes each
 //! `INFER` to its model's submission queue (v1 frames carry no model and
@@ -40,6 +40,17 @@
 //! handlers exit. Handlers on *other* connections exit when their peer
 //! closes; a client that holds its socket open past shutdown delays
 //! [`serve`]'s return, so clients should disconnect once done.
+//!
+//! # Client
+//!
+//! [`TcpClient`] keeps one request in flight. [`TcpClient::score`] is
+//! its one scoring call: a [`Target`] picks the frame (v1 `INFER` to the
+//! default model, v2 `INFER_MODEL` to a wire id from
+//! [`TcpClient::hello`]'s table), and an optional [`RetryPolicy`] turns
+//! transient failures into reconnect-and-resend attempts; without one the
+//! first reply is final. Other frames go through
+//! [`TcpClient::request`], or [`TcpClient::into_stream`] for callers
+//! that pipeline on their own threads.
 
 use crate::deploy::DeploymentRegistry;
 use crate::server::Server;
@@ -270,7 +281,7 @@ fn reader_loop(
         };
         match Request::decode(&payload) {
             Ok(Request::Info) => {
-                let deployment = registry.current();
+                let deployment = registry.default_entry().current();
                 let engine = deployment.system.engine();
                 let _ = tx.send(Reply::Ready(Response::Info {
                     epoch: deployment.epoch,
@@ -432,6 +443,15 @@ impl ClientConfig {
     }
 }
 
+/// Which model a [`TcpClient::score`] request goes to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Target {
+    /// v1 `INFER` frames, scored by the server's default model.
+    Default,
+    /// v2 `INFER_MODEL` frames for this wire id (from the HELLO table).
+    Model(u32),
+}
+
 /// Jittered-exponential-backoff retry schedule for idempotent requests
 /// (scoring is deterministic per `sample_index`, so resubmitting an
 /// `INFER` can never double-apply anything).
@@ -478,8 +498,8 @@ impl RetryPolicy {
 /// separate threads with the [`wire`] functions directly.
 ///
 /// [`connect_with`](Self::connect_with) installs connect/read/write
-/// timeouts, and [`score_retry`](Self::score_retry) wraps scoring in a
-/// reconnect-and-resend loop for transient failures.
+/// timeouts, and [`score`](Self::score) given a [`RetryPolicy`] wraps
+/// scoring in a reconnect-and-resend loop for transient failures.
 pub struct TcpClient {
     reader: BufReader<TcpStream>,
     addrs: Vec<SocketAddr>,
@@ -592,126 +612,58 @@ impl TcpClient {
         }
     }
 
-    /// Scores one sample on the default model (v1 frame).
+    /// Scores one sample on `target` (a v1 `INFER` frame for
+    /// [`Target::Default`], a v2 `INFER_MODEL` frame for
+    /// [`Target::Model`], whose ids come from [`hello`](Self::hello)'s
+    /// table).
+    ///
+    /// With `retry: None` the first reply is final: one attempt, no
+    /// reconnect. With a policy, an IO failure is retried after a
+    /// reconnect (the old stream may hold a half-read reply) and a
+    /// [retryable](ServeError::is_retryable) server error on the same
+    /// connection (the stream is still framed correctly), under the
+    /// policy's jittered backoff. Retrying is safe because scoring is
+    /// deterministic per `sample_index`: a reply lost to a timeout and a
+    /// retried reply carry identical scores. Returns the last error once
+    /// attempts are exhausted; non-retryable server errors return at once.
     pub fn score(
         &mut self,
-        id: u64,
-        sample_index: u64,
-        input: Vec<metaai_math::C64>,
-    ) -> io::Result<Result<ScoreResponse, ServeError>> {
-        self.score_with(&Request::Infer {
-            id,
-            sample_index,
-            deadline_us: 0,
-            input,
-        })
-    }
-
-    /// Scores one sample on the model with interned wire id `model`
-    /// (v2 frame; ids come from [`hello`](Self::hello)'s table).
-    pub fn score_model(
-        &mut self,
-        model: u32,
-        id: u64,
-        sample_index: u64,
-        input: Vec<metaai_math::C64>,
-    ) -> io::Result<Result<ScoreResponse, ServeError>> {
-        self.score_with(&Request::InferModel {
-            model,
-            id,
-            sample_index,
-            deadline_us: 0,
-            input,
-        })
-    }
-
-    fn score_with(&mut self, request: &Request) -> io::Result<Result<ScoreResponse, ServeError>> {
-        let reply = self.request(request)?;
-        match reply {
-            Response::Score {
-                id,
-                epoch,
-                predicted,
-                scores,
-            } => Ok(Ok(ScoreResponse {
-                id,
-                epoch,
-                predicted: predicted as usize,
-                scores,
-            })),
-            Response::Error { code, .. } => Ok(Err(ServeError::from_code(code))),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unexpected reply {other:?}"),
-            )),
-        }
-    }
-
-    /// [`score`](Self::score) wrapped in `policy`'s retry schedule.
-    ///
-    /// Retries after an IO failure (reconnecting first — the old stream
-    /// may hold a half-read reply) and after a
-    /// [retryable](ServeError::is_retryable) server error (same
-    /// connection — the stream is still framed correctly). Safe for
-    /// scoring because it is deterministic per `sample_index`: a reply
-    /// lost to a timeout and a retried reply carry identical scores.
-    /// Returns the last error once attempts are exhausted; non-retryable
-    /// server errors return immediately.
-    pub fn score_retry(
-        &mut self,
+        target: Target,
         id: u64,
         sample_index: u64,
         input: &[metaai_math::C64],
-        policy: &RetryPolicy,
+        retry: Option<&RetryPolicy>,
     ) -> io::Result<Result<ScoreResponse, ServeError>> {
-        self.retry_with(
-            &Request::Infer {
+        let input = input.to_vec();
+        let request = match target {
+            Target::Default => Request::Infer {
                 id,
                 sample_index,
                 deadline_us: 0,
-                input: input.to_vec(),
+                input,
             },
-            policy,
-        )
-    }
-
-    /// [`score_model`](Self::score_model) wrapped in `policy`'s retry
-    /// schedule, with the same semantics as
-    /// [`score_retry`](Self::score_retry).
-    pub fn score_model_retry(
-        &mut self,
-        model: u32,
-        id: u64,
-        sample_index: u64,
-        input: &[metaai_math::C64],
-        policy: &RetryPolicy,
-    ) -> io::Result<Result<ScoreResponse, ServeError>> {
-        self.retry_with(
-            &Request::InferModel {
+            Target::Model(model) => Request::InferModel {
                 model,
                 id,
                 sample_index,
                 deadline_us: 0,
-                input: input.to_vec(),
+                input,
             },
-            policy,
-        )
-    }
-
-    fn retry_with(
-        &mut self,
-        request: &Request,
-        policy: &RetryPolicy,
-    ) -> io::Result<Result<ScoreResponse, ServeError>> {
+        };
+        let once = RetryPolicy {
+            attempts: 1,
+            ..RetryPolicy::default()
+        };
+        let policy = retry.unwrap_or(&once);
         let mut rng = SimRng::derive(policy.seed, "tcp-client-retry");
         let attempts = policy.attempts.max(1);
         let mut last: io::Result<Result<ScoreResponse, ServeError>> =
             Err(io::Error::other("no attempt made"));
-        for retry in 0..attempts {
-            if retry > 0 {
-                std::thread::sleep(policy.delay(retry - 1, &mut rng));
+        for attempt in 0..attempts {
+            if attempt > 0 {
+                std::thread::sleep(policy.delay(attempt - 1, &mut rng));
             }
-            match self.score_with(request) {
+            match self.request(&request).and_then(score_reply) {
                 Ok(Ok(scored)) => return Ok(Ok(scored)),
                 Ok(Err(e)) if !e.is_retryable() => return Ok(Err(e)),
                 Ok(Err(e)) => last = Ok(Err(e)),
@@ -720,7 +672,7 @@ impl TcpClient {
                     // The connection is desynchronized (or gone); a fresh
                     // dial is required before the next attempt. Failure
                     // here still counts down the same attempt budget.
-                    if retry + 1 < attempts {
+                    if attempt + 1 < attempts {
                         let _ = self.reconnect();
                     }
                 }
@@ -732,6 +684,29 @@ impl TcpClient {
     /// The raw stream, for callers that pipeline with their own threads.
     pub fn into_stream(self) -> TcpStream {
         self.reader.into_inner()
+    }
+}
+
+/// A scoring reply as a score or the server's error; any other frame is
+/// `InvalidData`.
+fn score_reply(reply: Response) -> io::Result<Result<ScoreResponse, ServeError>> {
+    match reply {
+        Response::Score {
+            id,
+            epoch,
+            predicted,
+            scores,
+        } => Ok(Ok(ScoreResponse {
+            id,
+            epoch,
+            predicted: predicted as usize,
+            scores,
+        })),
+        Response::Error { code, .. } => Ok(Err(ServeError::from_code(code))),
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unexpected reply {other:?}"),
+        )),
     }
 }
 

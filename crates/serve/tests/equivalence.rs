@@ -32,7 +32,7 @@ fn assert_served_matches_offline(workers: usize, max_batch: usize, input_seeds: 
         .model(DEFAULT_MODEL, system.clone())
         .config(serve_config(workers, max_batch))
         .start();
-    let stream = server.registry().current().stream;
+    let stream = server.registry().default_entry().current().stream;
     let client = server.client();
     let tickets: Vec<_> = inputs
         .iter()

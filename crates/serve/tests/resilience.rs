@@ -1,11 +1,12 @@
 //! Fault-path behaviour of the service: worker panics resolve tickets
 //! and restart the pool, client timeouts turn a stalled server into an
-//! error, and the retry wrapper recovers from dropped connections and
-//! transient server errors.
+//! error, and `TcpClient::score` with a retry policy recovers from
+//! dropped connections and transient server errors (without one, it makes
+//! one attempt).
 
 mod common;
 
-use metaai_serve::tcp::{self, ClientConfig, RetryPolicy, TcpClient};
+use metaai_serve::tcp::{self, ClientConfig, RetryPolicy, Target, TcpClient};
 use metaai_serve::wire::{self, Request, Response};
 use metaai_serve::{
     OverflowPolicy, ScoreRequest, ServeConfig, ServeError, Server, Ticket, DEFAULT_MODEL,
@@ -66,7 +67,7 @@ fn a_worker_panic_resolves_the_ticket_and_the_pool_keeps_scoring() {
     assert_eq!(faults.armed(), 0, "the injected fault fired exactly once");
 
     // The restarted worker scores the identical request correctly.
-    let deployment = server.registry().current();
+    let deployment = server.registry().default_entry().current();
     let mut scratch = Vec::new();
     let offline = common::shared_system().score_indexed(
         &request(7).input,
@@ -220,7 +221,7 @@ fn fast_retries(attempts: u32) -> RetryPolicy {
 }
 
 #[test]
-fn score_retry_reconnects_after_a_dropped_connection() {
+fn a_retried_score_reconnects_after_a_dropped_connection() {
     let addr = scripted_server(1, Vec::new());
     let mut client = TcpClient::connect_with(addr, ClientConfig::with_all(Duration::from_secs(5)))
         .expect("initial connect");
@@ -228,7 +229,7 @@ fn score_retry_reconnects_after_a_dropped_connection() {
     // retry dials a fresh one and the resent request scores.
     let input = common::sample_input(1, 0).as_slice().to_vec();
     let scored = client
-        .score_retry(9, 9, &input, &fast_retries(3))
+        .score(Target::Default, 9, 9, &input, Some(&fast_retries(3)))
         .expect("io recovered")
         .expect("scored");
     assert_eq!(scored.id, 9);
@@ -236,14 +237,14 @@ fn score_retry_reconnects_after_a_dropped_connection() {
 }
 
 #[test]
-fn score_retry_retries_transient_server_errors_but_not_fatal_ones() {
+fn a_retried_score_retries_transient_server_errors_but_not_fatal_ones() {
     // Overloaded (1) then WorkerPanicked (6) are retryable; the third
     // attempt scores.
     let addr = scripted_server(0, vec![1, 6]);
     let mut client = TcpClient::connect(addr).expect("connect");
     let input = common::sample_input(1, 0).as_slice().to_vec();
     let scored = client
-        .score_retry(1, 1, &input, &fast_retries(3))
+        .score(Target::Default, 1, 1, &input, Some(&fast_retries(3)))
         .expect("io")
         .expect("scored on the third attempt");
     assert_eq!(scored.id, 1);
@@ -252,22 +253,41 @@ fn score_retry_retries_transient_server_errors_but_not_fatal_ones() {
     let addr = scripted_server(0, vec![4, 0, 0, 0]);
     let mut client = TcpClient::connect(addr).expect("connect");
     let err = client
-        .score_retry(2, 2, &input, &fast_retries(3))
+        .score(Target::Default, 2, 2, &input, Some(&fast_retries(3)))
         .expect("io")
         .expect_err("fatal error is not retried");
     assert!(matches!(err, ServeError::BadRequest(_)));
 }
 
 #[test]
-fn score_retry_reports_the_last_error_when_attempts_run_out() {
+fn a_retried_score_reports_the_last_error_when_attempts_run_out() {
     let addr = scripted_server(0, vec![1, 1, 1, 1, 1, 1]);
     let mut client = TcpClient::connect(addr).expect("connect");
     let input = common::sample_input(1, 0).as_slice().to_vec();
     let err = client
-        .score_retry(3, 3, &input, &fast_retries(3))
+        .score(Target::Default, 3, 3, &input, Some(&fast_retries(3)))
         .expect("io")
         .expect_err("every attempt was shed");
     assert_eq!(err, ServeError::Overloaded);
+}
+
+#[test]
+fn an_unretried_score_makes_one_attempt() {
+    let input = common::sample_input(1, 0).as_slice().to_vec();
+    // A retryable error reply is final: the next request is the one that
+    // reaches the scripted score.
+    let addr = scripted_server(0, vec![1]);
+    let mut client = TcpClient::connect(addr).expect("connect");
+    let first = client.score(Target::Default, 4, 4, &input, None);
+    assert_eq!(first.expect("io").unwrap_err(), ServeError::Overloaded);
+    let second = client.score(Target::Default, 5, 5, &input, None);
+    assert_eq!(second.expect("io").expect("scored").id, 5);
+
+    // A dropped connection is an IO error, not a reconnect.
+    let addr = scripted_server(1, Vec::new());
+    let mut client = TcpClient::connect_with(addr, ClientConfig::with_all(Duration::from_secs(5)))
+        .expect("connect");
+    assert!(client.score(Target::Default, 6, 6, &input, None).is_err());
 }
 
 #[test]
@@ -298,9 +318,11 @@ fn a_client_held_open_across_shutdown_is_answered_not_dropped() {
     let outcome = loop {
         let reply = idle
             .score(
+                Target::Default,
                 5,
                 5,
-                common::sample_input(common::SYMBOLS, 5).as_slice().to_vec(),
+                common::sample_input(common::SYMBOLS, 5).as_slice(),
+                None,
             )
             .expect("io — every request in the window is answered");
         match reply {

@@ -43,7 +43,7 @@ fn request(i: u64) -> ScoreRequest {
 fn serves_scores_matching_the_offline_engine() {
     let system = common::shared_system();
     let server = start_default(system.clone(), &config());
-    let deployment = server.registry().current();
+    let deployment = server.registry().default_entry().current();
     let client = server.client();
 
     let mut scratch = Vec::new();
@@ -137,13 +137,16 @@ fn hot_swap_changes_the_epoch_without_downtime() {
     assert_eq!(before.epoch, 1);
 
     let replacement = common::tiny_system(99);
-    assert_eq!(server.deploy(replacement.clone()), Ok(2));
+    assert_eq!(
+        server.registry().default_entry().swap(replacement.clone()),
+        Ok(2)
+    );
 
     let after = client.score(request(0)).expect("epoch 2");
     assert_eq!(after.epoch, 2);
     // Same sample, new deployment: scored against the new system on the
     // new epoch's stream.
-    let deployment = server.registry().current();
+    let deployment = server.registry().default_entry().current();
     let mut scratch = Vec::new();
     let offline = replacement.score_indexed(&request(0).input, deployment.stream, 0, &mut scratch);
     assert_eq!(after.predicted, offline);
@@ -239,18 +242,11 @@ fn keyed_deploys_touch_only_their_model() {
         .start();
 
     let replacement = common::tiny_system(99);
-    assert_eq!(
-        server
-            .deploy_model("beta", replacement.clone())
-            .expect("known"),
-        2
-    );
-    assert!(matches!(
-        server.deploy_model("gamma", replacement.clone()),
-        Err(ServeError::UnknownModel)
-    ));
-
     let registry = server.registry();
+    let beta = registry.entry("beta").expect("known");
+    assert_eq!(beta.swap(replacement.clone()).expect("same shape"), 2);
+    assert!(registry.entry("gamma").is_none());
+
     assert_eq!(registry.entry("alpha").unwrap().current().epoch, 1);
     assert_eq!(registry.entry("beta").unwrap().current().epoch, 2);
 

@@ -5,7 +5,7 @@
 
 mod common;
 
-use metaai_serve::tcp::{self, TcpClient};
+use metaai_serve::tcp::{self, Target, TcpClient};
 use metaai_serve::wire::{Request, Response, PROTOCOL_VERSION};
 use metaai_serve::{OverflowPolicy, ServeConfig, Server, ServerBuilder, DEFAULT_MODEL};
 use std::net::TcpListener;
@@ -48,7 +48,7 @@ fn tcp_round_trip_matches_offline_scores() {
     for i in 0..5u64 {
         let input = common::sample_input(common::SYMBOLS, i);
         let response = client
-            .score(i, i, input.as_slice().to_vec())
+            .score(Target::Default, i, i, input.as_slice(), None)
             .expect("io")
             .expect("scored");
         let offline = system.score_indexed(&input, stream, i, &mut scratch);
@@ -110,7 +110,13 @@ fn wrong_length_input_returns_a_bad_request_error() {
     let (addr, handle) = start_tcp_server();
     let mut client = connect(addr);
     let err = client
-        .score(7, 0, common::sample_input(3, 0).as_slice().to_vec())
+        .score(
+            Target::Default,
+            7,
+            0,
+            common::sample_input(3, 0).as_slice(),
+            None,
+        )
         .expect("io")
         .expect_err("short input must be rejected");
     assert_eq!(err.code(), 4, "BadRequest wire code");
@@ -197,7 +203,7 @@ fn two_models_score_over_one_connection_each_on_its_own_stream() {
         let input = common::sample_input(common::SYMBOLS, i);
         for (model, system, stream) in [(0u32, &system_a, stream_a), (1u32, &system_b, stream_b)] {
             let response = client
-                .score_model(model, i, i, input.as_slice().to_vec())
+                .score(Target::Model(model), i, i, input.as_slice(), None)
                 .expect("io")
                 .expect("scored");
             let offline = system.score_indexed(&input, stream, i, &mut scratch);
@@ -221,7 +227,7 @@ fn v1_frames_route_to_the_default_model_on_a_multi_model_server() {
     let mut scratch = Vec::new();
     let input = common::sample_input(common::SYMBOLS, 3);
     let response = client
-        .score(3, 3, input.as_slice().to_vec())
+        .score(Target::Default, 3, 3, input.as_slice(), None)
         .expect("io")
         .expect("scored");
     let offline = system.score_indexed(&input, stream, 3, &mut scratch);
@@ -237,13 +243,13 @@ fn an_unknown_model_id_fails_the_request_but_not_the_connection() {
     let mut client = connect(addr);
     let input = common::sample_input(common::SYMBOLS, 0);
     let err = client
-        .score_model(99, 7, 0, input.as_slice().to_vec())
+        .score(Target::Model(99), 7, 0, input.as_slice(), None)
         .expect("io — the connection answers")
         .expect_err("unregistered id");
     assert_eq!(err.code(), 7, "UnknownModel wire code");
     // The same connection keeps serving valid requests afterwards.
     assert!(client
-        .score_model(0, 8, 0, input.as_slice().to_vec())
+        .score(Target::Model(0), 8, 0, input.as_slice(), None)
         .expect("io")
         .is_ok());
     shutdown(client);
