@@ -348,8 +348,9 @@ fn chaos_connection(
         first_dial = false;
         let _ = stream.set_nodelay(true);
 
-        // Drain replies so the server's per-connection writer never
-        // blocks on us; counts are folded into the report at close. The
+        // Drain replies so the server's reply writes never block on us
+        // (a write stalled past its timeout drops the connection);
+        // counts are folded into the report at close. The
         // read timeout bounds the drain if the server keeps the
         // connection open without data after our half-close.
         let reader_stream = stream.try_clone()?;

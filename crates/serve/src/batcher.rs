@@ -10,17 +10,23 @@
 //! caps what one worker pops at once. This keeps the hot path to one
 //! mutex + two condvars and lets several batches score concurrently.
 //!
-//! Replies travel over per-request oneshot channels
-//! (`mpsc::sync_channel(1)`): submission returns a [`Ticket`] the caller
-//! blocks on, so a thousand in-flight requests cost a thousand parked
-//! receivers, not a thousand threads.
+//! Every queued request carries one `Completion`, resolved exactly once
+//! by the worker that scores (or drops) it: for an in-process caller it
+//! is the sending half of a [`Ticket`]'s oneshot, for a TCP request the
+//! request's reply slot in its connection's outbox, which the worker fills
+//! (and writes, when it is the head) itself. A completion dropped
+//! unresolved answers [`ServeError::Disconnected`], so neither a ticket
+//! nor a connection ever waits on a request nobody will score. A thousand
+//! in-flight requests cost a thousand small records, not a thousand
+//! threads.
 
 use crate::metrics::ModelMetrics;
+use crate::outbox::{self, Outbox};
 use crate::{OverflowPolicy, ServeConfig, ServeError};
 use metaai_math::CVec;
 use std::collections::VecDeque;
 use std::sync::mpsc::{self, Receiver, SyncSender};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One inference to serve.
@@ -51,17 +57,72 @@ pub struct ScoreResponse {
     pub scores: Vec<f64>,
 }
 
-/// A queued request together with its reply channel.
+/// A queued request together with its completion.
 pub(crate) struct Pending {
     pub request: ScoreRequest,
     pub enqueued_at: Instant,
-    pub reply: SyncSender<Result<ScoreResponse, ServeError>>,
+    pub done: Completion,
 }
 
 impl Pending {
-    /// Sends the reply, ignoring an already-departed caller.
+    /// Delivers the outcome (a departed caller is ignored).
     pub(crate) fn resolve(self, result: Result<ScoreResponse, ServeError>) {
-        let _ = self.reply.send(result);
+        self.done.resolve(result);
+    }
+}
+
+/// Where one request's outcome goes. Resolved at most once; dropped
+/// unresolved, it answers [`ServeError::Disconnected`].
+pub(crate) struct Completion(Option<Sink>);
+
+enum Sink {
+    /// The sending half of a [`Ticket`].
+    Ticket(SyncSender<Result<ScoreResponse, ServeError>>),
+    /// Reply slot `seq` of a connection's outbox, answering request `id`.
+    Slot {
+        outbox: Arc<Outbox>,
+        seq: u64,
+        id: u64,
+    },
+}
+
+impl Completion {
+    /// A completion and the [`Ticket`] it resolves.
+    pub(crate) fn ticket() -> (Completion, Ticket) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        (Completion(Some(Sink::Ticket(tx))), Ticket { rx })
+    }
+
+    /// A completion that fills reserved slot `seq` of `outbox` with the
+    /// reply to request `id`.
+    pub(crate) fn slot(outbox: Arc<Outbox>, seq: u64, id: u64) -> Completion {
+        Completion(Some(Sink::Slot { outbox, seq, id }))
+    }
+
+    /// Delivers the outcome.
+    pub(crate) fn resolve(mut self, outcome: Result<ScoreResponse, ServeError>) {
+        if let Some(sink) = self.0.take() {
+            sink.deliver(outcome);
+        }
+    }
+}
+
+impl Drop for Completion {
+    fn drop(&mut self) {
+        if let Some(sink) = self.0.take() {
+            sink.deliver(Err(ServeError::Disconnected));
+        }
+    }
+}
+
+impl Sink {
+    fn deliver(self, outcome: Result<ScoreResponse, ServeError>) {
+        match self {
+            Sink::Ticket(tx) => {
+                let _ = tx.send(outcome);
+            }
+            Sink::Slot { outbox, seq, id } => outbox.fill(seq, outbox::reply_frame(id, outcome)),
+        }
     }
 }
 
@@ -75,18 +136,6 @@ impl Ticket {
     /// Blocks until the request is scored, dropped, or the pool dies.
     pub fn wait(self) -> Result<ScoreResponse, ServeError> {
         self.rx.recv().unwrap_or(Err(ServeError::Disconnected))
-    }
-
-    /// Non-blocking check: `None` while the request is still in flight.
-    /// Lets a response writer batch up already-resolved replies (one
-    /// flush per drained run) and fall back to [`wait`](Self::wait) only
-    /// after flushing what it has.
-    pub fn try_wait(&self) -> Option<Result<ScoreResponse, ServeError>> {
-        match self.rx.try_recv() {
-            Ok(outcome) => Some(outcome),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => Some(Err(ServeError::Disconnected)),
-        }
     }
 }
 
@@ -162,10 +211,22 @@ impl BatchQueue {
     /// Admits a request, applying the overflow policy when the queue is
     /// full. Returns the caller's [`Ticket`] on admission.
     pub fn submit(&self, request: ScoreRequest) -> Result<Ticket, ServeError> {
+        let (done, ticket) = Completion::ticket();
+        self.enqueue(request, done).map_err(|(e, _)| e)?;
+        Ok(ticket)
+    }
+
+    /// Admits a request that `done` will answer. A refused request hands
+    /// `done` back with the reason, for the caller to resolve.
+    pub(crate) fn enqueue(
+        &self,
+        request: ScoreRequest,
+        done: Completion,
+    ) -> Result<(), (ServeError, Completion)> {
         let mut st = self.lock();
         loop {
             if st.shutdown {
-                return Err(ServeError::ShuttingDown);
+                return Err((ServeError::ShuttingDown, done));
             }
             if st.queue.len() < self.capacity {
                 break;
@@ -178,7 +239,7 @@ impl BatchQueue {
                     if let Some(m) = self.model_tele() {
                         m.shed_total.inc();
                     }
-                    return Err(ServeError::Overloaded);
+                    return Err((ServeError::Overloaded, done));
                 }
                 OverflowPolicy::Block => {
                     st = self
@@ -188,11 +249,10 @@ impl BatchQueue {
                 }
             }
         }
-        let (tx, rx) = std::sync::mpsc::sync_channel(1);
         st.queue.push_back(Pending {
             request,
             enqueued_at: Instant::now(),
-            reply: tx,
+            done,
         });
         if let Some(m) = crate::metrics::tele() {
             m.requests.inc();
@@ -204,7 +264,7 @@ impl BatchQueue {
         }
         drop(st);
         self.not_empty.notify_one();
-        Ok(Ticket { rx })
+        Ok(())
     }
 
     /// Takes up to `max_batch` queued requests, oldest first, as soon as

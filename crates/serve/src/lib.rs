@@ -33,8 +33,11 @@
 //!   drains every admitted request before the workers exit.
 //!
 //! A length-prefixed TCP front-end ([`tcp`], wire format in [`wire`])
-//! exposes the service over `std::net`; the CLI wires it up as
-//! `metaai serve`. Its synchronous client, [`tcp::TcpClient`], scores
+//! exposes the service over `std::net`, one thread per connection: its
+//! reader submits each request with the request's reply slot as its
+//! completion, and the scoring worker that fills the oldest open slot
+//! writes the ready replies, in request order, itself. The CLI wires it
+//! up as `metaai serve`. Its synchronous client, [`tcp::TcpClient`], scores
 //! through one call, [`TcpClient::score`](tcp::TcpClient::score), given
 //! a [`tcp::Target`] (default model or a wire id) and an optional
 //! [`tcp::RetryPolicy`]; `crates/bench`'s `loadgen` bin drives it with
@@ -44,6 +47,7 @@
 pub mod batcher;
 pub mod deploy;
 mod metrics;
+mod outbox;
 pub mod server;
 pub mod tcp;
 pub mod wire;

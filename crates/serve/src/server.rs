@@ -23,7 +23,7 @@
 //! clients whose requests share the batch, and must not shrink the pool.
 //! Each worker therefore runs its scoring loop under
 //! `std::panic::catch_unwind`: when a panic unwinds, every unresolved
-//! ticket of the in-flight batch is resolved with
+//! request of the in-flight batch is answered with
 //! [`ServeError::WorkerPanicked`] (a retryable error — scoring is
 //! deterministic per `sample_index`), the restart is counted per model
 //! (`metaai.serve.model.{name}.worker_restarts`, plus the aggregate and
@@ -225,7 +225,7 @@ impl Client {
 /// Arms deliberate worker panics, for chaos tests of the panic-isolation
 /// path. Each armed `sample_index` fires exactly once: the first worker
 /// (of any model's pool) that dequeues a request with that index panics
-/// *before* scoring it, exercising the full restart + ticket-resolution
+/// *before* scoring it, exercising the full restart + request-resolution
 /// machinery.
 ///
 /// The hot path pays one relaxed atomic load per request while disarmed.
@@ -296,8 +296,8 @@ fn supervised_worker(entry: &ModelEntry, faults: &FaultInjector) {
 
 /// Holds a batch while it scores; any request still unresolved when the
 /// guard drops (i.e. a panic unwound through the scoring loop) is
-/// resolved with [`ServeError::WorkerPanicked`] instead of leaving its
-/// ticket to dangle until the channel drops.
+/// resolved with [`ServeError::WorkerPanicked`], a retryable error, rather
+/// than the `Disconnected` its dropped completion would answer.
 struct BatchGuard {
     slots: Vec<Option<Pending>>,
 }

@@ -1,18 +1,31 @@
-//! `std::net` front-end: one supervised accept loop, two threads per
+//! `std::net` front-end: one supervised accept loop, one thread per
 //! connection, and the synchronous [`TcpClient`].
 //!
-//! The per-connection **reader** decodes frames ([`wire`]), routes each
-//! `INFER` to its model's submission queue (v1 frames carry no model and
-//! land on the default model; v2 `INFER_MODEL` frames name one by
-//! interned wire id), and forwards the resulting tickets to the
-//! **writer**, which resolves them in FIFO order and streams the
-//! responses back — so a connection can pipeline requests, even across
+//! A connection's one thread, its **reader**, decodes frames ([`wire`])
+//! and reserves the next reply slot of the connection's ordered outbox for
+//! every frame it will answer. It routes each `INFER` to its model's
+//! submission queue with that slot as the request's completion (v1 frames
+//! carry no model and land on the default model; v2 `INFER_MODEL` frames
+//! name one by interned wire id), and answers INFO, HELLO, error frames
+//! and SHUTDOWN_ACK into their slots itself. Whoever fills the head slot
+//! (a scoring worker or the reader) writes every ready reply, so replies
+//! leave in request order with no writer thread in between, and a connection can pipeline requests, even across
 //! models, without waiting for replies. Responses carry the request id,
 //! so clients may also match out-of-order on their side. A v2 `HELLO`
-//! is answered inline with the full model table (or an
-//! `UnsupportedVersion` error + close, for a version this build does not
-//! speak); an `INFER_MODEL` naming an unknown id fails that one request
-//! with `UnknownModel` and the connection keeps serving.
+//! is answered with the full model table (or an `UnsupportedVersion`
+//! error + close, for a version this build does not speak); an
+//! `INFER_MODEL` naming an unknown id fails that one request with
+//! `UnknownModel` and the connection keeps serving.
+//!
+//! Each drain of a connection's ready replies (from a thread taking the
+//! socket to putting it back) must finish within [`REPLY_WRITE_TIMEOUT`]
+//! in total. A write that fails or misses that deadline shuts the
+//! connection down and drops its later replies, so a peer that stops
+//! reading holds the thread writing to it for at most one timeout, and
+//! its parked replies are freed then. While a worker waits on such a
+//! peer it scores nothing: the rest of its batch, other connections'
+//! requests included, and the queue it would serve wait with it, and
+//! their deadlines may pass; the model's other workers keep scoring.
 //!
 //! # Accept supervision
 //!
@@ -28,18 +41,19 @@
 //! connection churn.
 //!
 //! Shutdown choreography (`SHUTDOWN` frame, sent by `loadgen
-//! --shutdown`): the receiving reader queues a shutdown marker for its
-//! writer, raises the shared stop flag, and pokes the listener with a
-//! dummy connect (retried with backoff) to unblock the accept poll
-//! promptly; if every poke fails, the poll deadline still observes the
+//! --shutdown`): the receiving reader puts `SHUTDOWN_ACK` in its next
+//! slot, raises the shared stop flag, pokes the listener with a dummy
+//! connect (retried with backoff) to unblock the accept poll promptly,
+//! and exits; if every poke fails, the poll deadline still observes the
 //! flag within [`ACCEPT_POLL`]. A real client that connects in the
 //! post-stop window is answered with a `ShuttingDown` error frame rather
-//! than silently dropped. [`serve`] then drains the scoring queue
-//! (resolving every ticket held by connection writers), the shutdown
-//! writer emits `SHUTDOWN_ACK` after its earlier replies, and the
-//! handlers exit. Handlers on *other* connections exit when their peer
-//! closes; a client that holds its socket open past shutdown delays
-//! [`serve`]'s return, so clients should disconnect once done.
+//! than silently dropped. [`serve`] then drains the scoring queues: the
+//! workers fill every slot still open, and the fill that completes the
+//! shutdown connection's earlier replies writes the ack after them. The
+//! socket closes once the reader has exited and the last reply is out.
+//! Handlers on *other* connections exit when their peer closes; a client
+//! that holds its socket open past shutdown delays [`serve`]'s return, so
+//! clients should disconnect once done.
 //!
 //! # Client
 //!
@@ -52,15 +66,16 @@
 //! [`TcpClient::request`], or [`TcpClient::into_stream`] for callers
 //! that pipeline on their own threads.
 
+use crate::batcher::Completion;
 use crate::deploy::DeploymentRegistry;
+use crate::outbox::Outbox;
 use crate::server::Server;
 use crate::wire::{self, ModelDescriptor, Request, Response, NO_REQUEST_ID, PROTOCOL_VERSION};
-use crate::{ScoreResponse, ServeError, Ticket};
+use crate::{ScoreResponse, ServeError};
 use metaai_math::rng::SimRng;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -78,15 +93,11 @@ const ACCEPT_BACKOFF_START: Duration = Duration::from_millis(1);
 /// succeeds again.
 const ACCEPT_BACKOFF_CAP: Duration = Duration::from_millis(200);
 
-/// What the reader hands the writer, in request order.
-enum Reply {
-    /// Immediately answerable (INFO, admission errors).
-    Ready(Response),
-    /// A scored reply pending in the worker pool.
-    Pending(u64, Ticket),
-    /// Ack and close after everything queued before it.
-    Shutdown,
-}
+/// How long one drain of a connection's ready replies may take, across
+/// all its write calls, before the connection is declared dead. Scoring
+/// workers write replies themselves, so this bounds how long one drain
+/// to a peer that stops reading can hold a worker.
+pub const REPLY_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Whether an `accept` failure is worth retrying: the connection died
 /// during the handshake, the syscall was interrupted, or the process is
@@ -129,14 +140,12 @@ fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
 /// a `ShuttingDown` error frame (with the [`NO_REQUEST_ID`] sentinel),
 /// so a real client learns why the connection closed. The shutdown poke
 /// itself also lands here and simply ignores the frame.
-fn refuse_post_stop(stream: TcpStream) {
-    let mut w = BufWriter::new(stream);
+fn refuse_post_stop(mut stream: TcpStream) {
     let refusal = Response::Error {
         id: NO_REQUEST_ID,
         code: ServeError::ShuttingDown.code(),
     };
-    let _ = wire::write_frame(&mut w, &refusal.encode());
-    let _ = w.flush();
+    let _ = stream.write_all(&wire::frame(|buf| refusal.encode_into(buf)));
 }
 
 /// Accepts connections and serves until a `SHUTDOWN` frame arrives, then
@@ -191,11 +200,10 @@ pub fn serve(listener: TcpListener, server: Server) -> io::Result<()> {
             Err(e) => break Some(e),
         }
     };
-    // Drain-then-stop: scoring every admitted request resolves the
-    // tickets the connection writers still hold, letting them flush
-    // their final replies (and the SHUTDOWN_ACK) before exiting. Runs
-    // on the fatal path too, so even a dying listener answers what it
-    // admitted.
+    // Drain-then-stop: scoring every admitted request fills the reply
+    // slots still open, which writes the final replies (and any
+    // SHUTDOWN_ACK queued behind them). Runs on the fatal path too, so
+    // even a dying listener answers what it admitted.
     server.shutdown();
     for handler in handlers {
         let _ = handler.join();
@@ -213,17 +221,14 @@ fn handle_connection(
     listen_addr: SocketAddr,
 ) {
     let _ = stream.set_nodelay(true);
-    let Ok(write_stream) = stream.try_clone() else {
+    let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let (tx, rx) = channel::<Reply>();
-    let writer = std::thread::Builder::new()
-        .name("metaai-serve-writer".to_string())
-        .spawn(move || writer_loop(write_stream, rx))
-        .expect("spawn connection writer");
-    reader_loop(stream, &registry, &stop, listen_addr, &tx);
-    drop(tx);
-    let _ = writer.join();
+    let Ok(outbox) = Outbox::new(Box::new(write_half), REPLY_WRITE_TIMEOUT) else {
+        return;
+    };
+    let outbox = Arc::new(outbox);
+    read_requests(stream, &registry, &stop, listen_addr, &outbox);
 }
 
 /// Wakes the accept loop after the stop flag is raised. Retried with
@@ -261,12 +266,15 @@ fn model_table(registry: &DeploymentRegistry) -> Vec<ModelDescriptor> {
         .collect()
 }
 
-fn reader_loop(
+/// The connection's one thread: decodes each frame, reserves its reply
+/// slot, and either answers it at once or submits it with the slot as its
+/// completion.
+fn read_requests(
     stream: TcpStream,
     registry: &DeploymentRegistry,
     stop: &AtomicBool,
     listen_addr: SocketAddr,
-    tx: &Sender<Reply>,
+    outbox: &Arc<Outbox>,
 ) {
     // Request frames run to tens of KiB (16 bytes per symbol); a buffer
     // that holds several whole frames keeps syscalls well below one per
@@ -275,22 +283,25 @@ fn reader_loop(
     loop {
         let payload = match wire::read_frame(&mut reader) {
             Ok(Some(payload)) => payload,
-            // Clean close or dead socket: the writer drains what is
-            // already queued and the handler exits.
+            // Clean close, dead socket, or a write that failed and shut
+            // the socket down: replies still pending fill their slots
+            // (or are dropped, if the connection is dead).
             Ok(None) | Err(_) => return,
         };
         match Request::decode(&payload) {
             Ok(Request::Info) => {
                 let deployment = registry.default_entry().current();
                 let engine = deployment.system.engine();
-                let _ = tx.send(Reply::Ready(Response::Info {
+                outbox.push(&Response::Info {
                     epoch: deployment.epoch,
                     outputs: engine.num_outputs() as u32,
                     symbols: engine.num_symbols() as u32,
-                }));
+                });
             }
             Ok(Request::Shutdown) => {
-                let _ = tx.send(Reply::Shutdown);
+                // The ack's slot follows every earlier one, so it leaves
+                // after their replies.
+                outbox.push(&Response::ShutdownAck);
                 stop.store(true, Ordering::SeqCst);
                 // Unblock the accept loop so `serve` can drain and join.
                 poke_listener(listen_addr);
@@ -301,16 +312,16 @@ fn reader_loop(
                 // meaningful from v2 on, and a client announcing a newer
                 // version than this build speaks cannot be served.
                 if !(2..=PROTOCOL_VERSION).contains(&version) {
-                    let _ = tx.send(Reply::Ready(Response::Error {
+                    outbox.push(&Response::Error {
                         id: NO_REQUEST_ID,
                         code: ServeError::UnsupportedVersion.code(),
-                    }));
+                    });
                     return;
                 }
-                let _ = tx.send(Reply::Ready(Response::HelloAck {
+                outbox.push(&Response::HelloAck {
                     version: PROTOCOL_VERSION,
                     models: model_table(registry),
-                }));
+                });
             }
             Ok(request @ (Request::Infer { .. } | Request::InferModel { .. })) => {
                 // v1 INFER carries no model: the compatibility shim
@@ -321,99 +332,29 @@ fn reader_loop(
                     Request::InferModel { model, id, .. } => (*id, registry.entry_by_id(*model)),
                     _ => unreachable!(),
                 };
-                let reply = match entry {
-                    None => Reply::Ready(Response::Error {
-                        id,
-                        code: ServeError::UnknownModel.code(),
-                    }),
+                let done = Completion::slot(outbox.clone(), outbox.reserve(), id);
+                match entry {
+                    None => done.resolve(Err(ServeError::UnknownModel)),
                     Some(entry) => {
                         let score_request = request.into_score_request().expect("infer request");
-                        match entry.queue().submit(score_request) {
-                            Ok(ticket) => Reply::Pending(id, ticket),
-                            Err(e) => Reply::Ready(Response::Error { id, code: e.code() }),
+                        if let Err((e, done)) = entry.queue().enqueue(score_request, done) {
+                            done.resolve(Err(e));
                         }
                     }
-                };
-                let _ = tx.send(reply);
+                }
             }
             Err(e) => {
                 // Corrupt frame: the stream offset can no longer be
                 // trusted, so report (under the "no id" sentinel — the
                 // frame's own id bytes are exactly what is suspect) and
                 // close the connection.
-                let _ = tx.send(Reply::Ready(Response::Error {
+                outbox.push(&Response::Error {
                     id: NO_REQUEST_ID,
                     code: e.code(),
-                }));
+                });
                 return;
             }
         }
-    }
-}
-
-/// Streams replies back, flushing lazily: the invariant is "flush before
-/// any blocking wait", so the peer always holds everything resolvable the
-/// moment the writer goes idle, while a freshly scored batch of pipelined
-/// replies drains in one syscall instead of one per response.
-fn writer_loop(stream: TcpStream, rx: Receiver<Reply>) {
-    let mut w = BufWriter::new(stream);
-    let mut unflushed = false;
-    let flush = |w: &mut BufWriter<TcpStream>, unflushed: &mut bool| -> bool {
-        if *unflushed && w.flush().is_err() {
-            return false;
-        }
-        *unflushed = false;
-        true
-    };
-    loop {
-        let reply = match rx.try_recv() {
-            Ok(reply) => reply,
-            Err(TryRecvError::Empty) => {
-                if !flush(&mut w, &mut unflushed) {
-                    return;
-                }
-                match rx.recv() {
-                    Ok(reply) => reply,
-                    Err(_) => return,
-                }
-            }
-            Err(TryRecvError::Disconnected) => {
-                let _ = w.flush();
-                return;
-            }
-        };
-        let response = match reply {
-            Reply::Ready(response) => response,
-            Reply::Pending(id, ticket) => {
-                let outcome = match ticket.try_wait() {
-                    Some(outcome) => outcome,
-                    None => {
-                        if !flush(&mut w, &mut unflushed) {
-                            return;
-                        }
-                        ticket.wait()
-                    }
-                };
-                match outcome {
-                    Ok(scored) => Response::Score {
-                        id: scored.id,
-                        epoch: scored.epoch,
-                        predicted: scored.predicted as u32,
-                        scores: scored.scores,
-                    },
-                    Err(e) => Response::Error { id, code: e.code() },
-                }
-            }
-            Reply::Shutdown => {
-                let _ = wire::write_frame(&mut w, &Response::ShutdownAck.encode());
-                let _ = w.flush();
-                return;
-            }
-        };
-        if wire::write_frame(&mut w, &response.encode()).is_err() {
-            return;
-        }
-        unflushed = true;
     }
 }
 
@@ -566,6 +507,11 @@ impl TcpClient {
         stream.flush()
     }
 
+    /// Sends one whole frame (length prefix included) in one write.
+    fn send_frame(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.reader.get_mut().write_all(frame)
+    }
+
     /// Receives one response frame; `None` when the server closed.
     pub fn recv(&mut self) -> io::Result<Option<Response>> {
         match wire::read_frame(&mut self.reader)? {
@@ -579,6 +525,11 @@ impl TcpClient {
     /// Send + receive, treating an early close as an error.
     pub fn request(&mut self, request: &Request) -> io::Result<Response> {
         self.send(request)?;
+        self.reply()
+    }
+
+    /// Receives one response frame, treating an early close as an error.
+    fn reply(&mut self) -> io::Result<Response> {
         self.recv()?.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::UnexpectedEof,
@@ -634,22 +585,11 @@ impl TcpClient {
         input: &[metaai_math::C64],
         retry: Option<&RetryPolicy>,
     ) -> io::Result<Result<ScoreResponse, ServeError>> {
-        let input = input.to_vec();
-        let request = match target {
-            Target::Default => Request::Infer {
-                id,
-                sample_index,
-                deadline_us: 0,
-                input,
-            },
-            Target::Model(model) => Request::InferModel {
-                model,
-                id,
-                sample_index,
-                deadline_us: 0,
-                input,
-            },
+        let model = match target {
+            Target::Default => None,
+            Target::Model(model) => Some(model),
         };
+        let frame = wire::frame(|buf| wire::encode_infer(buf, model, id, sample_index, 0, input));
         let once = RetryPolicy {
             attempts: 1,
             ..RetryPolicy::default()
@@ -663,7 +603,11 @@ impl TcpClient {
             if attempt > 0 {
                 std::thread::sleep(policy.delay(attempt - 1, &mut rng));
             }
-            match self.request(&request).and_then(score_reply) {
+            match self
+                .send_frame(&frame)
+                .and_then(|()| self.reply())
+                .and_then(score_reply)
+            {
                 Ok(Ok(scored)) => return Ok(Ok(scored)),
                 Ok(Err(e)) if !e.is_retryable() => return Ok(Err(e)),
                 Ok(Err(e)) => last = Ok(Err(e)),

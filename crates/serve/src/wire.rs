@@ -187,21 +187,7 @@ impl Request {
                 sample_index,
                 deadline_us,
                 input,
-            } => {
-                assert_ne!(
-                    *id, NO_REQUEST_ID,
-                    "request id u64::MAX is reserved (NO_REQUEST_ID)"
-                );
-                buf.push(0);
-                buf.extend_from_slice(&id.to_le_bytes());
-                buf.extend_from_slice(&sample_index.to_le_bytes());
-                buf.extend_from_slice(&deadline_us.to_le_bytes());
-                buf.extend_from_slice(&(input.len() as u32).to_le_bytes());
-                for z in input {
-                    buf.extend_from_slice(&z.re.to_le_bytes());
-                    buf.extend_from_slice(&z.im.to_le_bytes());
-                }
-            }
+            } => encode_infer(&mut buf, None, *id, *sample_index, *deadline_us, input),
             Request::Info => buf.push(1),
             Request::Shutdown => buf.push(2),
             Request::Hello { version } => {
@@ -214,22 +200,14 @@ impl Request {
                 sample_index,
                 deadline_us,
                 input,
-            } => {
-                assert_ne!(
-                    *id, NO_REQUEST_ID,
-                    "request id u64::MAX is reserved (NO_REQUEST_ID)"
-                );
-                buf.push(4);
-                buf.extend_from_slice(&model.to_le_bytes());
-                buf.extend_from_slice(&id.to_le_bytes());
-                buf.extend_from_slice(&sample_index.to_le_bytes());
-                buf.extend_from_slice(&deadline_us.to_le_bytes());
-                buf.extend_from_slice(&(input.len() as u32).to_le_bytes());
-                for z in input {
-                    buf.extend_from_slice(&z.re.to_le_bytes());
-                    buf.extend_from_slice(&z.im.to_le_bytes());
-                }
-            }
+            } => encode_infer(
+                &mut buf,
+                Some(*model),
+                *id,
+                *sample_index,
+                *deadline_us,
+                input,
+            ),
         }
         buf
     }
@@ -365,6 +343,12 @@ impl Response {
     /// Serializes into a frame payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the frame payload (no length prefix) to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Response::Score {
                 id,
@@ -372,6 +356,7 @@ impl Response {
                 predicted,
                 scores,
             } => {
+                buf.reserve(25 + 8 * scores.len());
                 buf.push(0);
                 buf.extend_from_slice(&id.to_le_bytes());
                 buf.extend_from_slice(&epoch.to_le_bytes());
@@ -415,7 +400,6 @@ impl Response {
                 }
             }
         }
-        buf
     }
 
     /// Parses a frame payload.
@@ -488,6 +472,56 @@ impl Response {
         r.finish()?;
         Ok(response)
     }
+}
+
+/// Appends an INFER payload (v1 for `model: None`, v2 INFER_MODEL for
+/// `Some(wire id)`) encoded straight from a borrowed symbol slice, with
+/// its exact size reserved first. [`Request::encode`] encodes both kinds
+/// through it, so a caller holding only `&[C64]` sends the same bytes
+/// without building a [`Request`].
+///
+/// # Panics
+///
+/// If `id` is the reserved [`NO_REQUEST_ID`].
+pub fn encode_infer(
+    buf: &mut Vec<u8>,
+    model: Option<u32>,
+    id: u64,
+    sample_index: u64,
+    deadline_us: u64,
+    input: &[C64],
+) {
+    assert_ne!(
+        id, NO_REQUEST_ID,
+        "request id u64::MAX is reserved (NO_REQUEST_ID)"
+    );
+    buf.reserve(29 + if model.is_some() { 4 } else { 0 } + 16 * input.len());
+    match model {
+        None => buf.push(0),
+        Some(model) => {
+            buf.push(4);
+            buf.extend_from_slice(&model.to_le_bytes());
+        }
+    }
+    buf.extend_from_slice(&id.to_le_bytes());
+    buf.extend_from_slice(&sample_index.to_le_bytes());
+    buf.extend_from_slice(&deadline_us.to_le_bytes());
+    buf.extend_from_slice(&(input.len() as u32).to_le_bytes());
+    for z in input {
+        buf.extend_from_slice(&z.re.to_le_bytes());
+        buf.extend_from_slice(&z.im.to_le_bytes());
+    }
+}
+
+/// One whole frame in one buffer: the length prefix, then the payload
+/// `encode` appends — the bytes [`write_frame`] sends for that payload,
+/// ready for a single `write_all`.
+pub fn frame(encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = vec![0; 4];
+    encode(&mut buf);
+    let len = (buf.len() - 4) as u32;
+    buf[..4].copy_from_slice(&len.to_le_bytes());
+    buf
 }
 
 /// Writes one length-prefixed frame.

@@ -1,18 +1,21 @@
 //! Fault-path behaviour of the service: worker panics resolve tickets
 //! and restart the pool, client timeouts turn a stalled server into an
-//! error, and `TcpClient::score` with a retry policy recovers from
-//! dropped connections and transient server errors (without one, it makes
-//! one attempt).
+//! error, a peer that leaves mid-pipeline costs no worker, a peer that
+//! stops reading is shut down after one reply-write timeout while other
+//! connections are still answered, and
+//! `TcpClient::score` with a retry policy recovers from dropped
+//! connections and transient server errors (without one, it makes one
+//! attempt).
 
 mod common;
 
-use metaai_serve::tcp::{self, ClientConfig, RetryPolicy, Target, TcpClient};
+use metaai_serve::tcp::{self, ClientConfig, RetryPolicy, Target, TcpClient, REPLY_WRITE_TIMEOUT};
 use metaai_serve::wire::{self, Request, Response};
 use metaai_serve::{
     OverflowPolicy, ScoreRequest, ServeConfig, ServeError, Server, Ticket, DEFAULT_MODEL,
 };
 use std::io::{BufReader, Write};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 fn config(workers: usize) -> ServeConfig {
@@ -170,6 +173,138 @@ fn a_read_timeout_turns_a_stalled_server_into_an_error() {
     assert!(waited >= Duration::from_millis(100), "waited {waited:?}");
     assert!(waited < Duration::from_secs(30), "waited {waited:?}");
     drop(listener);
+}
+
+#[test]
+fn a_peer_that_leaves_mid_pipeline_costs_no_worker_and_no_other_connection() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = start_default(&config(2));
+    let registry = server.registry().clone();
+    let handle = std::thread::spawn(move || tcp::serve(listener, server));
+
+    // Pipeline 64 requests, then close without reading a reply: the
+    // workers' writes to this socket fail (or land in a dead buffer),
+    // and must neither stall a worker nor reach another connection.
+    let mut leaver = TcpStream::connect(addr).expect("connect the leaver");
+    let frames: Vec<u8> = (0..64u64)
+        .flat_map(|i| {
+            let input = common::sample_input(common::SYMBOLS, i);
+            wire::frame(|buf| wire::encode_infer(buf, None, i, i, 0, input.as_slice()))
+        })
+        .collect();
+    leaver.write_all(&frames).expect("pipeline 64 requests");
+    drop(leaver);
+
+    let mut other = TcpClient::connect_with(addr, ClientConfig::with_all(Duration::from_secs(10)))
+        .expect("connect a second client");
+    for i in 100..108u64 {
+        let input = common::sample_input(common::SYMBOLS, i);
+        let scored = other
+            .score(Target::Default, i, i, input.as_slice(), None)
+            .expect("io")
+            .expect("scored");
+        assert_eq!(scored.id, i);
+    }
+    let restarts: u64 = registry.entries().iter().map(|e| e.worker_restarts()).sum();
+    assert_eq!(restarts, 0, "a departed peer is not a worker fault");
+
+    other.send(&Request::Shutdown).expect("send shutdown");
+    loop {
+        match other.recv().expect("recv") {
+            Some(Response::ShutdownAck) | None => break,
+            Some(_) => continue,
+        }
+    }
+    drop(other);
+    handle.join().unwrap().expect("serve exits cleanly");
+}
+
+#[test]
+fn a_peer_that_stops_reading_is_cut_off_and_other_connections_are_still_answered() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    // Blocking admission: a full queue holds the staller's requests back
+    // in its own socket instead of shedding the other client's.
+    let cfg = ServeConfig {
+        policy: OverflowPolicy::Block,
+        ..config(2)
+    };
+    let server = start_default(&cfg);
+    let registry = server.registry().clone();
+    let handle = std::thread::spawn(move || tcp::serve(listener, server));
+
+    // The staller pipelines requests and never reads a reply: once both
+    // socket buffers are full, the worker writing to it blocks until the
+    // drain's deadline, REPLY_WRITE_TIMEOUT, and the server shuts the
+    // connection down, which fails the staller's next send.
+    let mut staller = TcpStream::connect(addr).expect("connect the staller");
+    staller
+        .set_write_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let chunk: Vec<u8> = (0..500u64)
+        .flat_map(|i| {
+            let input = common::sample_input(common::SYMBOLS, i);
+            wire::frame(|buf| wire::encode_infer(buf, None, i, i, 0, input.as_slice()))
+        })
+        .collect();
+    // Meanwhile a second connection is scored by the other worker.
+    let mut other = TcpClient::connect_with(addr, ClientConfig::with_all(Duration::from_secs(10)))
+        .expect("connect a second client");
+    let started = Instant::now();
+    let mut answered = Vec::new();
+    let mut i = 1_000_000u64;
+    let (error, cut_at) = loop {
+        assert!(
+            started.elapsed() < REPLY_WRITE_TIMEOUT + Duration::from_secs(30),
+            "the stalled connection was never shut down"
+        );
+        if let Err(e) = staller.write_all(&chunk) {
+            break (e, Instant::now());
+        }
+        let input = common::sample_input(common::SYMBOLS, i);
+        let scored = other
+            .score(Target::Default, i, i, input.as_slice(), None)
+            .expect("io")
+            .expect("the other connection is scored");
+        assert_eq!(scored.id, i);
+        answered.push(Instant::now());
+        i += 1;
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(
+        !matches!(
+            error.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "the server hung up rather than stopped reading: {error}"
+    );
+    // The stall began after the first send and lasted one whole timeout.
+    assert!(
+        cut_at - started >= REPLY_WRITE_TIMEOUT,
+        "cut after {:?}",
+        cut_at - started
+    );
+    // The other connection was answered in the stall's last half timeout.
+    let stalled_from = cut_at - REPLY_WRITE_TIMEOUT / 2;
+    assert!(
+        answered.iter().any(|at| *at >= stalled_from),
+        "{} answers, none during the stall",
+        answered.len()
+    );
+    let restarts: u64 = registry.entries().iter().map(|e| e.worker_restarts()).sum();
+    assert_eq!(restarts, 0, "a stalled peer is not a worker fault");
+    drop(staller);
+
+    other.send(&Request::Shutdown).expect("send shutdown");
+    loop {
+        match other.recv().expect("recv") {
+            Some(Response::ShutdownAck) | None => break,
+            Some(_) => continue,
+        }
+    }
+    drop(other);
+    handle.join().unwrap().expect("serve exits cleanly");
 }
 
 /// A hand-rolled protocol server for retry tests: drops the first

@@ -59,6 +59,57 @@ fn zero_length_payloads_are_bad_requests() {
 }
 
 #[test]
+fn the_slice_encoder_writes_the_bytes_of_request_encode() {
+    let input: Vec<C64> = (0..5)
+        .map(|i| C64 {
+            re: i as f64 + 0.5,
+            im: -(i as f64),
+        })
+        .collect();
+    for model in [None, Some(3u32)] {
+        let request = match model {
+            None => Request::Infer {
+                id: 11,
+                sample_index: 12,
+                deadline_us: 13,
+                input: input.clone(),
+            },
+            Some(model) => Request::InferModel {
+                model,
+                id: 11,
+                sample_index: 12,
+                deadline_us: 13,
+                input: input.clone(),
+            },
+        };
+        let mut payload = Vec::new();
+        wire::encode_infer(&mut payload, model, 11, 12, 13, &input);
+        assert_eq!(payload, request.encode(), "payload, model {model:?}");
+        // The one-buffer frame is what write_frame sends for it.
+        let mut framed = Vec::new();
+        wire::write_frame(&mut framed, &payload).unwrap();
+        let one_buffer = wire::frame(|buf| wire::encode_infer(buf, model, 11, 12, 13, &input));
+        assert_eq!(one_buffer, framed, "frame, model {model:?}");
+    }
+}
+
+#[test]
+fn the_slice_encoder_refuses_the_no_id_sentinel() {
+    for model in [None, Some(0u32)] {
+        let refused = std::panic::catch_unwind(|| {
+            wire::encode_infer(&mut Vec::new(), model, NO_REQUEST_ID, 0, 0, &[]);
+        });
+        let message = refused.expect_err("the sentinel id must panic");
+        let message = message
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| message.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("NO_REQUEST_ID"), "{message}");
+    }
+}
+
+#[test]
 fn an_infer_with_zero_symbols_decodes_without_panicking() {
     // n = 0 is structurally valid; the server rejects it later against
     // the deployment's symbol count, not in the parser.
