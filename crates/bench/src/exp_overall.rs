@@ -119,8 +119,8 @@ mod tests {
     #[test]
     fn mnist_row_is_sane_at_quick_scale() {
         // Quick scale (300 train samples on a 784-dim problem) is a smoke
-        // test: full orderings need the default scale and are exercised by
-        // the `experiments table1` run recorded in EXPERIMENTS.md.
+        // test: the Table 1 orderings need the default scale, and no test
+        // checks them yet.
         let ctx = ExpContext::quick(7);
         let r = run_row(&ctx, DatasetId::Mnist);
         let chance = 1.0 / 10.0;

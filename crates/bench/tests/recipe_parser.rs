@@ -142,7 +142,7 @@ fn recipe_from(v: &[u64]) -> Recipe {
         worker_panics: v[17],
         samples: v[18].max(1) as usize,
         speeds_mps: (0..1 + pick(19, 3)).map(|k| positive(20 + k)).collect(),
-        interferer: (v[23] % 5 != 0).then(|| regions[pick(23, 4)]),
+        interferer: (!v[23].is_multiple_of(5)).then(|| regions[pick(23, 4)]),
         drift_mps: positive(24),
         adapt_rounds: v[25].max(1) as usize,
         adapt_threshold: (v[26] >> 11) as f64 / (1u64 << 53) as f64,

@@ -115,6 +115,18 @@ fn counter(registry: &Registry, name: &str) -> u64 {
     panic!("{name} not registered");
 }
 
+fn gauge(registry: &Registry, name: &str) -> f64 {
+    for m in registry.snapshot() {
+        if m.name == name {
+            match m.value {
+                MetricValue::Gauge(v) => return v,
+                other => panic!("{name} is not a gauge: {other:?}"),
+            }
+        }
+    }
+    panic!("{name} not registered");
+}
+
 fn histogram_count(registry: &Registry, name: &str) -> u64 {
     for m in registry.snapshot() {
         if m.name == name {
@@ -243,6 +255,21 @@ fn solver_work(registry: &Registry) -> (u64, u64) {
     )
 }
 
+/// The vector width, in bits, of the widest lane-kernel tier this CPU
+/// runs: what `metaai.mts.solver.lane_bits` must read after a solve.
+fn widest_lane_bits() -> f64 {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return 512.0;
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return 256.0;
+        }
+    }
+    128.0
+}
+
 const MAP_ROWS: usize = 4;
 const MAP_COLS: usize = 24;
 /// Recorded descent sweeps of the cold 4 × 24 map (~2.2 per solve).
@@ -270,10 +297,16 @@ fn a_cold_map_and_a_warm_remap_take_pinned_sweeps() {
     let array = MtsArray::paper_prototype(Prototype::DualBand, config.mts_center);
     let weights = random_weights(MAP_ROWS, MAP_COLS, 11);
 
+    assert_eq!(gauge(registry, "metaai.mts.solver.lane_bits"), 0.0);
     let cold = WeightMapper::new(&config, &array).map(&weights, C64::ZERO);
     assert_eq!(
         solver_work(registry),
         (COLD_SWEEPS, (MAP_ROWS * MAP_COLS) as u64)
+    );
+    assert_eq!(
+        gauge(registry, "metaai.mts.solver.lane_bits"),
+        widest_lane_bits(),
+        "a cold map runs the lane kernel at the widest tier the CPU has"
     );
 
     registry.reset();

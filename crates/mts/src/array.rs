@@ -87,7 +87,7 @@ impl MtsArray {
     pub fn with_atom_count(prototype: Prototype, m: usize, center: Point3) -> Self {
         assert!(m > 0, "array must have atoms");
         let mut rows = (m as f64).sqrt() as usize;
-        while rows > 1 && m % rows != 0 {
+        while rows > 1 && !m.is_multiple_of(rows) {
             rows -= 1;
         }
         MtsArray::with_size(prototype, rows, m / rows, center)

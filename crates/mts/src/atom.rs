@@ -83,7 +83,7 @@ impl PackedCodes {
         assert!((1..=3).contains(&bits), "bit depth must be 1..=3");
         assert!(num_atoms > 0, "a configuration covers at least one atom");
         assert!(
-            indices.len() % num_atoms == 0,
+            indices.len().is_multiple_of(num_atoms),
             "{} indices do not make whole {num_atoms}-atom configurations",
             indices.len()
         );

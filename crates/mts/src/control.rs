@@ -81,7 +81,7 @@ impl ControlModel {
     /// 2 bits per atom) means each group's stream is exactly 32 bits.
     pub fn pattern_bits(&self, indices: &[u8]) -> Vec<Vec<bool>> {
         assert!(
-            indices.len() % self.groups == 0,
+            indices.len().is_multiple_of(self.groups),
             "atom count {} must divide into {} groups",
             indices.len(),
             self.groups

@@ -42,7 +42,7 @@
 
 use crate::atom::{nearest_state, nearest_state_within_turn, PhaseCode};
 use metaai_math::C64;
-use metaai_telemetry::{Counter, Histogram};
+use metaai_telemetry::{Counter, Gauge, Histogram};
 use std::sync::OnceLock;
 
 /// Bucket bounds for the Eqn-4 residual histogram `|H_mts − H_des|`
@@ -53,7 +53,8 @@ const RESIDUAL_BOUNDS: [f64; 8] = [0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0];
 
 /// Weights the lane kernel descends in lockstep. Eight `f64` lanes are
 /// two AVX2 registers per quantity: two independent dependency chains per
-/// atom step.
+/// atom step. At AVX-512 they are one register; sixteen lanes (two) measured
+/// no faster there.
 const LANES: usize = 8;
 
 /// Solver-stage instruments, registered once with the global registry.
@@ -62,6 +63,9 @@ struct SolverMetrics {
     sweeps: Counter,
     table_builds: Counter,
     residual: Histogram,
+    /// Vector width, in bits, of the lane kernel's last solve: 512
+    /// (AVX-512F), 256 (AVX2) or 128 (the portable build's SSE2 baseline).
+    lane_bits: Gauge,
 }
 
 fn metrics() -> &'static SolverMetrics {
@@ -73,6 +77,7 @@ fn metrics() -> &'static SolverMetrics {
             sweeps: r.counter("metaai.mts.solver.sweeps"),
             table_builds: r.counter("metaai.mts.solver.table_builds"),
             residual: r.histogram("metaai.mts.solver.residual", &RESIDUAL_BOUNDS),
+            lane_bits: r.gauge("metaai.mts.solver.lane_bits"),
         }
     })
 }
@@ -600,11 +605,14 @@ struct Lanes {
 
 /// [`lanes`] at the widest ISA this host runs.
 ///
-/// As `metaai::engine` dispatches its row sweeps, the AVX2 path is the
-/// *same* safe body recompiled with 256-bit vectors available
-/// (`#[target_feature(enable = "avx2")]`, no intrinsics, FMA off), picked
-/// by a runtime check: every lane computes the identical `f64` sequence on
-/// every path, so ISA dispatch is bitwise-invisible.
+/// As `metaai::engine` dispatches its row sweeps, the AVX-512 and AVX2
+/// paths are the *same* safe body recompiled with 512- or 256-bit vectors
+/// available (`#[target_feature(enable = …)]`, no intrinsics), picked by
+/// a runtime check: every lane computes the identical `f64` sequence on
+/// every path (Rust never contracts a multiply and an add into an FMA),
+/// so ISA dispatch is bitwise-invisible. This kernel alone gets the
+/// 512-bit tier: the engine sweeps, `CMat::matvec` and the training
+/// cogradient measured slower with it (DESIGN.md, "ISA dispatch").
 fn run_lanes<const S: usize>(
     solver: &WeightSolver,
     targets: &[C64],
@@ -614,10 +622,44 @@ fn run_lanes<const S: usize>(
     out: &mut BatchOutput<'_>,
 ) -> usize {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: guarded by the runtime feature check above.
-        return unsafe { run_lanes_avx2::<S>(solver, targets, start, table, scratch, out) };
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            note_lane_bits(512);
+            // SAFETY: guarded by the runtime feature check above.
+            return unsafe { run_lanes_avx512::<S>(solver, targets, start, table, scratch, out) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            note_lane_bits(256);
+            // SAFETY: guarded by the runtime feature check above.
+            return unsafe { run_lanes_avx2::<S>(solver, targets, start, table, scratch, out) };
+        }
     }
+    note_lane_bits(128);
+    lanes::<S>(solver, targets, start, table, scratch, out)
+}
+
+/// Sets the `lane_bits` gauge to the vector width a solve ran at.
+fn note_lane_bits(bits: u32) {
+    if metaai_telemetry::enabled() {
+        metrics().lane_bits.set(f64::from(bits));
+    }
+}
+
+/// [`lanes`] compiled with AVX-512F enabled.
+///
+/// # Safety
+///
+/// The CPU running it must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn run_lanes_avx512<const S: usize>(
+    solver: &WeightSolver,
+    targets: &[C64],
+    start: Start<'_>,
+    table: &StateTable,
+    scratch: &mut SolverScratch,
+    out: &mut BatchOutput<'_>,
+) -> usize {
     lanes::<S>(solver, targets, start, table, scratch, out)
 }
 
@@ -1400,18 +1442,25 @@ mod tests {
         });
     }
 
-    /// CI's x86 hosts only run the AVX2 instantiation, so drive the
-    /// portable body (what non-x86 builds ship) against it directly, cold
-    /// and warm, at every depth.
+    /// A host runs only its widest instantiation, so drive the portable
+    /// body (what non-x86 builds ship) against the AVX2 and AVX-512 builds
+    /// directly, cold and warm, at every depth. An arm the CPU lacks is
+    /// skipped with a note.
     #[test]
     fn lane_kernel_isa_paths_agree_bitwise() {
         #[cfg(target_arch = "x86_64")]
         {
-            if !std::arch::is_x86_feature_detected!("avx2") {
-                println!("note: no AVX2 on this host; ISA parity not checked");
-                return;
-            }
-            fn check<const S: usize>(bits: u8, rng: &mut SimRng) {
+            type Kernel<const S: usize> = unsafe fn(
+                &WeightSolver,
+                &[C64],
+                Start<'_>,
+                &StateTable,
+                &mut SolverScratch,
+                &mut BatchOutput<'_>,
+            ) -> usize;
+            /// Solves cold, then warm from perturbed codes, with the
+            /// portable body and with `kernel`, and asserts the same bits.
+            fn check<const S: usize>(bits: u8, kernel: Kernel<S>, rng: &mut SimRng) {
                 let solver = WeightSolver::single(random_phasors(64, 80 + bits as u64), bits);
                 let table = solver.state_table();
                 let mut scratch = SolverScratch::new();
@@ -1421,12 +1470,12 @@ mod tests {
                 let portable = solve_into_batch(&solver, n, |mut out| {
                     lanes::<S>(&solver, &targets, cold, &table, &mut scratch, &mut out)
                 });
-                // SAFETY: AVX2 presence checked above.
-                let avx2 = solve_into_batch(&solver, n, |mut out| unsafe {
-                    run_lanes_avx2::<S>(&solver, &targets, cold, &table, &mut scratch, &mut out)
+                // SAFETY: the caller checked the CPU runs `kernel`.
+                let wide = solve_into_batch(&solver, n, |mut out| unsafe {
+                    kernel(&solver, &targets, cold, &table, &mut scratch, &mut out)
                 });
-                assert_eq!(portable.1, avx2.1);
-                for (a, b) in portable.0.iter().zip(&avx2.0) {
+                assert_eq!(portable.1, wide.1);
+                for (a, b) in portable.0.iter().zip(&wide.0) {
                     assert_same(a, b);
                 }
                 let starts: Vec<Vec<PhaseCode>> = portable
@@ -1447,18 +1496,30 @@ mod tests {
                     lanes::<S>(&solver, &nudged, warm, &table, &mut scratch, &mut out)
                 });
                 // SAFETY: as above.
-                let avx2 = solve_into_batch(&solver, n, |mut out| unsafe {
-                    run_lanes_avx2::<S>(&solver, &nudged, warm, &table, &mut scratch, &mut out)
+                let wide = solve_into_batch(&solver, n, |mut out| unsafe {
+                    kernel(&solver, &nudged, warm, &table, &mut scratch, &mut out)
                 });
-                assert_eq!(portable.1, avx2.1);
-                for (a, b) in portable.0.iter().zip(&avx2.0) {
+                assert_eq!(portable.1, wide.1);
+                for (a, b) in portable.0.iter().zip(&wide.0) {
                     assert_same(a, b);
                 }
             }
-            let mut rng = SimRng::seed_from_u64(59);
-            check::<2>(1, &mut rng);
-            check::<4>(2, &mut rng);
-            check::<8>(3, &mut rng);
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let mut rng = SimRng::seed_from_u64(59);
+                check::<2>(1, run_lanes_avx2::<2>, &mut rng);
+                check::<4>(2, run_lanes_avx2::<4>, &mut rng);
+                check::<8>(3, run_lanes_avx2::<8>, &mut rng);
+            } else {
+                println!("note: no AVX2 on this host; AVX2 parity not checked");
+            }
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                let mut rng = SimRng::seed_from_u64(59);
+                check::<2>(1, run_lanes_avx512::<2>, &mut rng);
+                check::<4>(2, run_lanes_avx512::<4>, &mut rng);
+                check::<8>(3, run_lanes_avx512::<8>, &mut rng);
+            } else {
+                println!("note: no AVX-512F on this host; AVX-512 parity not checked");
+            }
         }
         #[cfg(not(target_arch = "x86_64"))]
         println!("note: not an x86-64 host; only the portable path exists");

@@ -115,7 +115,7 @@ impl ConfusionMatrix {
                     continue;
                 }
                 let c = self.count(t, p);
-                if c > 0 && best.map_or(true, |(_, _, bc)| c > bc) {
+                if c > 0 && best.is_none_or(|(_, _, bc)| c > bc) {
                     best = Some((t, p, c));
                 }
             }

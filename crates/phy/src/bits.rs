@@ -14,7 +14,10 @@ pub fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
 /// Packs bits (values 0/1, MSB-first) into bytes. The bit count must be a
 /// multiple of 8.
 pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
-    assert!(bits.len() % 8 == 0, "bit count must be a multiple of 8");
+    assert!(
+        bits.len().is_multiple_of(8),
+        "bit count must be a multiple of 8"
+    );
     bits.chunks(8)
         .map(|chunk| chunk.iter().fold(0u8, |acc, &b| (acc << 1) | (b & 1)))
         .collect()

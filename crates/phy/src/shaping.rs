@@ -25,7 +25,7 @@ pub const SLOTS_PER_SYMBOL: usize = 2;
 /// Chip polarity `p(s)`: `+1` on even slots, `−1` on odd slots. The mean
 /// over a symbol period is zero.
 pub fn polarity(slot: usize) -> f64 {
-    if slot % 2 == 0 {
+    if slot.is_multiple_of(2) {
         1.0
     } else {
         -1.0

@@ -57,6 +57,16 @@ pub struct ScoreResponse {
     pub scores: Vec<f64>,
 }
 
+/// A scored reply as a worker delivers it, the scores borrowed from the
+/// worker's buffer: a connection's reply slot encodes them straight into
+/// its frame, and only a [`Ticket`] copies them into a [`ScoreResponse`].
+pub(crate) struct Scored<'a> {
+    pub id: u64,
+    pub epoch: u64,
+    pub predicted: usize,
+    pub scores: &'a [f64],
+}
+
 /// A queued request together with its completion.
 pub(crate) struct Pending {
     pub request: ScoreRequest,
@@ -66,7 +76,7 @@ pub(crate) struct Pending {
 
 impl Pending {
     /// Delivers the outcome (a departed caller is ignored).
-    pub(crate) fn resolve(self, result: Result<ScoreResponse, ServeError>) {
+    pub(crate) fn resolve(self, result: Result<Scored<'_>, ServeError>) {
         self.done.resolve(result);
     }
 }
@@ -100,7 +110,7 @@ impl Completion {
     }
 
     /// Delivers the outcome.
-    pub(crate) fn resolve(mut self, outcome: Result<ScoreResponse, ServeError>) {
+    pub(crate) fn resolve(mut self, outcome: Result<Scored<'_>, ServeError>) {
         if let Some(sink) = self.0.take() {
             sink.deliver(outcome);
         }
@@ -116,10 +126,15 @@ impl Drop for Completion {
 }
 
 impl Sink {
-    fn deliver(self, outcome: Result<ScoreResponse, ServeError>) {
+    fn deliver(self, outcome: Result<Scored<'_>, ServeError>) {
         match self {
             Sink::Ticket(tx) => {
-                let _ = tx.send(outcome);
+                let _ = tx.send(outcome.map(|s| ScoreResponse {
+                    id: s.id,
+                    epoch: s.epoch,
+                    predicted: s.predicted,
+                    scores: s.scores.to_vec(),
+                }));
             }
             Sink::Slot { outbox, seq, id } => outbox.fill(seq, outbox::reply_frame(id, outcome)),
         }
@@ -451,11 +466,11 @@ mod tests {
                             for pending in batch {
                                 seen.push(pending.request.id);
                                 let id = pending.request.id;
-                                pending.resolve(Ok(ScoreResponse {
+                                pending.resolve(Ok(Scored {
                                     id,
                                     epoch: 0,
                                     predicted: 0,
-                                    scores: Vec::new(),
+                                    scores: &[],
                                 }));
                             }
                         }

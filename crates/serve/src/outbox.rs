@@ -20,7 +20,7 @@
 //! parked frames are dropped, and later fills return at once without
 //! writing.
 
-use crate::batcher::ScoreResponse;
+use crate::batcher::Scored;
 use crate::wire::{self, Response};
 use crate::ServeError;
 use std::collections::VecDeque;
@@ -185,17 +185,11 @@ fn write_by(
 }
 
 /// The frame answering request `id` with `outcome`.
-pub(crate) fn reply_frame(id: u64, outcome: Result<ScoreResponse, ServeError>) -> Vec<u8> {
-    let response = match outcome {
-        Ok(scored) => Response::Score {
-            id: scored.id,
-            epoch: scored.epoch,
-            predicted: scored.predicted as u32,
-            scores: scored.scores,
-        },
-        Err(e) => Response::Error { id, code: e.code() },
-    };
-    wire::frame(|buf| response.encode_into(buf))
+pub(crate) fn reply_frame(id: u64, outcome: Result<Scored<'_>, ServeError>) -> Vec<u8> {
+    wire::frame(|buf| match outcome {
+        Ok(s) => wire::encode_score(buf, s.id, s.epoch, s.predicted as u32, s.scores),
+        Err(e) => Response::Error { id, code: e.code() }.encode_into(buf),
+    })
 }
 
 #[cfg(test)]

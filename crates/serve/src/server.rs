@@ -33,7 +33,7 @@
 //! per-model, a panic storm on one tenant leaves every other tenant's
 //! workers untouched.
 
-use crate::batcher::{Pending, ScoreRequest, ScoreResponse, Ticket};
+use crate::batcher::{Pending, ScoreRequest, ScoreResponse, Scored, Ticket};
 use crate::deploy::{DeploymentRegistry, ModelEntry};
 use crate::{ServeConfig, ServeError};
 use metaai::pipeline::MetaAiSystem;
@@ -367,11 +367,11 @@ fn worker_loop(entry: &ModelEntry, faults: &FaultInjector) {
                     if let Some(m) = entry.metrics.on() {
                         m.e2e_latency_us.observe(waited_us);
                     }
-                    Ok(ScoreResponse {
+                    Ok(Scored {
                         id: pending.request.id,
                         epoch: deployment.epoch,
                         predicted,
-                        scores: scratch.clone(),
+                        scores: &scratch,
                     })
                 }
             };

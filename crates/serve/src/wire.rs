@@ -355,17 +355,7 @@ impl Response {
                 epoch,
                 predicted,
                 scores,
-            } => {
-                buf.reserve(25 + 8 * scores.len());
-                buf.push(0);
-                buf.extend_from_slice(&id.to_le_bytes());
-                buf.extend_from_slice(&epoch.to_le_bytes());
-                buf.extend_from_slice(&predicted.to_le_bytes());
-                buf.extend_from_slice(&(scores.len() as u32).to_le_bytes());
-                for s in scores {
-                    buf.extend_from_slice(&s.to_le_bytes());
-                }
-            }
+            } => encode_score(buf, *id, *epoch, *predicted, scores),
             Response::Error { id, code } => {
                 buf.push(1);
                 buf.extend_from_slice(&id.to_le_bytes());
@@ -510,6 +500,22 @@ pub fn encode_infer(
     for z in input {
         buf.extend_from_slice(&z.re.to_le_bytes());
         buf.extend_from_slice(&z.im.to_le_bytes());
+    }
+}
+
+/// Appends a SCORE payload encoded straight from a borrowed score slice,
+/// with its exact size reserved first. [`Response::encode_into`] encodes
+/// `Score` through it, so a worker replying from its own score buffer
+/// sends the same bytes without building a [`Response`].
+pub fn encode_score(buf: &mut Vec<u8>, id: u64, epoch: u64, predicted: u32, scores: &[f64]) {
+    buf.reserve(25 + 8 * scores.len());
+    buf.push(0);
+    buf.extend_from_slice(&id.to_le_bytes());
+    buf.extend_from_slice(&epoch.to_le_bytes());
+    buf.extend_from_slice(&predicted.to_le_bytes());
+    buf.extend_from_slice(&(scores.len() as u32).to_le_bytes());
+    for s in scores {
+        buf.extend_from_slice(&s.to_le_bytes());
     }
 }
 

@@ -94,6 +94,22 @@ fn the_slice_encoder_writes_the_bytes_of_request_encode() {
 }
 
 #[test]
+fn the_score_slice_encoder_writes_the_bytes_of_response_score() {
+    for scores in [vec![], vec![0.25, -0.0, f64::INFINITY, 1e-310, -7.5]] {
+        let response = Response::Score {
+            id: 21,
+            epoch: 5,
+            predicted: 2,
+            scores: scores.clone(),
+        };
+        let mut payload = Vec::new();
+        wire::encode_score(&mut payload, 21, 5, 2, &scores);
+        assert_eq!(payload, response.encode(), "{} scores", scores.len());
+        assert_eq!(Response::decode(&payload).unwrap(), response);
+    }
+}
+
+#[test]
 fn the_slice_encoder_refuses_the_no_id_sentinel() {
     for model in [None, Some(0u32)] {
         let refused = std::panic::catch_unwind(|| {
